@@ -266,7 +266,7 @@ def relaxation_phase(
             )
     raise IterationLimitError(
         "relaxation phase hit its round cap",
-        {"rounds": rounds, "bound": prev_obj},
+        {"rounds": rounds, "bound": bounds[-1] if bounds else None},
     )
 
 
@@ -291,10 +291,6 @@ class BranchAndBoundResult:
     optimal: bool
     wall_s: float
     cuts_added: int = 0
-
-    @property
-    def flagged_budget(self) -> bool:
-        return not self.optimal
 
 
 @dataclass(order=True)

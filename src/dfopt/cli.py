@@ -5,6 +5,8 @@ Subcommands:
 - ``dfopt generate``: synthetic instances from a config file (or a 3-CNF
   reduction from a DIMACS file) to canonical JSON.
 - ``dfopt solve``: one instance, one method, JSON result on stdout/file.
+  ``SOLVERS`` is the single list of methods; ``solve``, the experiments and
+  the benchmark all run solvers through it via ``solve_one``.
 - ``dfopt experiment``: a seeded grid of instances and methods, one CSV per
   table, reproducible byte for byte given the same spec (timings can be
   zeroed with --no-timings for exact reruns).
@@ -21,6 +23,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -35,19 +38,7 @@ EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 EXIT_SOLVER = 4
 
-METHODS = (
-    "brute",
-    "monolithic:leaf",
-    "monolithic:split",
-    "monolithic:product",
-    "benders:leaf",
-    "benders:split",
-    "benders:product",
-    "ls",
-    "ls10",
-    "roa",
-    "dnc",
-)
+KINDS = tuple(formulations.Kind)
 
 
 def _pool_size() -> int:
@@ -65,7 +56,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +94,93 @@ def cmd_generate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _budget(args) -> benders.Budget:
-    return benders.Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_sec)
+def _bb_row(res, **extra) -> dict:
+    """Row fields of a branch-and-bound result."""
+    return {
+        "value": res.value,
+        "bound": res.upper_bound,
+        "gap": res.gap_pct,
+        "nodes": res.nodes,
+        "optimal": res.optimal,
+        "assortment": sorted(res.x.support()) if res.x else None,
+        **extra,
+    }
+
+
+def _assortment_row(x, value, optimal: bool = False) -> dict:
+    """Row fields of one assortment: a heuristic's, or a proven optimum."""
+    value = float(value)
+    return {
+        "value": value,
+        "bound": value if optimal else None,
+        "gap": 0.0 if optimal else None,
+        "optimal": optimal,
+        "assortment": sorted(x.support()),
+    }
+
+
+def _monolithic(kind):
+    def solve(catalog, forest, cardinality, budget, seed):
+        built = formulations.build(kind, catalog, forest, cardinality)
+        return _bb_row(
+            formulations.solve_integer_monolithic(built, catalog, forest, budget)
+        )
+
+    return solve
+
+
+def _benders(kind):
+    def solve(catalog, forest, cardinality, budget, seed):
+        relax, res = benders.solve_two_phase(kind, catalog, forest, cardinality, budget)
+        # a budget stop before B&B proved any bound still has phase 1's bound
+        bound = relax.value if res.upper_bound == math.inf else res.upper_bound
+        return _bb_row(
+            res,
+            bound=bound,
+            z_lo=relax.value,
+            z_lb=res.value,
+            z_ub=bound,
+            rounds=relax.rounds,
+            cuts=len(relax.state.pool),
+        )
+
+    return solve
+
+
+def _unconstrained(run):
+    """Entry for a heuristic that cannot honor a cardinality limit."""
+
+    def solve(catalog, forest, cardinality, budget, seed):
+        if cardinality is not None:
+            raise ConfigError("among the heuristics only dnc takes --cardinality")
+        res = run(catalog, forest, seed)
+        return _assortment_row(res.assortment, res.value)
+
+    return solve
+
+
+def _dnc(catalog, forest, cardinality, budget, seed):
+    if cardinality is None:
+        raise ConfigError("dnc requires --cardinality")
+    res = heuristics.divide_and_conquer(catalog, forest, cardinality, seed=seed)
+    return _assortment_row(res.assortment, res.value)
+
+
+#: Every method by name: ``solver(catalog, forest, cardinality, budget, seed)``
+#: returns the method's row fields.  Entries look solvers up as module
+#: attributes at call time, so wrappers installed on those modules see each call.
+SOLVERS = {
+    "brute": lambda c, f, card, budget, seed: _assortment_row(
+        *model.brute_force_optimal(c, f, card), optimal=True
+    ),
+    **{f"monolithic:{kind.value}": _monolithic(kind) for kind in KINDS},
+    **{f"benders:{kind.value}": _benders(kind) for kind in KINDS},
+    "ls": _unconstrained(lambda c, f, seed: heuristics.local_search(c, f)),
+    "ls10": _unconstrained(lambda c, f, seed: heuristics.ls10(c, f, seed=seed)),
+    "roa": _unconstrained(lambda c, f, seed: heuristics.revenue_ordered(c, f)),
+    "dnc": _dnc,
+}
+METHODS = tuple(SOLVERS)
 
 
 def solve_one(
@@ -117,80 +193,35 @@ def solve_one(
     timings: bool = True,
 ) -> dict:
     """Run one method; returns the result row used by solve and experiment."""
-    t0 = time.monotonic()
-    out: dict = {"method": method, "seed": seed}
-    if method == "brute":
-        x, value = model.brute_force_optimal(catalog, forest, cardinality)
-        out.update(value=float(value), bound=float(value), gap=0.0, optimal=True)
-        out["assortment"] = sorted(x.support())
-    elif method.startswith("monolithic:"):
-        kind = formulations.Kind(method.split(":", 1)[1])
-        built = formulations.build(kind, catalog, forest, cardinality)
-        res = formulations.solve_integer_monolithic(built, catalog, forest, budget)
-        out.update(
-            value=res.value,
-            bound=res.upper_bound,
-            gap=res.gap_pct,
-            nodes=res.nodes,
-            optimal=res.optimal,
-        )
-        out["assortment"] = sorted(res.x.support()) if res.x else None
-    elif method.startswith("benders:"):
-        kind = formulations.Kind(method.split(":", 1)[1])
-        relax, res = benders.solve_two_phase(kind, catalog, forest, cardinality, budget)
-        out.update(
-            value=res.value,
-            bound=res.upper_bound,
-            gap=res.gap_pct,
-            z_lo=relax.value,
-            z_lb=res.value,
-            z_ub=res.upper_bound,
-            rounds=relax.rounds,
-            nodes=res.nodes,
-            cuts=len(relax.state.pool),
-            optimal=res.optimal,
-        )
-        out["assortment"] = sorted(res.x.support()) if res.x else None
-    elif method == "ls":
-        res = heuristics.local_search(catalog, forest)
-        out.update(value=float(res.value), bound=None, gap=None, optimal=False)
-        out["assortment"] = sorted(res.assortment.support())
-    elif method == "ls10":
-        res = heuristics.ls10(catalog, forest, seed=seed)
-        out.update(value=float(res.value), bound=None, gap=None, optimal=False)
-        out["assortment"] = sorted(res.assortment.support())
-    elif method == "roa":
-        res = heuristics.revenue_ordered(catalog, forest)
-        out.update(value=float(res.value), bound=None, gap=None, optimal=False)
-        out["assortment"] = sorted(res.assortment.support())
-    elif method == "dnc":
-        if cardinality is None:
-            raise ConfigError("dnc requires --cardinality")
-        res = heuristics.divide_and_conquer(catalog, forest, cardinality, seed=seed)
-        out.update(value=float(res.value), bound=None, gap=None, optimal=False)
-        out["assortment"] = sorted(res.assortment.support())
-    else:
+    if method not in SOLVERS:
         raise ConfigError(f"unknown method {method!r} (choose from {METHODS})")
-    out["wall_ms"] = round((time.monotonic() - t0) * 1000.0, 3) if timings else 0.0
-    return out
+    t0 = time.monotonic()
+    row = {"method": method, "seed": seed}
+    row.update(SOLVERS[method](catalog, forest, cardinality, budget, seed))
+    row["wall_ms"] = round((time.monotonic() - t0) * 1000.0, 3) if timings else 0.0
+    return row
+
+
+def _finite_or_null(v):
+    # JSON has no infinities: a value or bound left unproven is written as null
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def cmd_solve(args) -> int:
     catalog, forest = model.instance_from_json(Path(args.instance).read_text())
-    result = solve_one(
+    row = solve_one(
         catalog,
         forest,
         args.method,
         cardinality=args.cardinality,
-        budget=_budget(args),
+        budget=benders.Budget(max_nodes=args.budget_nodes, max_seconds=args.budget_sec),
         seed=args.seed,
         timings=not args.no_timings,
     )
-    _write_text(args.out, _dump_json(result))
-    if result.get("optimal") is False and args.method.split(":")[0] in (
-        "monolithic",
-        "benders",
-    ):
+    _write_text(args.out, _dump_json({k: _finite_or_null(v) for k, v in row.items()}))
+    # heuristic rows carry no bound; an exact one that is not proven optimal
+    # was stopped by its budget
+    if row["bound"] is not None and not row["optimal"]:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -255,6 +286,10 @@ def _write_csv(path: Path, schema: str, header: list[str], rows: list[dict]) -> 
     path.write_text(buf.getvalue())
 
 
+#: Columns of a grid cell, in the order ``_grid`` builds its tuples.
+CELL_COLUMNS = ("type", "n", "num_trees", "leaves")
+
+
 def _grid(spec) -> list[tuple]:
     cells = []
     for type_name in spec.get("types", ["t3"]):
@@ -289,35 +324,25 @@ def _rows_with_means(results, metric_keys):
     rows = []
     by_cell: dict[tuple, list[dict]] = {}
     for cell, rep, seed, metrics in results:
-        row = {
-            "type": cell[0],
-            "n": cell[1],
-            "num_trees": cell[2],
-            "leaves": cell[3],
-            "rep": rep,
-            "seed": seed,
-        }
-        row.update(metrics)
+        row = dict(zip(CELL_COLUMNS, cell), rep=rep, seed=seed, **metrics)
         rows.append(row)
         by_cell.setdefault(cell, []).append(row)
     for cell, cell_rows in by_cell.items():
-        mean_row = {
-            "type": cell[0],
-            "n": cell[1],
-            "num_trees": cell[2],
-            "leaves": cell[3],
-            "rep": "mean",
-            "seed": "",
-        }
+        mean_row = dict(zip(CELL_COLUMNS, cell), rep="mean", seed="")
         for key in metric_keys:
             mean_row[key] = _mean(cell_rows, key)
         rows.append(mean_row)
-    rows.sort(key=lambda r: (r["type"], r["n"], r["num_trees"], r["leaves"], str(r["rep"])))
+    rows.sort(key=lambda r: [r[c] for c in CELL_COLUMNS] + [str(r["rep"])])
     return rows
 
 
+def _spec_budget(spec) -> benders.Budget:
+    return benders.Budget(
+        max_nodes=spec.get("budget_nodes"), max_seconds=spec.get("budget_sec", 60)
+    )
+
+
 def _experiment_integrality(spec, timings):
-    kinds = [formulations.Kind.LEAF, formulations.Kind.SPLIT, formulations.Kind.PRODUCT]
     revenue_range = spec.get("revenue_range", [1, 100])
 
     def worker(cell, rep, seed):
@@ -333,7 +358,7 @@ def _experiment_integrality(spec, timings):
             if z_star <= 0:
                 row["status"] = "error: Z*=0, gap undefined"
                 return row
-            for kind in kinds:
+            for kind in KINDS:
                 z_lo, _, _ = formulations.solve_relaxation(
                     formulations.build(kind, catalog, forest)
                 )
@@ -346,50 +371,42 @@ def _experiment_integrality(spec, timings):
 
     results = _run_cells(spec, worker)
     keys = ["z_star"]
-    for kind in kinds:
+    for kind in KINDS:
         keys += [f"z_lo_{kind.value}", f"gap_{kind.value}"]
     rows = _rows_with_means(results, keys)
-    header = ["type", "n", "num_trees", "leaves", "rep", "seed", "status"] + keys
+    header = [*CELL_COLUMNS, "rep", "seed", "status"] + keys
     return "integrality_gap", header, rows
 
 
 def _experiment_tractability(spec, timings):
-    kinds = [formulations.Kind.LEAF, formulations.Kind.SPLIT, formulations.Kind.PRODUCT]
-    budget = benders.Budget(
-        max_nodes=spec.get("budget_nodes"), max_seconds=spec.get("budget_sec", 60)
-    )
+    budget = _spec_budget(spec)
 
     def worker(cell, rep, seed):
-        type_name, n, num_trees, leaves = cell
-        catalog, forest = _instance_for(type_name, n, num_trees, leaves, seed)
+        catalog, forest = _instance_for(*cell, seed)
         row = {"status": "ok"}
-        for kind in kinds:
-            built = formulations.build(kind, catalog, forest)
-            t0 = time.monotonic()
+        for kind in KINDS:
+            method = f"monolithic:{kind.value}"
             try:
-                res = formulations.solve_integer_monolithic(built, catalog, forest, budget)
-                row[f"gap_{kind.value}"] = res.gap_pct
-                row[f"time_{kind.value}"] = (
-                    time.monotonic() - t0 if timings else 0.0
-                )
+                res = solve_one(catalog, forest, method, budget=budget, timings=timings)
             except DfoptError as exc:
                 row["status"] = f"error: {exc}"
+                continue
+            row[f"gap_{kind.value}"] = res["gap"]
+            row[f"time_{kind.value}"] = res["wall_ms"] / 1000.0
         return row
 
     results = _run_cells(spec, worker)
     keys = []
-    for kind in kinds:
+    for kind in KINDS:
         keys += [f"gap_{kind.value}", f"time_{kind.value}"]
     rows = _rows_with_means(results, keys)
-    header = ["type", "n", "num_trees", "leaves", "rep", "seed", "status"] + keys
+    header = [*CELL_COLUMNS, "rep", "seed", "status"] + keys
     return "tractability", header, rows
 
 
 def _experiment_benders(spec, timings):
     """Decomposition vs direct solve vs swap heuristic at fixed cardinality."""
-    budget = benders.Budget(
-        max_nodes=spec.get("budget_nodes"), max_seconds=spec.get("budget_sec", 60)
-    )
+    budget = _spec_budget(spec)
     rhos = [float(r) for r in spec.get("rho", [0.2])]
 
     def worker(cell, rep, seed):
@@ -399,6 +416,7 @@ def _experiment_benders(spec, timings):
         for rho in rhos:
             b = max(1, round(rho * n))
             tag = f"rho{rho:g}"
+            # the two phases are timed apart, which solve_one cannot do
             t0 = time.monotonic()
             relax = benders.relaxation_phase(
                 formulations.Kind.SPLIT, catalog, forest, cardinality=b
@@ -413,16 +431,13 @@ def _experiment_benders(spec, timings):
                 budget=budget,
             )
             t2 = time.monotonic()
-            dnc = heuristics.divide_and_conquer(catalog, forest, b, seed=seed)
-            t3 = time.monotonic()
-            built = formulations.build(
-                formulations.Kind.SPLIT, catalog, forest, cardinality=b
+            dnc = solve_one(catalog, forest, "dnc", cardinality=b, seed=seed)
+            direct = solve_one(
+                catalog, forest, "monolithic:split", cardinality=b, budget=budget
             )
-            direct = formulations.solve_integer_monolithic(built, catalog, forest, budget)
-            t4 = time.monotonic()
             z_lb = integer.value
-            z_dnc = float(dnc.value)
-            z_direct = direct.value
+            z_dnc = dnc["value"]
+            z_direct = direct["value"]
             rows[f"{tag}_b"] = b
             rows[f"{tag}_z_b_lo"] = relax.value
             rows[f"{tag}_z_b_ub"] = integer.upper_bound
@@ -436,16 +451,15 @@ def _experiment_benders(spec, timings):
             rows[f"{tag}_ri_direct"] = (
                 100.0 * (z_lb - z_direct) / z_direct if z_direct > 0 else None
             )
-            rows[f"{tag}_nu_direct"] = 0 if direct.optimal else 1
-            if timings:
-                rows[f"{tag}_t_b_lo"] = t1 - t0
-                rows[f"{tag}_t_b_io"] = t2 - t1
-                rows[f"{tag}_t_b_total"] = t2 - t0
-                rows[f"{tag}_t_dnc"] = t3 - t2
-                rows[f"{tag}_t_direct"] = t4 - t3
-            else:
-                for name in ("t_b_lo", "t_b_io", "t_b_total", "t_dnc", "t_direct"):
-                    rows[f"{tag}_{name}"] = 0.0
+            rows[f"{tag}_nu_direct"] = 0 if direct["optimal"] else 1
+            for name, secs in (
+                ("t_b_lo", t1 - t0),
+                ("t_b_io", t2 - t1),
+                ("t_b_total", t2 - t0),
+                ("t_dnc", dnc["wall_ms"] / 1000.0),
+                ("t_direct", direct["wall_ms"] / 1000.0),
+            ):
+                rows[f"{tag}_{name}"] = secs if timings else 0.0
         return rows
 
     results = _run_cells(spec, worker)
@@ -473,44 +487,39 @@ def _experiment_benders(spec, timings):
             )
         ]
     rows = _rows_with_means(results, keys)
-    header = ["type", "n", "num_trees", "leaves", "rep", "seed"] + keys
+    header = [*CELL_COLUMNS, "rep", "seed"] + keys
     return "benders", header, rows
 
 
 def _experiment_heuristics(spec, timings):
     """Integer formulations vs LS / LS10 / ROA against the best upper bound."""
-    budget = benders.Budget(
-        max_nodes=spec.get("budget_nodes"), max_seconds=spec.get("budget_sec", 60)
-    )
-    kinds = [formulations.Kind.LEAF, formulations.Kind.SPLIT, formulations.Kind.PRODUCT]
+    budget = _spec_budget(spec)
+    # column name -> method
+    methods = {kind.value: f"monolithic:{kind.value}" for kind in KINDS}
+    methods.update(ls="ls", ls10="ls10", roa="roa")
 
     def worker(cell, rep, seed):
-        type_name, n, num_trees, leaves = cell
-        catalog, forest = _instance_for(type_name, n, num_trees, leaves, seed)
-        values = {}
-        uppers = []
-        for kind in kinds:
-            built = formulations.build(kind, catalog, forest)
-            res = formulations.solve_integer_monolithic(built, catalog, forest, budget)
-            values[f"z_{kind.value}"] = res.value
-            uppers.append(res.upper_bound)
-        values["z_ls"] = float(heuristics.local_search(catalog, forest).value)
-        values["z_ls10"] = float(heuristics.ls10(catalog, forest, seed=seed).value)
-        values["z_roa"] = float(heuristics.revenue_ordered(catalog, forest).value)
-        best_ub = min(uppers)
+        catalog, forest = _instance_for(*cell, seed)
+        results = {
+            name: solve_one(catalog, forest, method, budget=budget, seed=seed)
+            for name, method in methods.items()
+        }
+        best_ub = min(results[kind.value]["bound"] for kind in KINDS)
         row = {"z_best_ub": best_ub}
-        for key, v in values.items():
-            row[key] = v
-            gap_key = key.replace("z_", "gbar_")
-            row[gap_key] = 100.0 * (best_ub - v) / best_ub if best_ub > 0 else None
+        for name, res in results.items():
+            v = res["value"]
+            row[f"z_{name}"] = v
+            row[f"gbar_{name}"] = (
+                100.0 * (best_ub - v) / best_ub if best_ub > 0 else None
+            )
         return row
 
     results = _run_cells(spec, worker)
     keys = ["z_best_ub"]
-    for name in ("leaf", "split", "product", "ls", "ls10", "roa"):
+    for name in methods:
         keys += [f"z_{name}", f"gbar_{name}"]
     rows = _rows_with_means(results, keys)
-    header = ["type", "n", "num_trees", "leaves", "rep", "seed"] + keys
+    header = [*CELL_COLUMNS, "rep", "seed"] + keys
     return "heuristics", header, rows
 
 
@@ -549,20 +558,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Assortment optimization under tree-ensemble choice models.",
     )
     parser.add_argument("--verbose", action="store_true", help="log solver progress")
-    parser.add_argument(
+    no_timings_help = "zero all timing fields (byte-identical reruns)"
+    parser.add_argument("--no-timings", action="store_true", help=no_timings_help)
+    # Each subcommand accepts the flag too.  Its default must be SUPPRESS: a
+    # subparser default would overwrite the flag given before the subcommand.
+    after = argparse.ArgumentParser(add_help=False)
+    after.add_argument(
         "--no-timings",
         action="store_true",
-        help="zero all timing fields (byte-identical reruns)",
+        default=argparse.SUPPRESS,
+        help=no_timings_help,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_gen = sub.add_parser("generate", help="generate instance JSON")
+    p_gen = sub.add_parser("generate", help="generate instance JSON", parents=[after])
     p_gen.add_argument("--config", help="generator config JSON file")
     p_gen.add_argument("--cnf", help="DIMACS 3-CNF file to reduce instead")
     p_gen.add_argument("--out", help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_solve = sub.add_parser("solve", help="solve one instance")
+    p_solve = sub.add_parser("solve", help="solve one instance", parents=[after])
     p_solve.add_argument("--instance", required=True)
     p_solve.add_argument("--method", required=True)
     p_solve.add_argument("--cardinality", type=int, default=None)
@@ -572,7 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", help="output path (default stdout)")
     p_solve.set_defaults(func=cmd_solve)
 
-    p_exp = sub.add_parser("experiment", help="run an experiment grid")
+    p_exp = sub.add_parser(
+        "experiment", help="run an experiment grid", parents=[after]
+    )
     p_exp.add_argument("--spec", required=True, help="experiment spec JSON file")
     p_exp.add_argument("--out", help="output directory (overrides spec)")
     p_exp.set_defaults(func=cmd_experiment)

@@ -30,15 +30,6 @@ class HeuristicResult:
     restarts: int
     seed: int | None
 
-    def to_json_obj(self) -> dict:
-        return {
-            "assortment": sorted(self.assortment.support()),
-            "value": float(self.value),
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-            "seed": self.seed,
-        }
-
 
 def _value(catalog, forest, members: set[int]) -> Number:
     x = AssortmentVector.from_set(catalog.n, members)

@@ -201,10 +201,6 @@ class PurchaseTree:
     def leaf_option(self, l: int) -> int:
         return self.nodes[l].option
 
-    def max_product(self) -> int:
-        opts = [self.nodes[l].option for l in self.leaf_ids]
-        return max(list(self.products) + opts + [0])
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"PurchaseTree(root={self.root}, splits={len(self.split_ids)}, "

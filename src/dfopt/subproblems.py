@@ -63,14 +63,6 @@ class EventTrace:
     f: Mapping[tuple, int]
     order: tuple[int, ...]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "events": [list(e) for e in self.events],
-            "f": {"/".join(map(str, k)): v for k, v in self.f.items()},
-            "order": list(self.order),
-        }
-
 
 @dataclass(frozen=True)
 class DualCertificate:
@@ -126,17 +118,6 @@ class DualCertificate:
                     lhs += self.beta.get(i, 0)
             slacks[l] = lhs - catalog.leaf_revenue(tree, l)
         return slacks
-
-    def to_json_obj(self) -> dict:
-        def enc(m):
-            return {"/".join(map(str, k)) if isinstance(k, tuple) else str(k): float(v) for k, v in m.items()}
-
-        return {
-            "kind": self.kind,
-            "alpha": enc(self.alpha),
-            "beta": enc(self.beta),
-            "gamma": float(self.gamma),
-        }
 
 
 def leaf_order(catalog: ProductCatalog, tree: PurchaseTree) -> tuple[int, ...]:

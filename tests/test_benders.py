@@ -10,6 +10,7 @@ from dfopt.benders import (
     relaxation_phase,
     solve_two_phase,
 )
+from dfopt.errors import IterationLimitError
 from dfopt.formulations import Kind, build, solve_relaxation
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import (
@@ -118,6 +119,14 @@ class TestRelaxationPhase:
                 relax = relaxation_phase(kind, catalog, forest)
                 z_mono, _, _ = solve_relaxation(build(kind, catalog, forest))
                 assert relax.value == pytest.approx(z_mono, abs=1e-6)
+
+    def test_round_cap_raises_iteration_limit(self):
+        catalog, forest = seeded_instance(3, n=8, num_trees=4)
+        full = relaxation_phase(Kind.SPLIT, catalog, forest)
+        assert full.rounds > 1
+        with pytest.raises(IterationLimitError) as info:
+            relaxation_phase(Kind.SPLIT, catalog, forest, max_rounds=1)
+        assert info.value.diagnostics == {"rounds": 1, "bound": full.bounds[0]}
 
     def test_fixpoint_no_violations(self):
         from dfopt.benders import _separate

@@ -1,15 +1,23 @@
 """Command-line surface: generate/solve/experiment, exit codes, determinism."""
 
+import csv
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from dfopt.cli import EXIT_CONFIG, EXIT_OK, main
+from dfopt import cli
+from dfopt.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import instance_from_json, instance_to_json
 
 from cases import greedy_gap_tree, single_tree_forest
+
+HEURISTICS = ("ls", "ls10", "roa", "dnc")
 
 
 @pytest.fixture()
@@ -18,6 +26,21 @@ def gap_instance_path(tmp_path):
     path = tmp_path / "inst.json"
     path.write_text(instance_to_json(catalog, single_tree_forest(tree)))
     return path
+
+
+@pytest.fixture()
+def seeded_instance_path(tmp_path):
+    """n=8, 4 trees, t3, 8 leaves: its split relaxation needs 5 cut rounds."""
+    catalog, forest = generate_instance(
+        GeneratorConfig(n=8, num_trees=4, shape=TreeShape("t3", leaves=8), seed=3)
+    )
+    path = tmp_path / "seeded.json"
+    path.write_text(instance_to_json(catalog, forest))
+    return path
+
+
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
 
 
 class TestGenerate:
@@ -141,6 +164,64 @@ class TestSolve:
             == EXIT_CONFIG
         )
 
+    @pytest.mark.parametrize("method", cli.METHODS)
+    def test_every_method_through_solve_one(self, method):
+        catalog, tree = greedy_gap_tree()
+        row = cli.solve_one(
+            catalog,
+            single_tree_forest(tree),
+            method,
+            cardinality=3 if method == "dnc" else None,
+            seed=4,
+            timings=False,
+        )
+        assert row["method"] == method and row["seed"] == 4 and row["wall_ms"] == 0.0
+        if method in HEURISTICS:
+            assert row["optimal"] is False and row["bound"] is None
+            assert row["value"] <= 20
+        else:
+            assert row["optimal"] is True
+            assert row["value"] == pytest.approx(20)
+            assert row["bound"] == pytest.approx(20)
+
+    @pytest.mark.parametrize("method", ["ls", "ls10", "roa"])
+    def test_unconstrained_heuristics_reject_cardinality(
+        self, seeded_instance_path, method
+    ):
+        argv = ["solve", "--instance", str(seeded_instance_path), "--method", method]
+        assert main(argv) == EXIT_OK
+        assert main(argv + ["--cardinality", "2"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("method", ["monolithic:leaf", "benders:split"])
+    def test_budget_stop_emits_valid_json(self, seeded_instance_path, tmp_path, method):
+        out = tmp_path / "res.json"
+        argv = ["solve", "--instance", str(seeded_instance_path), "--method", method]
+        code = main(argv + ["--budget-nodes", "0", "--out", str(out)])
+        assert code == EXIT_BUDGET
+        res = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert res["optimal"] is False and res["assortment"] is None
+        assert res["value"] is None and res["gap"] is None
+        if method.startswith("benders:"):
+            # phase 1 finished, so its relaxation value is a proven bound
+            assert res["z_lo"] > 0
+            assert res["bound"] == res["z_ub"] == res["z_lo"]
+        else:
+            assert res["bound"] is None
+
+    def test_no_timings_in_either_position(self, seeded_instance_path, tmp_path):
+        args = ["solve", "--instance", str(seeded_instance_path)]
+        args += ["--method", "benders:split"]
+        outs = []
+        for name, argv in (
+            ("before", ["--no-timings"] + args),
+            ("after", args + ["--no-timings"]),
+        ):
+            out = tmp_path / f"{name}.json"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["wall_ms"] == 0.0
+
     def test_unknown_method(self, gap_instance_path):
         assert (
             main(["solve", "--instance", str(gap_instance_path), "--method", "magic"])
@@ -222,6 +303,56 @@ class TestExperiment:
         data = [l for l in lines[1:] if ",mean," not in l]
         assert data and all("error" in l for l in data)
 
+    SMALL = {
+        "types": ["t1", "t3"],
+        "n": [8],
+        "num_trees": [3],
+        "leaves": [4],
+        "replications": 2,
+        "seed": 5,
+        "rho": [0.25],
+    }
+
+    def _run(self, tmp_path, name, out, flag_first=True):
+        spec_path = tmp_path / f"{name}.spec.json"
+        spec_path.write_text(json.dumps(dict(self.SMALL, experiment=name)))
+        args = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / out)]
+        argv = ["--no-timings"] + args if flag_first else args + ["--no-timings"]
+        assert main(argv) == EXIT_OK
+        return (tmp_path / out / f"{name}.csv").read_text()
+
+    def _rerun_rows(self, tmp_path, name):
+        """Per-replication rows, after checking that a rerun is byte-identical."""
+        text = self._run(tmp_path, name, "a")
+        assert self._run(tmp_path, name, "b") == text
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert len(rows) == 2 * (2 + 1)
+        return [r for r in rows if r["rep"] != "mean"]
+
+    def test_tractability_rerun_and_status(self, tmp_path):
+        for row in self._rerun_rows(tmp_path, "tractability"):
+            assert row["status"] == "ok"
+            assert float(row["time_leaf"]) == 0.0
+
+    def test_benders_rerun_and_dominance(self, tmp_path):
+        for row in self._rerun_rows(tmp_path, "benders"):
+            assert float(row["rho0.25_z_b_lb"]) >= float(row["rho0.25_z_dnc"]) - 1e-9
+            assert int(row["rho0.25_nu_direct"]) == 0
+
+    def test_heuristics_rerun_and_gaps(self, tmp_path):
+        for row in self._rerun_rows(tmp_path, "heuristics"):
+            z_leaf = float(row["z_leaf"])
+            assert float(row["z_split"]) == pytest.approx(z_leaf, abs=1e-6)
+            assert float(row["z_product"]) == pytest.approx(z_leaf, abs=1e-6)
+            for key, v in row.items():
+                if key.startswith("gbar_"):
+                    assert float(v) >= -1e-9, key
+
+    @pytest.mark.parametrize("name", ["integrality_gap", "benders"])
+    def test_no_timings_in_either_position(self, tmp_path, name):
+        before = self._run(tmp_path, name, "before", flag_first=True)
+        assert self._run(tmp_path, name, "after", flag_first=False) == before
+
     def test_unknown_experiment(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"experiment": "nope"}))
@@ -235,6 +366,9 @@ class TestEntryPoint:
             json.dumps({"n": 4, "num_trees": 1, "shape": {"type": "t3", "leaves": 4}})
         )
         out = tmp_path / "inst.json"
+        # the child imports the same dfopt as this process, installed or not
+        src = str(Path(cli.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [
                 sys.executable,
@@ -248,6 +382,7 @@ class TestEntryPoint:
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0, proc.stderr
         instance_from_json(out.read_text())
