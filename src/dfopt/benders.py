@@ -42,6 +42,7 @@ from .model import (
     AssortmentVector,
     DecisionForest,
     ProductCatalog,
+    check_cardinality,
     expected_revenue,
     traverse,
 )
@@ -183,6 +184,7 @@ class MasterState:
 
 
 def _master_state(catalog, forest, cardinality) -> MasterState:
+    check_cardinality(catalog.n, cardinality)
     theta_ub = tuple(
         max(float(catalog.leaf_revenue(tree, l)) for l in tree.leaf_ids)
         for tree in forest.trees

@@ -29,6 +29,7 @@ from .model import (
     DecisionForest,
     ProductCatalog,
     brute_force_optimal,
+    check_cardinality,
 )
 
 
@@ -62,8 +63,7 @@ def build(
     """Assemble the chosen formulation as an explicit dense LP."""
     kind = Kind(kind)
     n = catalog.n
-    if cardinality is not None and not 0 <= cardinality <= n:
-        raise DomainError(f"cardinality {cardinality} out of range")
+    check_cardinality(n, cardinality)
 
     y_cols: dict[tuple[int, int], int] = {}
     col = n

@@ -314,6 +314,22 @@ def validate_instance(catalog: ProductCatalog, forest: DecisionForest) -> None:
                 )
 
 
+def _check_binary(vals) -> None:
+    for v in vals:
+        if v != 0 and v != 1:
+            raise DomainError(f"traverse requires binary levels, got x={v!r}")
+
+
+def _walk(tree: PurchaseTree, vals) -> tuple[int, int]:
+    """``traverse`` without the check on ``vals``, for callers that made it."""
+    node_id = tree.root
+    while True:
+        node = tree.nodes[node_id]
+        if isinstance(node, Leaf):
+            return node.option, node_id
+        node_id = node.left if vals[node.product - 1] == 1 else node.right
+
+
 def traverse(tree: PurchaseTree, x) -> tuple[int, int]:
     """Walk a binary assortment down the tree.
 
@@ -321,20 +337,8 @@ def traverse(tree: PurchaseTree, x) -> tuple[int, int]:
     a split exactly when its product is offered.  Requires binary levels.
     """
     vals = as_values(x)
-    for v in vals:
-        if v != 0 and v != 1:
-            raise DomainError(f"traverse requires binary levels, got x={v!r}")
-    node_id = tree.root
-    if __debug__:
-        seen: set[int] = set()
-    while True:
-        node = tree.nodes[node_id]
-        if isinstance(node, Leaf):
-            return node.option, node_id
-        if __debug__:
-            assert node.product not in seen, "product repeated on traversal path"
-            seen.add(node.product)
-        node_id = node.left if vals[node.product - 1] == 1 else node.right
+    _check_binary(vals)
+    return _walk(tree, vals)
 
 
 def choice_probability(forest: DecisionForest, option: int, x) -> Number:
@@ -345,22 +349,34 @@ def choice_probability(forest: DecisionForest, option: int, x) -> Number:
             raise DomainError(f"option {option} out of range")
         if vals[option - 1] != 1:
             raise DomainError(f"option {option} is not offered")
+    _check_binary(vals)
     total = 0
     for tree, w in zip(forest.trees, forest.weights):
-        picked, _ = traverse(tree, vals)
+        picked, _ = _walk(tree, vals)
         if picked == option:
             total += w
     return total
 
 
 def expected_revenue(catalog: ProductCatalog, forest: DecisionForest, x) -> Number:
-    """Expected per-customer revenue of a binary assortment."""
+    """Expected per-customer revenue of a binary assortment.
+
+    The sum runs over the trees in order from ``total = 0``; the heuristics'
+    incremental move scores repeat exactly this sum, so keep the two alike.
+    """
     vals = as_values(x)
+    _check_binary(vals)
     total = 0
     for tree, w in zip(forest.trees, forest.weights):
-        option, _ = traverse(tree, vals)
+        option, _ = _walk(tree, vals)
         total += w * catalog.revenue_of(option)
     return total
+
+
+def check_cardinality(n: int, cardinality: int | None) -> None:
+    """Refuse a cardinality limit outside 0..n; ``None`` means no limit."""
+    if cardinality is not None and not 0 <= cardinality <= n:
+        raise DomainError(f"cardinality {cardinality} out of range 0..{n}")
 
 
 def _leaf_masks(catalog, tree, n):
@@ -397,8 +413,7 @@ def brute_force_optimal(
         raise SizeGuardError(
             f"n={n} exceeds exhaustive-search guard ({BRUTE_FORCE_MAX_PRODUCTS})"
         )
-    if cardinality is not None and not 0 <= cardinality <= n:
-        raise DomainError(f"cardinality {cardinality} out of range")
+    check_cardinality(n, cardinality)
     per_tree = [_leaf_masks(catalog, tree, n) for tree in forest.trees]
     weights = forest.weights
 

@@ -192,6 +192,26 @@ class TestSolve:
         assert main(argv) == EXIT_OK
         assert main(argv + ["--cardinality", "2"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("cardinality", ["9", "-1"])
+    @pytest.mark.parametrize(
+        "method", ["benders:split", "monolithic:split", "brute", "dnc"]
+    )
+    def test_cardinality_out_of_range(
+        self, seeded_instance_path, capsys, method, cardinality
+    ):
+        argv = ["solve", "--instance", str(seeded_instance_path), "--method", method]
+        assert main(argv + ["--cardinality", cardinality]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cardinality {cardinality} out of range 0..8" in err
+
+    @pytest.mark.parametrize("method", ["benders:split", "monolithic:split", "dnc"])
+    def test_zero_cardinality_offers_nothing(self, seeded_instance_path, tmp_path, method):
+        out = tmp_path / "res.json"
+        argv = ["solve", "--instance", str(seeded_instance_path), "--method", method]
+        assert main(argv + ["--cardinality", "0", "--out", str(out)]) == EXIT_OK
+        res = json.loads(out.read_text())
+        assert res["assortment"] == [] and res["value"] == 0
+
     @pytest.mark.parametrize("method", ["monolithic:leaf", "benders:split"])
     def test_budget_stop_emits_valid_json(self, seeded_instance_path, tmp_path, method):
         out = tmp_path / "res.json"

@@ -1,17 +1,22 @@
 """Heuristics: local search, restarts, nested assortments, fixed-size swaps."""
 
+from fractions import Fraction
+
 import pytest
 
+from dfopt import heuristics
 from dfopt.errors import DomainError
 from dfopt.heuristics import divide_and_conquer, local_search, ls10, revenue_ordered
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import (
     AssortmentVector,
+    DecisionForest,
     ProductCatalog,
     brute_force_optimal,
     expected_revenue,
 )
 
+import heuristics_reference as reference
 from cases import greedy_gap_tree, roa_gap_instance, single_tree_forest
 
 
@@ -53,9 +58,17 @@ class TestLocalSearch:
             assert float(res.value) <= float(z_star) + 1e-12
 
     def test_value_recomputed_exactly(self):
+        # every heuristic, not only local search
         catalog, forest = seeded_instance(3)
-        res = local_search(catalog, forest)
-        assert res.value == expected_revenue(catalog, forest, res.assortment)
+        for run in (
+            lambda: local_search(catalog, forest),
+            lambda: ls10(catalog, forest, seed=3, restarts=3),
+            lambda: revenue_ordered(catalog, forest),
+            lambda: divide_and_conquer(catalog, forest, b=3, restarts=3, seed=3),
+        ):
+            res = run()
+            exact = expected_revenue(catalog, forest, res.assortment)
+            assert res.value == exact and repr(res.value) == repr(exact)
 
     def test_strictly_improving_no_revisit(self):
         # replay the trajectory: values must strictly increase step by step
@@ -161,8 +174,15 @@ class TestDivideAndConquer:
 
     def test_bad_cardinality(self):
         catalog, forest = seeded_instance(2)
-        with pytest.raises(DomainError):
-            divide_and_conquer(catalog, forest, b=0)
+        for b in (-1, 11):
+            with pytest.raises(DomainError, match="out of range 0..10"):
+                divide_and_conquer(catalog, forest, b=b)
+
+    def test_zero_cardinality_is_the_empty_assortment(self):
+        catalog, forest = seeded_instance(2)
+        res = divide_and_conquer(catalog, forest, b=0, seed=1)
+        assert res.assortment.support() == set() and res.iterations == 0
+        assert res.value == expected_revenue(catalog, forest, res.assortment)
 
     def test_cardinality_preserved_and_bounded(self):
         for seed in range(15):
@@ -177,3 +197,86 @@ class TestDivideAndConquer:
         a = divide_and_conquer(catalog, forest, b=4, seed=9)
         b = divide_and_conquer(catalog, forest, b=4, seed=9)
         assert a.assortment == b.assortment and a.value == b.value
+
+
+# ---------------------------------------------------------------------------
+# incremental move scoring against the full-rescan reference
+# ---------------------------------------------------------------------------
+
+
+def with_numbers(catalog, forest, numbers):
+    """The instance with revenues and weights of another number type."""
+    if numbers == "int/float":  # as generated
+        return catalog, forest
+    if numbers == "int":  # all the weight on one tree keeps every value an int
+        revenues = catalog.revenues
+        weights = (1,) + (0,) * (len(forest.trees) - 1)
+    elif numbers == "float":
+        revenues = tuple(r / 7 for r in catalog.revenues)
+        weights = forest.weights
+    else:
+        revenues = tuple(Fraction(r, 7) for r in catalog.revenues)
+        weights = tuple(Fraction(w) for w in forest.weights)
+    return (
+        ProductCatalog(catalog.n, revenues),
+        DecisionForest(forest.trees, weights),
+    )
+
+
+def assert_same(got, want):
+    assert got.assortment == want.assortment
+    assert got.value == want.value
+    assert repr(got.value) == repr(want.value)
+    assert type(got.value) is type(want.value)
+    assert got.iterations == want.iterations
+
+
+@pytest.mark.parametrize("numbers", ["int", "int/float", "float", "Fraction"])
+def test_move_scores_equal_expected_revenue(numbers):
+    # the walk state's scores, not only the returned values, are the model's
+    catalog, forest = with_numbers(*seeded_instance(6, num_trees=7), numbers)
+    n = catalog.n
+    walks = heuristics._Walks(catalog, forest, {2, 3, 9})
+    for i in (5, 2, 10, 1, 5, 7, 3):
+        for j in range(1, n + 1):
+            x = list(walks.x[1:])
+            x[j - 1] ^= 1
+            want = expected_revenue(catalog, forest, x)
+            got = walks.flipped_value(j)
+            assert (repr(got), type(got)) == (repr(want), type(want))
+        walks.flip(i)
+        want = expected_revenue(catalog, forest, walks.assortment())
+        assert (repr(walks.value), type(walks.value)) == (repr(want), type(want))
+
+
+@pytest.mark.parametrize("numbers", ["int", "int/float", "float", "Fraction"])
+@pytest.mark.parametrize("shape", ["t1", "t2", "t3"])
+def test_matches_full_rescan(shape, numbers, monkeypatch):
+    size = {"leaves": 8} if shape == "t3" else {"depth": 3}
+    for seed in range(4):
+        catalog, forest = with_numbers(
+            *generate_instance(
+                GeneratorConfig(
+                    n=9, num_trees=5, shape=TreeShape(shape, **size), seed=seed
+                )
+            ),
+            numbers,
+        )
+        n = catalog.n
+        start = AssortmentVector.from_set(n, {1, 4, 5, 8})
+        assert_same(local_search(catalog, forest), reference.local_search(catalog, forest))
+        assert_same(
+            local_search(catalog, forest, start),
+            reference.local_search(catalog, forest, start),
+        )
+        assert_same(revenue_ordered(catalog, forest), reference.revenue_ordered(catalog, forest))
+        for b in (0, 1, 3, n):
+            assert_same(
+                divide_and_conquer(catalog, forest, b, restarts=3, seed=seed),
+                reference.divide_and_conquer(catalog, forest, b, restarts=3, seed=seed),
+            )
+        got = ls10(catalog, forest, seed=seed, restarts=3, include_empty_start=True)
+        with monkeypatch.context() as m:
+            m.setattr(heuristics, "local_search", reference.local_search)
+            want = ls10(catalog, forest, seed=seed, restarts=3, include_empty_start=True)
+        assert_same(got, want)
