@@ -15,6 +15,10 @@ The same engine also solves the monolithic formulations by branching on the
 x block of the full LP.  Subproblem oracle calls within a cut round are
 independent per tree; master solves and pool mutation are serialized, and
 nodes are processed one at a time, so runs are deterministic.
+
+Node LPs never reuse the parent's basis, which branching leaves primal
+infeasible: Benders masters are solved cold, monolithic nodes start from a
+hand-built feasible basis (``_monolithic_start_basis``).
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ from .lp import (
     LinearProgram,
     WarmBasis,
     slack_columns,
+    solve_lp,
     solve_lp_multi,
-    solve_lp_with_basis,
 )
 from .model import (
     AssortmentVector,
@@ -244,7 +248,7 @@ def relaxation_phase(
     bounds: list[float] = []
     while rounds < max_rounds:
         rounds += 1
-        sol = solve_lp_with_basis(state.master_lp(), None)
+        sol = solve_lp(state.master_lp())
         if sol.status != "optimal":
             raise DomainError(f"master LP is {sol.status}")
         obj = float(sol.objective)
@@ -295,27 +299,12 @@ class BranchAndBoundResult:
     cuts_added: int = 0
 
 
-@dataclass(order=True)
-class _Node:
-    sort_bound: float
-    order: int
-    fixed0: frozenset[int] = field(compare=False)
-    fixed1: frozenset[int] = field(compare=False)
-    bound: float = field(compare=False, default=float("inf"))
-    warm: object = field(compare=False, default=None)
-
-
-def _branch_and_bound(n, solve_node, on_integral, budget: Budget | None):
+def _branch_and_bound(solve_node, on_integral, budget: Budget | None):
     budget = budget or Budget()
     t0 = time.monotonic()
     counter = itertools.count()
-    root = _Node(
-        sort_bound=-float("inf"),
-        order=next(counter),
-        fixed0=frozenset(),
-        fixed1=frozenset(),
-    )
-    heap = [root]
+    # entries (-bound, order, fixed0, fixed1): best bound first, ties by age
+    heap = [(-float("inf"), next(counter), frozenset(), frozenset())]
     incumbent_x = None
     incumbent_val = -float("inf")
     nodes = 0
@@ -333,11 +322,11 @@ def _branch_and_bound(n, solve_node, on_integral, budget: Budget | None):
         if out_of_budget():
             exhausted = True
             break
-        node = heapq.heappop(heap)
-        if node.bound <= incumbent_val + PRUNE_TOL:
+        neg_bound, _, fixed0, fixed1 = heapq.heappop(heap)
+        if -neg_bound <= incumbent_val + PRUNE_TOL:
             continue
         nodes += 1
-        res = solve_node(node.fixed0, node.fixed1, node.warm)
+        res = solve_node(fixed0, fixed1)
         while True:
             if res is None:  # infeasible node
                 break
@@ -350,7 +339,7 @@ def _branch_and_bound(n, solve_node, on_integral, budget: Budget | None):
                 outcome = on_integral(x_bin, payload)
                 if outcome[0] == "resolve":
                     cuts_added += outcome[1]
-                    res = solve_node(node.fixed0, node.fixed1, node.warm)
+                    res = solve_node(fixed0, fixed1)
                     continue
                 value = outcome[1]
                 if value > incumbent_val:
@@ -361,28 +350,14 @@ def _branch_and_bound(n, solve_node, on_integral, budget: Budget | None):
             j = max(range(len(x_vals)), key=lambda i: -abs(x_vals[i] - 0.5))
             # most fractional first; ties fall to the smallest index via max's
             # first-wins behavior on equal keys
-            for fixed0, fixed1 in (
-                (node.fixed0 | {j + 1}, node.fixed1),
-                (node.fixed0, node.fixed1 | {j + 1}),
-            ):
-                child = _Node(
-                    sort_bound=-obj,
-                    order=next(counter),
-                    fixed0=fixed0,
-                    fixed1=fixed1,
-                    bound=obj,
-                    warm=payload.get("warm"),
-                )
-                heapq.heappush(heap, child)
+            heapq.heappush(heap, (-obj, next(counter), fixed0 | {j + 1}, fixed1))
+            heapq.heappush(heap, (-obj, next(counter), fixed0, fixed1 | {j + 1}))
             break
 
-    open_bounds = [nd.bound for nd in heap if nd.bound > incumbent_val + PRUNE_TOL]
+    open_bounds = [-e[0] for e in heap if -e[0] > incumbent_val + PRUNE_TOL]
     if exhausted and open_bounds:
         upper = max(open_bounds)
         optimal = False
-    elif exhausted:
-        upper = max(incumbent_val, -float("inf"))
-        optimal = incumbent_x is not None
     else:
         upper = incumbent_val
         optimal = incumbent_x is not None
@@ -428,16 +403,13 @@ def integer_phase(
     elif cardinality is not None and state.cardinality != cardinality:
         raise DomainError("cardinality differs from the relaxation state")
 
-    def solve_node(fixed0, fixed1, warm):
-        sol = solve_lp_with_basis(state.master_lp(fixed0, fixed1), warm)
+    def solve_node(fixed0, fixed1):
+        sol = solve_lp(state.master_lp(fixed0, fixed1))
         if sol.status != "optimal":
             return None
         x_vals = tuple(float(v) for v in sol.x[:n])
-        payload = {
-            "theta": tuple(float(v) for v in sol.x[n:]),
-            "warm": sol.basis,
-        }
-        return float(sol.objective), x_vals, payload
+        theta = tuple(float(v) for v in sol.x[n:])
+        return float(sol.objective), x_vals, {"theta": theta}
 
     def on_integral(x_bin, payload):
         thetas = payload["theta"]
@@ -456,7 +428,7 @@ def integer_phase(
         value = float(expected_revenue(catalog, forest, x_bin))
         return ("incumbent", value)
 
-    return _branch_and_bound(n, solve_node, on_integral, budget)
+    return _branch_and_bound(solve_node, on_integral, budget)
 
 
 def _monolithic_start_basis(built, forest, fixed0, fixed1, slack_cols):
@@ -523,7 +495,7 @@ def branch_and_bound_monolithic(
     base_ub = built.lp.ub
     slack_cols = slack_columns(built.lp)
 
-    def solve_node(fixed0, fixed1, warm):
+    def solve_node(fixed0, fixed1):
         lb = base_lb.copy()
         ub = base_ub.copy()
         for i in fixed0:
@@ -531,16 +503,16 @@ def branch_and_bound_monolithic(
         for i in fixed1:
             lb[i - 1] = 1.0
         analytic = _monolithic_start_basis(built, forest, fixed0, fixed1, slack_cols)
-        sol = solve_lp_multi(built.lp.with_bounds(lb, ub), [warm, analytic])
+        sol = solve_lp_multi(built.lp.with_bounds(lb, ub), [analytic])
         if sol.status != "optimal":
             return None
         x_vals = tuple(float(v) for v in sol.x[:n])
-        return float(sol.objective), x_vals, {"warm": sol.basis}
+        return float(sol.objective), x_vals, {}
 
     def on_integral(x_bin, payload):
         return ("incumbent", float(expected_revenue(catalog, forest, x_bin)))
 
-    return _branch_and_bound(n, solve_node, on_integral, budget)
+    return _branch_and_bound(solve_node, on_integral, budget)
 
 
 def solve_two_phase(

@@ -42,10 +42,14 @@ KINDS = tuple(formulations.Kind)
 
 
 def _pool_size() -> int:
+    value = os.environ.get("DFOPT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("DFOPT_THREADS", "1")))
+        size = int(value)
     except ValueError:
-        return 1
+        size = 0
+    if size < 1:
+        raise ConfigError(f"DFOPT_THREADS must be a positive integer, got {value!r}")
+    return size
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
 from .model import (
     AssortmentVector,
     DecisionForest,
@@ -161,6 +162,11 @@ def local_search(
     return _result(catalog, forest, walks.assortment(), moves, 0, None)
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise DomainError("restarts must be >= 1")
+
+
 def ls10(
     catalog: ProductCatalog,
     forest: DecisionForest,
@@ -174,6 +180,7 @@ def ls10(
     assortment, which makes the result dominate a plain empty-start search
     pointwise (used by controlled comparisons).
     """
+    _check_restarts(restarts)
     rng = np.random.Generator(np.random.PCG64(seed))
     n = catalog.n
     best = None
@@ -234,6 +241,7 @@ def divide_and_conquer(
     """
     n = catalog.n
     check_cardinality(n, b)
+    _check_restarts(restarts)
     rng = np.random.Generator(np.random.PCG64(seed))
     best = None
     total_moves = 0

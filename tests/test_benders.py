@@ -4,6 +4,7 @@ import pytest
 
 from dfopt.benders import (
     Budget,
+    branch_and_bound_monolithic,
     cut_from_certificate,
     evaluate_cut,
     integer_phase,
@@ -224,3 +225,41 @@ class TestIntegerPhase:
                 _, leaf = traverse(tree, x)
                 g = float(catalog.leaf_revenue(tree, leaf))
                 assert evaluate_cut(cut, x) >= g - 1e-7
+
+
+def _run_driver(driver, catalog, forest, budget=None):
+    if driver == "integer_phase":
+        return integer_phase(Kind.LEAF, catalog, forest, budget=budget)
+    built = build(Kind.LEAF, catalog, forest)
+    return branch_and_bound_monolithic(built, catalog, forest, budget=budget)
+
+
+@pytest.fixture(scope="module")
+def budget_instance():
+    """n=12, 8 trees: both drivers need more than 5 nodes on its leaf form."""
+    catalog, forest = seeded_instance(3, n=12, num_trees=8)
+    _, z_star = brute_force_optimal(catalog, forest)
+    full = {
+        driver: _run_driver(driver, catalog, forest)
+        for driver in ("integer_phase", "monolithic")
+    }
+    return catalog, forest, float(z_star), full
+
+
+class TestNodeBudget:
+    @pytest.mark.parametrize("driver", ["integer_phase", "monolithic"])
+    @pytest.mark.parametrize("max_nodes", [0, 1, 2, 5, 10_000])
+    def test_budget_brackets_the_optimum(self, budget_instance, driver, max_nodes):
+        catalog, forest, z_star, full = budget_instance
+        assert full[driver].optimal and full[driver].nodes > 5
+        res = _run_driver(driver, catalog, forest, Budget(max_nodes=max_nodes))
+        if max_nodes == 0:
+            assert res.x is None and not res.optimal
+            assert res.value == float("-inf") and res.upper_bound == float("inf")
+            return
+        assert res.value <= z_star <= res.upper_bound
+        assert res.nodes <= max_nodes
+        if max_nodes == 10_000:
+            ref = full[driver]
+            assert res.optimal
+            assert (res.value, res.x, res.nodes) == (ref.value, ref.x, ref.nodes)

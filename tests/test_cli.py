@@ -373,6 +373,15 @@ class TestExperiment:
         before = self._run(tmp_path, name, "before", flag_first=True)
         assert self._run(tmp_path, name, "after", flag_first=False) == before
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
+    def test_bad_thread_count(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("DFOPT_THREADS", value)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(self.SMALL, experiment="tractability")))
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert "DFOPT_THREADS" in capsys.readouterr().err
+
     def test_unknown_experiment(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"experiment": "nope"}))

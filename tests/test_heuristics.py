@@ -124,6 +124,13 @@ class TestLs10:
             assert float(multi.value) >= float(plain.value) - 1e-12
 
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_bad_restart_count(self, restarts):
+        catalog, forest = seeded_instance(5)
+        with pytest.raises(DomainError, match="restarts must be >= 1"):
+            ls10(catalog, forest, seed=0, restarts=restarts)
+
+
 class TestRevenueOrdered:
     def test_single_product(self):
         catalog, forest = seeded_instance(1, n=1, num_trees=2, leaves=2)
@@ -177,6 +184,12 @@ class TestDivideAndConquer:
         for b in (-1, 11):
             with pytest.raises(DomainError, match="out of range 0..10"):
                 divide_and_conquer(catalog, forest, b=b)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_bad_restart_count(self, restarts):
+        catalog, forest = seeded_instance(2)
+        with pytest.raises(DomainError, match="restarts must be >= 1"):
+            divide_and_conquer(catalog, forest, b=3, restarts=restarts)
 
     def test_zero_cardinality_is_the_empty_assortment(self):
         catalog, forest = seeded_instance(2)
