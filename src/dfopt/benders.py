@@ -6,7 +6,9 @@ each epigraph variable to its tree's subproblem value:
 
 - Phase 1 (relaxation): plain constraint generation on the LP master.  Cut
   separation per tree uses the greedy primal/dual pair for the "leaf" and
-  "split" granularities and the subproblem LP for "product".
+  "split" granularities and the subproblem LP for "product".  The product
+  each multiplier of a cut belongs to comes from ``formulations.row_product``,
+  beside ``capacity_rows``, the one place where the granularities are defined.
 - Phase 2 (integer): best-bound branch and bound on x inside a single tree,
   adding closed-form cuts lazily whenever a node's LP solution is integral
   and some epigraph variable exceeds its tree's traversal revenue.
@@ -18,7 +20,8 @@ nodes are processed one at a time, so runs are deterministic.
 
 Node LPs never reuse the parent's basis, which branching leaves primal
 infeasible: Benders masters are solved cold, monolithic nodes start from a
-hand-built feasible basis (``_monolithic_start_basis``).
+hand-built feasible basis (``_monolithic_start_basis``), placed by the row
+indices ``formulations.build`` records (``unit_rows``, ``card_row``).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, IterationLimitError
-from .formulations import BuiltFormulation, Kind
+from .formulations import BuiltFormulation, Kind, as_kind, row_product
 from .lp import (
     EQ,
     LE,
@@ -105,22 +108,11 @@ def cut_from_certificate(
     """
     coef = [0.0] * n
     const = float(cert.gamma)
-    if cert.kind == "product":
-        items_a = cert.alpha.items()
-        items_b = cert.beta.items()
-        for i, a in items_a:
-            coef[i - 1] += float(a)
-        for i, b in items_b:
-            coef[i - 1] -= float(b)
-            const += float(b)
-    else:
-        for key, a in cert.alpha.items():
-            s = key[0] if cert.kind == "leaf" else key
-            coef[tree.split_product(s) - 1] += float(a)
-        for key, b in cert.beta.items():
-            s = key[0] if cert.kind == "leaf" else key
-            coef[tree.split_product(s) - 1] -= float(b)
-            const += float(b)
+    for key, a in cert.alpha.items():
+        coef[row_product(cert.kind, tree, key) - 1] += float(a)
+    for key, b in cert.beta.items():
+        coef[row_product(cert.kind, tree, key) - 1] -= float(b)
+        const += float(b)
     return BendersCut(
         tree=tree_index, coef=tuple(coef), const=const, provenance=provenance
     )
@@ -203,23 +195,20 @@ def _separate(kind: Kind, catalog, forest, x_vals):
     """Per-tree subproblem values and cut certificates at fractional x."""
     out = []
     for t, tree in enumerate(forest.trees):
-        if kind is Kind.LEAF:
-            y, trace = leaf_primal_greedy(catalog, tree, x_vals)
-            value = sum(
-                catalog.leaf_revenue(tree, l) * w for l, w in y.items() if w != 0
-            )
-            cert = leaf_dual_greedy(catalog, tree, trace)
-            prov = FRACTIONAL_GREEDY
-        elif kind is Kind.SPLIT:
-            y, trace = split_primal_greedy(catalog, tree, x_vals)
-            value = sum(
-                catalog.leaf_revenue(tree, l) * w for l, w in y.items() if w != 0
-            )
-            cert = split_dual_greedy(catalog, tree, trace)
-            prov = FRACTIONAL_GREEDY
-        else:
+        if kind is Kind.PRODUCT:
             value, cert, _ = product_subproblem_lp(catalog, tree, x_vals)
             prov = FRACTIONAL_LP
+        else:
+            if kind is Kind.LEAF:
+                primal, dual = leaf_primal_greedy, leaf_dual_greedy
+            else:
+                primal, dual = split_primal_greedy, split_dual_greedy
+            y, trace = primal(catalog, tree, x_vals)
+            value = sum(
+                catalog.leaf_revenue(tree, l) * w for l, w in y.items() if w != 0
+            )
+            cert = dual(catalog, tree, trace)
+            prov = FRACTIONAL_GREEDY
         out.append((float(value), cert, prov))
     return out
 
@@ -241,7 +230,7 @@ def relaxation_phase(
     max_rounds: int = 10_000,
 ) -> RelaxationResult:
     """Constraint generation on the LP master until no tree's cut is violated."""
-    kind = Kind(kind)
+    kind = as_kind(kind)
     state = _master_state(catalog, forest, cardinality)
     n = catalog.n
     rounds = 0
@@ -396,7 +385,7 @@ def integer_phase(
     no epigraph variable is violated.  Incumbent values are recomputed from
     the model, never read off the LP.
     """
-    kind = Kind(kind)
+    kind = as_kind(kind)
     n = catalog.n
     if state is None:
         state = _master_state(catalog, forest, cardinality)
@@ -416,7 +405,7 @@ def integer_phase(
         added = 0
         value = 0.0
         for t, tree in enumerate(forest.trees):
-            g_t, cert = integer_cut(kind.value, catalog, tree, x_bin)
+            g_t, cert = integer_cut(kind, catalog, tree, x_bin)
             if thetas[t] > float(g_t) + CUT_TOL:
                 cut = cut_from_certificate(
                     cert, tree, t, n, INTEGER_CLOSED_FORM
@@ -449,38 +438,22 @@ def _monolithic_start_basis(built, forest, fixed0, fixed1, slack_cols):
         if need < 0 or need > len(free):
             return None  # node is infeasible; let the solver report it
         topped = free[:need]
-        ones |= set(topped)
-        anchor = topped[0] if topped else None
-        if anchor is None:
+        if not topped:
             return None  # all offered products are fixed; no free basic column
-        card_col = anchor - 1
+        ones |= set(topped)
+        card_col = topped[0] - 1
     x0 = tuple(1 if i in ones else 0 for i in range(1, n + 1))
-    basic = []
+    basic = [slack_cols.get(i) for i in range(built.lp.num_rows)]
     for t, tree in enumerate(forest.trees):
         _, leaf_star = traverse(tree, x0)
-        basic.append(built.y_cols[(t, leaf_star)])
+        basic[built.unit_rows[t]] = built.y_cols[(t, leaf_star)]
     if card_col is not None:
-        basic.append(card_col)
+        basic[built.card_row] = card_col
     at_upper = []
     for i in ones:
         if i not in fixed1 and i - 1 != card_col:
             at_upper.append(i - 1)  # free product offered: park at upper bound
-    basic_by_row = [None] * built.lp.num_rows
-    # rows appear as: per tree a unit row then its capacity rows; card row last
-    eq_positions = [
-        i for i, s in enumerate(built.lp.senses) if s == EQ
-    ]
-    tree_rows = eq_positions[: len(forest.trees)]
-    for pos, col in zip(tree_rows, basic[: len(forest.trees)]):
-        basic_by_row[pos] = col
-    if card_col is not None:
-        basic_by_row[eq_positions[len(forest.trees)]] = card_col
-    for i, s in enumerate(built.lp.senses):
-        if s != EQ:
-            basic_by_row[i] = slack_cols[i]
-    if any(b is None for b in basic_by_row):
-        return None
-    return WarmBasis(basic=tuple(basic_by_row), at_upper=tuple(sorted(at_upper)))
+    return WarmBasis(basic=tuple(basic), at_upper=tuple(sorted(at_upper)))
 
 
 def branch_and_bound_monolithic(

@@ -9,10 +9,13 @@ leaf), tied together by capacity rows at one of three granularities:
 - "product": one row per (tree, product), aggregating all splits of that
   product, the strongest relaxation.
 
-The objective is the weight-and-revenue weighted sum of leaf variables.  An
-optional cardinality row fixes the assortment size.  Builders are pure and
-produce deterministic row/column orderings (trees in order, node ids
-ascending), so matrices are reproducible byte for byte.
+``capacity_rows`` is the one place where the granularities are defined; the
+builder here, the per-tree oracles, the closed-form cuts and the Benders cut
+assembly all read their rows from it.  The objective is the weight-and-revenue
+weighted sum of leaf variables.  An optional cardinality row fixes the
+assortment size.  Builders are pure and produce deterministic row/column
+orderings (trees in order, node ids ascending), so matrices are reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .model import (
     AssortmentVector,
     DecisionForest,
     ProductCatalog,
+    PurchaseTree,
     brute_force_optimal,
     check_cardinality,
 )
@@ -39,6 +43,47 @@ class Kind(str, Enum):
     PRODUCT = "product"
 
 
+def as_kind(kind) -> Kind:
+    """``Kind(kind)``, raising ``DomainError`` for a name that is not a kind."""
+    try:
+        return Kind(kind)
+    except ValueError:
+        raise DomainError(f"unknown kind {kind!r}") from None
+
+
+def capacity_rows(kind: Kind, tree: PurchaseTree) -> list[tuple]:
+    """The tree's capacity rows at one granularity, in ``build``'s row order.
+
+    Each row is ``(key, product, left, leaves, other)``: the weights of
+    ``leaves`` sum to at most x_product when ``left`` and to at most
+    1 - x_product otherwise; ``key`` names the row's multiplier ((split,
+    leaf) pair, split id or product id) and ``other`` holds the leaves behind
+    the opposite branch of the same test.
+    """
+    rows = []
+    if kind == Kind.PRODUCT:
+        for i in tree.products:
+            lefts, rights = tree.product_left_leaves[i], tree.product_right_leaves[i]
+            rows += [(i, i, True, lefts, rights), (i, i, False, rights, lefts)]
+        return rows
+    for s in tree.split_ids:
+        i = tree.split_product(s)
+        lefts, rights = tree.left_leaves[s], tree.right_leaves[s]
+        if kind == Kind.SPLIT:
+            rows += [(s, i, True, lefts, rights), (s, i, False, rights, lefts)]
+        else:
+            rows += [((s, l), i, True, (l,), rights) for l in lefts]
+            rows += [((s, l), i, False, (l,), lefts) for l in rights]
+    return rows
+
+
+def row_product(kind: Kind, tree: PurchaseTree, key) -> int:
+    """Product whose level bounds the capacity row named ``key``."""
+    if kind == Kind.PRODUCT:
+        return key
+    return tree.split_product(key[0] if kind == Kind.LEAF else key)
+
+
 @dataclass(frozen=True)
 class BuiltFormulation:
     kind: Kind
@@ -46,6 +91,8 @@ class BuiltFormulation:
     n: int
     y_cols: dict[tuple[int, int], int]  # (tree index, leaf id) -> column
     cardinality: int | None
+    unit_rows: tuple[int, ...]  # per tree, the row index of its unit-sum row
+    card_row: int | None  # row index of the cardinality row, if any
 
     def x_of(self, solution: LpSolution) -> np.ndarray:
         return solution.x[: self.n]
@@ -61,7 +108,7 @@ def build(
     cardinality: int | None = None,
 ) -> BuiltFormulation:
     """Assemble the chosen formulation as an explicit dense LP."""
-    kind = Kind(kind)
+    kind = as_kind(kind)
     n = catalog.n
     check_cardinality(n, cardinality)
 
@@ -91,41 +138,31 @@ def build(
         senses.append(sense)
         rhs.append(b)
 
+    unit_rows = []
     for t, tree in enumerate(forest.trees):
+        unit_rows.append(len(rows))
         add_row({y_cols[(t, l)]: 1.0 for l in tree.leaf_ids}, EQ, 1.0)
-        if kind is Kind.LEAF:
-            for s in tree.split_ids:
-                xi = tree.split_product(s) - 1
-                for l in tree.left_leaves[s]:
-                    add_row({y_cols[(t, l)]: 1.0, xi: -1.0}, LE, 0.0)
-                for l in tree.right_leaves[s]:
-                    add_row({y_cols[(t, l)]: 1.0, xi: 1.0}, LE, 1.0)
-        elif kind is Kind.SPLIT:
-            for s in tree.split_ids:
-                xi = tree.split_product(s) - 1
-                coefs = {y_cols[(t, l)]: 1.0 for l in tree.left_leaves[s]}
-                coefs[xi] = -1.0
-                add_row(coefs, LE, 0.0)
-                coefs = {y_cols[(t, l)]: 1.0 for l in tree.right_leaves[s]}
-                coefs[xi] = 1.0
-                add_row(coefs, LE, 1.0)
-        else:
-            for i in tree.products:
-                coefs = {y_cols[(t, l)]: 1.0 for l in tree.product_left_leaves[i]}
-                coefs[i - 1] = -1.0
-                add_row(coefs, LE, 0.0)
-                coefs = {y_cols[(t, l)]: 1.0 for l in tree.product_right_leaves[i]}
-                coefs[i - 1] = 1.0
-                add_row(coefs, LE, 1.0)
+        for _, i, left, leaves, _ in capacity_rows(kind, tree):
+            coefs = {y_cols[(t, l)]: 1.0 for l in leaves}
+            coefs[i - 1] = -1.0 if left else 1.0
+            add_row(coefs, LE, 0.0 if left else 1.0)
 
+    card_row = None
     if cardinality is not None:
+        card_row = len(rows)
         add_row({j: 1.0 for j in range(n)}, EQ, float(cardinality))
 
     lb = np.zeros(ncols)
     ub = np.concatenate([np.ones(n), np.full(ncols - n, np.inf)])
     lp = LinearProgram.build(c=c, A=np.array(rows), senses=senses, b=rhs, lb=lb, ub=ub)
     return BuiltFormulation(
-        kind=kind, lp=lp, n=n, y_cols=y_cols, cardinality=cardinality
+        kind=kind,
+        lp=lp,
+        n=n,
+        y_cols=y_cols,
+        cardinality=cardinality,
+        unit_rows=tuple(unit_rows),
+        card_row=card_row,
     )
 
 

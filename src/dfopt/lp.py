@@ -512,11 +512,12 @@ def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:
     through to the next candidate (and finally to the cold start) instead of
     propagating.
     """
+    bases = [warm for warm in bases if warm is not None]
+    if not bases:
+        return solve_lp(lp)
     lp.validate()
     can = _Canonical(lp)
     for warm in bases:
-        if warm is None:
-            continue
         try:
             sim = _try_warm(can, warm)
             if sim is None:

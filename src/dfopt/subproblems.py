@@ -21,6 +21,10 @@ while ``product_greedy_sweep`` implements the (generally suboptimal) sweep
 for demonstration.  For binary x all three granularities have the same
 closed-form optimum, provided by ``integer_cut``.
 
+The product LP, the closed-form cuts and the certificates read their rows
+from ``formulations.capacity_rows``, the one place where the three
+granularities are defined.
+
 Arithmetic is pure Python throughout, so exact inputs (ints, Fractions)
 produce exact outputs.
 
@@ -35,12 +39,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ContractViolation, DomainError
+from .formulations import Kind, as_kind, capacity_rows, row_product
 from .lp import LE, EQ, LinearProgram, LpSolution, solve_lp
 from .model import Number, ProductCatalog, PurchaseTree, as_values, traverse
-
-LEAF = "leaf"
-SPLIT = "split"
-PRODUCT = "product"
 
 #: Capacities closer than this are treated as tied.
 TIE_TOL = 1e-12
@@ -58,7 +59,7 @@ class EventTrace:
     when it occurred.  A completed sweep records exactly one C event.
     """
 
-    kind: str
+    kind: Kind
     events: tuple[tuple, ...]
     f: Mapping[tuple, int]
     order: tuple[int, ...]
@@ -68,12 +69,12 @@ class EventTrace:
 class DualCertificate:
     """Dual point (alpha, beta, gamma) for one tree's subproblem.
 
-    Keys of ``alpha``/``beta`` depend on the variant: (split, leaf) pairs,
-    split ids, or product ids.  All multipliers are nonnegative and only
-    nonzero entries are stored.
+    ``alpha`` prices the left rows and ``beta`` the right rows of
+    ``capacity_rows(kind, tree)``, keyed by the rows' keys.  All multipliers
+    are nonnegative and only nonzero entries are stored.
     """
 
-    kind: str
+    kind: Kind
     alpha: Mapping
     beta: Mapping
     gamma: Number
@@ -82,42 +83,20 @@ class DualCertificate:
         """Value of the dual objective at levels x; equals the cut value."""
         vals = as_values(x)
         total = self.gamma
-        if self.kind == PRODUCT:
-            for i, a in self.alpha.items():
-                total += a * vals[i - 1]
-            for i, b in self.beta.items():
-                total += b * (1 - vals[i - 1])
-        else:
-            for key, a in self.alpha.items():
-                s = key[0] if self.kind == LEAF else key
-                total += a * vals[tree.split_product(s) - 1]
-            for key, b in self.beta.items():
-                s = key[0] if self.kind == LEAF else key
-                total += b * (1 - vals[tree.split_product(s) - 1])
+        for key, a in self.alpha.items():
+            total += a * vals[row_product(self.kind, tree, key) - 1]
+        for key, b in self.beta.items():
+            total += b * (1 - vals[row_product(self.kind, tree, key) - 1])
         return total
 
     def row_slacks(self, catalog: ProductCatalog, tree: PurchaseTree) -> dict[int, Number]:
         """Per-leaf slack of the dual rows (>= 0 iff the dual is feasible)."""
-        slacks = {}
-        for l in tree.leaf_ids:
-            lhs = self.gamma
-            if self.kind == LEAF:
-                for s in tree.left_splits[l]:
-                    lhs += self.alpha.get((s, l), 0)
-                for s in tree.right_splits[l]:
-                    lhs += self.beta.get((s, l), 0)
-            elif self.kind == SPLIT:
-                for s in tree.left_splits[l]:
-                    lhs += self.alpha.get(s, 0)
-                for s in tree.right_splits[l]:
-                    lhs += self.beta.get(s, 0)
-            else:
-                for i in tree.leaf_in_products[l]:
-                    lhs += self.alpha.get(i, 0)
-                for i in tree.leaf_out_products[l]:
-                    lhs += self.beta.get(i, 0)
-            slacks[l] = lhs - catalog.leaf_revenue(tree, l)
-        return slacks
+        lhs = {l: self.gamma for l in tree.leaf_ids}
+        for key, _, left, leaves, _ in capacity_rows(self.kind, tree):
+            price = (self.alpha if left else self.beta).get(key, 0)
+            for l in leaves:
+                lhs[l] += price
+        return {l: lhs[l] - catalog.leaf_revenue(tree, l) for l in tree.leaf_ids}
 
 
 def leaf_order(catalog: ProductCatalog, tree: PurchaseTree) -> tuple[int, ...]:
@@ -198,7 +177,7 @@ def leaf_primal_greedy(
             ev = ("B", best_b[2], l)
         events.append(ev)
         f[ev] = l
-    trace = EventTrace(kind=LEAF, events=tuple(events), f=f, order=order)
+    trace = EventTrace(kind=Kind.LEAF, events=tuple(events), f=f, order=order)
     return y, trace
 
 
@@ -206,7 +185,7 @@ def leaf_dual_greedy(
     catalog: ProductCatalog, tree: PurchaseTree, trace: EventTrace
 ) -> DualCertificate:
     """Dual point matching a per-(split, leaf) primal sweep."""
-    if trace.kind != LEAF:
+    if trace.kind != Kind.LEAF:
         raise ContractViolation("trace kind mismatch")
     if EVENT_C not in trace.f:
         raise ContractViolation("trace has no C event")
@@ -224,7 +203,7 @@ def leaf_dual_greedy(
             v = catalog.leaf_revenue(tree, l) - gamma
             if v != 0:
                 beta[(s, l)] = v
-    return DualCertificate(kind=LEAF, alpha=alpha, beta=beta, gamma=gamma)
+    return DualCertificate(kind=Kind.LEAF, alpha=alpha, beta=beta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +262,7 @@ def split_primal_greedy(
         if ev not in f:
             events.append(ev)
             f[ev] = l
-    trace = EventTrace(kind=SPLIT, events=tuple(events), f=f, order=order)
+    trace = EventTrace(kind=Kind.SPLIT, events=tuple(events), f=f, order=order)
     return y, trace
 
 
@@ -296,7 +275,7 @@ def split_dual_greedy(
     is the revenue of its leaf minus gamma and minus the multipliers already
     set on shallower event splits along that leaf's path.
     """
-    if trace.kind != SPLIT:
+    if trace.kind != Kind.SPLIT:
         raise ContractViolation("trace kind mismatch")
     if EVENT_C not in trace.f:
         raise ContractViolation("trace has no C event")
@@ -326,7 +305,7 @@ def split_dual_greedy(
                 beta[s] = catalog.leaf_revenue(tree, l) - gamma - shallower_sum(l, d)
     alpha = {s: v for s, v in alpha.items() if v != 0}
     beta = {s: v for s, v in beta.items() if v != 0}
-    return DualCertificate(kind=SPLIT, alpha=alpha, beta=beta, gamma=gamma)
+    return DualCertificate(kind=Kind.SPLIT, alpha=alpha, beta=beta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -335,56 +314,31 @@ def split_dual_greedy(
 
 
 def integer_cut(
-    kind: str, catalog: ProductCatalog, tree: PurchaseTree, x
+    kind: Kind, catalog: ProductCatalog, tree: PurchaseTree, x
 ) -> tuple[Number, DualCertificate]:
     """Closed-form subproblem optimum and dual at a binary assortment.
 
     The primal optimum puts weight 1 on the traversal leaf, worth its revenue.
-    The dual charges each branch that was not taken the excess revenue
-    reachable behind it; evaluated at this x the dual equals the traversal
-    revenue, and it remains a valid upper bound on the subproblem optimum at
-    every binary assortment.
+    The dual charges each capacity row whose opposite branch leads to the
+    traversal leaf (a branch that was not taken) the excess revenue reachable
+    behind it; evaluated at this x the dual equals the traversal revenue, and
+    it remains a valid upper bound on the subproblem optimum at every binary
+    assortment.
     """
+    kind = as_kind(kind)
     vals = as_values(x)
     if any(v != 0 and v != 1 for v in vals):
         raise ContractViolation("integer_cut requires a binary assortment")
     _, leaf_star = traverse(tree, vals)
     r_star = catalog.leaf_revenue(tree, leaf_star)
-    rev = lambda l: catalog.leaf_revenue(tree, l)
 
     alpha: dict = {}
     beta: dict = {}
-    if kind == LEAF:
-        for s in tree.right_splits[leaf_star]:
-            for l in tree.left_leaves[s]:
-                v = rev(l) - r_star
-                if v > 0:
-                    alpha[(s, l)] = v
-        for s in tree.left_splits[leaf_star]:
-            for l in tree.right_leaves[s]:
-                v = rev(l) - r_star
-                if v > 0:
-                    beta[(s, l)] = v
-    elif kind == SPLIT:
-        for s in tree.right_splits[leaf_star]:
-            v = max(rev(l) for l in tree.left_leaves[s]) - r_star
+    for key, _, left, leaves, other in capacity_rows(kind, tree):
+        if leaf_star in other:
+            v = max(catalog.leaf_revenue(tree, l) for l in leaves) - r_star
             if v > 0:
-                alpha[s] = v
-        for s in tree.left_splits[leaf_star]:
-            v = max(rev(l) for l in tree.right_leaves[s]) - r_star
-            if v > 0:
-                beta[s] = v
-    elif kind == PRODUCT:
-        for i in tree.leaf_out_products[leaf_star]:
-            v = max(rev(l) for l in tree.product_left_leaves[i]) - r_star
-            if v > 0:
-                alpha[i] = v
-        for i in tree.leaf_in_products[leaf_star]:
-            v = max(rev(l) for l in tree.product_right_leaves[i]) - r_star
-            if v > 0:
-                beta[i] = v
-    else:
-        raise DomainError(f"unknown kind {kind!r}")
+                (alpha if left else beta)[key] = v
     cert = DualCertificate(kind=kind, alpha=alpha, beta=beta, gamma=r_star)
     return r_star, cert
 
@@ -398,30 +352,17 @@ def _product_subproblem_lp_data(catalog, tree, vals):
     leaves = tree.leaf_ids
     col = {l: j for j, l in enumerate(leaves)}
     c = [float(catalog.leaf_revenue(tree, l)) for l in leaves]
-    rows = []
-    senses = []
-    rhs = []
-    rows.append([1.0] * len(leaves))
-    senses.append(EQ)
-    rhs.append(1.0)
-    row_meta: list[tuple] = [("unit",)]
-    for i in tree.products:
+    rows = capacity_rows(Kind.PRODUCT, tree)
+    A = [[1.0] * len(leaves)]
+    rhs = [1.0]
+    for _, i, left, row_leaves, _ in rows:
         row = [0.0] * len(leaves)
-        for l in tree.product_left_leaves[i]:
+        for l in row_leaves:
             row[col[l]] = 1.0
-        rows.append(row)
-        senses.append(LE)
-        rhs.append(float(vals[i - 1]))
-        row_meta.append(("left", i))
-        row = [0.0] * len(leaves)
-        for l in tree.product_right_leaves[i]:
-            row[col[l]] = 1.0
-        rows.append(row)
-        senses.append(LE)
-        rhs.append(1.0 - float(vals[i - 1]))
-        row_meta.append(("right", i))
-    lp = LinearProgram.build(c=c, A=rows, senses=senses, b=rhs)
-    return lp, row_meta, leaves
+        A.append(row)
+        rhs.append(float(vals[i - 1]) if left else 1.0 - float(vals[i - 1]))
+    lp = LinearProgram.build(c=c, A=A, senses=[EQ] + [LE] * len(rows), b=rhs)
+    return lp, rows, leaves
 
 
 def product_subproblem_lp(
@@ -429,24 +370,19 @@ def product_subproblem_lp(
 ) -> tuple[float, DualCertificate, LpSolution]:
     """Per-product subproblem via the bundled simplex; duals become the cut."""
     vals = as_values(x)
-    lp, row_meta, _ = _product_subproblem_lp_data(catalog, tree, vals)
+    lp, rows, _ = _product_subproblem_lp_data(catalog, tree, vals)
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise ContractViolation(f"product subproblem LP is {sol.status}")
     alpha: dict[int, float] = {}
     beta: dict[int, float] = {}
-    gamma = 0.0
-    for (tag, *rest), price in zip(row_meta, sol.duals):
+    for (key, _, left, _, _), price in zip(rows, sol.duals[1:]):
         price = float(price)
-        if tag == "unit":
-            gamma = price
-        elif tag == "left":
-            if price > 1e-11:
-                alpha[rest[0]] = price
-        else:
-            if price > 1e-11:
-                beta[rest[0]] = price
-    cert = DualCertificate(kind=PRODUCT, alpha=alpha, beta=beta, gamma=gamma)
+        if price > 1e-11:
+            (alpha if left else beta)[key] = price
+    cert = DualCertificate(
+        kind=Kind.PRODUCT, alpha=alpha, beta=beta, gamma=float(sol.duals[0])
+    )
     return float(sol.objective), cert, sol
 
 

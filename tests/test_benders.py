@@ -2,8 +2,10 @@
 
 import pytest
 
+from dfopt import lp
 from dfopt.benders import (
     Budget,
+    _monolithic_start_basis,
     branch_and_bound_monolithic,
     cut_from_certificate,
     evaluate_cut,
@@ -11,7 +13,7 @@ from dfopt.benders import (
     relaxation_phase,
     solve_two_phase,
 )
-from dfopt.errors import IterationLimitError
+from dfopt.errors import DomainError, IterationLimitError
 from dfopt.formulations import Kind, build, solve_relaxation
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import (
@@ -263,3 +265,48 @@ class TestNodeBudget:
             ref = full[driver]
             assert res.optimal
             assert (res.value, res.x, res.nodes) == (ref.value, ref.x, ref.nodes)
+
+
+class TestMonolithicStartBasis:
+    @pytest.mark.parametrize("cardinality", [None, 3])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_start_is_accepted(self, kind, cardinality):
+        # the root and one child of each sign, on every tree shape
+        nodes = [
+            (frozenset(), frozenset()),
+            (frozenset({1}), frozenset()),
+            (frozenset(), frozenset({1})),
+        ]
+        for seed in range(4):
+            for shape in ("t1", "t2", "t3"):
+                catalog, forest = seeded_instance(seed, shape, n=12, num_trees=10)
+                built = build(kind, catalog, forest, cardinality)
+                slack_cols = lp.slack_columns(built.lp)
+                for fixed0, fixed1 in nodes:
+                    start = _monolithic_start_basis(
+                        built, forest, fixed0, fixed1, slack_cols
+                    )
+                    assert start is not None
+                    lb, ub = built.lp.lb.copy(), built.lp.ub.copy()
+                    for i in fixed0:
+                        ub[i - 1] = 0.0
+                    for i in fixed1:
+                        lb[i - 1] = 1.0
+                    node_lp = built.lp.with_bounds(lb, ub)
+                    assert lp._try_warm(lp._Canonical(node_lp), start) is not None
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, f: build("bogus", c, f),
+        lambda c, f: relaxation_phase("bogus", c, f),
+        lambda c, f: integer_phase("bogus", c, f),
+        lambda c, f: integer_cut("bogus", c, f.trees[0], (0,) * c.n),
+    ],
+    ids=["build", "relaxation_phase", "integer_phase", "integer_cut"],
+)
+def test_unknown_kind_is_a_domain_error(call):
+    catalog, forest = seeded_instance(0, n=6, num_trees=2)
+    with pytest.raises(DomainError, match="unknown kind 'bogus'"):
+        call(catalog, forest)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dfopt import lp as lp_module
 from dfopt.errors import ValidationError
 from dfopt.lp import (
     EQ,
@@ -15,6 +16,7 @@ from dfopt.lp import (
     WarmBasis,
     lp_to_text,
     solve_lp,
+    solve_lp_multi,
     solve_lp_with_basis,
     verify_solution_exact,
 )
@@ -263,6 +265,21 @@ class TestWarmStart:
         sol = solve_lp_with_basis(lp, bogus)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(solve_lp(lp).objective, abs=1e-10)
+
+    def test_no_candidate_canonicalizes_once(self, monkeypatch):
+        built = []
+
+        class Counting(lp_module._Canonical):
+            def __init__(self, lp):
+                built.append(lp)
+                super().__init__(lp)
+
+        monkeypatch.setattr(lp_module, "_Canonical", Counting)
+        lp = random_le_lp(np.random.default_rng(9))
+        sol = solve_lp_multi(lp, [None])
+        assert len(built) == 1
+        assert sol.status == "optimal"
+        assert sol.objective == solve_lp(lp).objective
 
 
 class TestDeterminism:
