@@ -30,7 +30,7 @@ import time
 from pathlib import Path
 
 from . import benders, formulations, heuristics, instancegen, model
-from .errors import ConfigError, DfoptError, DomainError, SolverError
+from .errors import ConfigError, DfoptError, DomainError, SolverError, ValidationError
 
 SCHEMA_PREFIX = "dfopt"
 EXIT_OK = 0
@@ -75,6 +75,8 @@ def cmd_generate(args) -> int:
         _write_text(args.out, model.instance_to_json(catalog, forest))
         return EXIT_OK
     cfg_obj = json.loads(Path(args.config).read_text())
+    if not isinstance(cfg_obj, dict):
+        raise ConfigError("generator config must be a JSON object")
     configs = cfg_obj["configs"] if "configs" in cfg_obj else [cfg_obj]
     master_seed = int(cfg_obj.get("seed", 0))
     multi = len(configs) > 1
@@ -610,7 +612,9 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, DomainError, OSError, json.JSONDecodeError) as exc:
+    except (
+        ConfigError, DomainError, ValidationError, OSError, json.JSONDecodeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

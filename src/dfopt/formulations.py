@@ -11,11 +11,11 @@ leaf), tied together by capacity rows at one of three granularities:
 
 ``capacity_rows`` is the one place where the granularities are defined; the
 builder here, the per-tree oracles, the closed-form cuts and the Benders cut
-assembly all read their rows from it.  The objective is the weight-and-revenue
-weighted sum of leaf variables.  An optional cardinality row fixes the
-assortment size.  Builders are pure and produce deterministic row/column
-orderings (trees in order, node ids ascending), so matrices are reproducible
-byte for byte.
+assembly all read their rows from it or from its per-leaf transpose
+``leaf_rows``.  The objective is the weight-and-revenue weighted sum of leaf
+variables.  An optional cardinality row fixes the assortment size.  Builders
+are pure and produce deterministic row/column orderings (trees in order, node
+ids ascending), so matrices are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -74,6 +74,28 @@ def capacity_rows(kind: Kind, tree: PurchaseTree) -> list[tuple]:
         else:
             rows += [((s, l), i, True, (l,), rights) for l in lefts]
             rows += [((s, l), i, False, (l,), lefts) for l in rights]
+    return rows
+
+
+def leaf_rows(kind: Kind, tree: PurchaseTree, leaf: int) -> list[tuple]:
+    """The rows of ``capacity_rows(kind, tree)`` that hold ``leaf``.
+
+    One row per split on the leaf's path, as ``(split, key, product, left)``
+    with the last three as in ``capacity_rows``, in tie-rank order:
+    root-first, except that per-(split, leaf) rows list all left rows first.
+    """
+    lefts, rights = tree.left_splits[leaf], tree.right_splits[leaf]
+    nodes = tree.nodes
+    if kind == Kind.LEAF:
+        return [(s, (s, leaf), nodes[s].product, True) for s in lefts] + [
+            (s, (s, leaf), nodes[s].product, False) for s in rights
+        ]
+    rows = [None] * (len(lefts) + len(rights))  # placed by depth: root-first
+    by_product = kind == Kind.PRODUCT
+    for left, splits in ((True, lefts), (False, rights)):
+        for s in splits:
+            i = nodes[s].product
+            rows[tree.depth[s] - 1] = (s, i if by_product else s, i, left)
     return rows
 
 

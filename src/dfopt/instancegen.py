@@ -80,20 +80,26 @@ class GeneratorConfig:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GeneratorConfig":
-        shape_obj = obj["shape"]
-        shape = TreeShape(
-            kind=str(shape_obj["type"]).lower(),
-            depth=shape_obj.get("depth"),
-            leaves=shape_obj.get("leaves"),
-        )
-        rr = obj.get("revenue_range", [1, 100])
-        return cls(
-            n=int(obj["n"]),
-            num_trees=int(obj["num_trees"]),
-            shape=shape,
-            revenue_range=(int(rr[0]), int(rr[1])),
-            seed=int(obj.get("seed", 0)),
-        )
+        """Parse a config object; malformed content raises ``ConfigError``."""
+        try:
+            shape_obj = obj["shape"]
+            shape = TreeShape(
+                kind=str(shape_obj["type"]).lower(),
+                depth=shape_obj.get("depth"),
+                leaves=shape_obj.get("leaves"),
+            )
+            rr = obj.get("revenue_range", [1, 100])
+            return cls(
+                n=int(obj["n"]),
+                num_trees=int(obj["num_trees"]),
+                shape=shape,
+                revenue_range=(int(rr[0]), int(rr[1])),
+                seed=int(obj.get("seed", 0)),
+            )
+        except KeyError as exc:
+            raise ConfigError(f"generator config is missing the key {exc}") from None
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed generator config: {exc}") from None
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -15,6 +15,7 @@ everything in this module is safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -59,7 +60,7 @@ class PurchaseTree:
     Derived index sets are precomputed once:
 
     - ``split_ids`` / ``leaf_ids``: node ids in ascending order.
-    - ``depth[s]``: split depth, root split = 1; ``max_depth``.
+    - ``depth[s]``: split depth, root split = 1.
     - ``left_leaves[s]`` / ``right_leaves[s]``: leaves under each branch.
     - ``left_splits[l]`` / ``right_splits[l]``: splits a leaf lies left/right
       of, ordered root-first.
@@ -75,8 +76,6 @@ class PurchaseTree:
         "split_ids",
         "leaf_ids",
         "depth",
-        "max_depth",
-        "splits_at_depth",
         "left_leaves",
         "right_leaves",
         "left_splits",
@@ -167,11 +166,6 @@ class PurchaseTree:
         self.split_ids = tuple(sorted(splits))
         self.leaf_ids = tuple(sorted(leaves))
         self.depth = depth
-        self.max_depth = max((depth[s] for s in splits), default=0)
-        by_depth: dict[int, list[int]] = {}
-        for s in self.split_ids:
-            by_depth.setdefault(depth[s], []).append(s)
-        self.splits_at_depth = {d: tuple(v) for d, v in sorted(by_depth.items())}
         self.left_leaves = {s: tuple(sorted(v)) for s, v in left_leaves.items()}
         self.right_leaves = {s: tuple(sorted(v)) for s, v in right_leaves.items()}
         self.left_splits = left_splits
@@ -208,6 +202,14 @@ class PurchaseTree:
         )
 
 
+def _check_nonnegative(v, what: str) -> None:
+    # NaN passes every comparison test, so non-finite floats are refused first
+    if isinstance(v, bool) or (isinstance(v, float) and not math.isfinite(v)):
+        raise ValidationError(f"{what} is not a finite number: {v!r}")
+    if v < 0:
+        raise ValidationError(f"{what} is negative")
+
+
 @dataclass(frozen=True)
 class ProductCatalog:
     """Product universe: ``n`` products with nonnegative marginal revenues."""
@@ -223,8 +225,7 @@ class ProductCatalog:
                 f"expected {self.n} revenues, got {len(self.revenues)}"
             )
         for i, r in enumerate(self.revenues, start=1):
-            if r < 0:
-                raise ValidationError(f"revenue of product {i} is negative")
+            _check_nonnegative(r, f"revenue of product {i}")
 
     def revenue_of(self, option: int) -> Number:
         """Marginal revenue of an option; the no-purchase option yields 0."""
@@ -248,9 +249,8 @@ class DecisionForest:
             raise ValidationError("forest needs at least one tree")
         if len(self.weights) != len(self.trees):
             raise ValidationError("one weight per tree required")
-        for w in self.weights:
-            if w < 0:
-                raise ValidationError("tree weights must be nonnegative")
+        for t, w in enumerate(self.weights):
+            _check_nonnegative(w, f"weight of tree {t}")
         if abs(float(sum(self.weights)) - 1.0) > 1e-12:
             raise ValidationError("tree weights must sum to 1")
 
@@ -487,6 +487,8 @@ def _number_to_json(v: Number, as_string: bool):
 
 
 def _number_from_json(v) -> Number:
+    if isinstance(v, bool):
+        raise ValidationError("booleans are not numbers here")
     if isinstance(v, (int, float)):
         return v
     if isinstance(v, str):
@@ -543,14 +545,20 @@ def instance_to_json(catalog: ProductCatalog, forest: DecisionForest) -> str:
 
 
 def instance_from_json(text: str) -> tuple[ProductCatalog, DecisionForest]:
+    """Parse an instance; malformed content raises ``ValidationError``."""
     obj = json.loads(text)
-    catalog = ProductCatalog(
-        n=int(obj["n"]),
-        revenues=tuple(_number_from_json(r) for r in obj["revenues"]),
-    )
-    forest = DecisionForest(
-        trees=tuple(_tree_from_obj(t) for t in obj["trees"]),
-        weights=tuple(_number_from_json(w) for w in obj["lambda"]),
-    )
+    try:
+        catalog = ProductCatalog(
+            n=int(obj["n"]),
+            revenues=tuple(_number_from_json(r) for r in obj["revenues"]),
+        )
+        forest = DecisionForest(
+            trees=tuple(_tree_from_obj(t) for t in obj["trees"]),
+            weights=tuple(_number_from_json(w) for w in obj["lambda"]),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"instance is missing the key {exc}") from None
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"malformed instance: {exc}") from None
     validate_instance(catalog, forest)
     return catalog, forest

@@ -1,36 +1,31 @@
 """Per-tree subproblem oracles for the decomposition solver.
 
-Each tree contributes a small LP in the leaf-weight variables y: maximize the
-leaf revenues subject to the unit-sum row and the branch capacities implied by
-the (possibly fractional) assortment levels x.  Two constraint granularities
-admit a greedy solution:
+Each tree contributes a small LP in the leaf weights y: maximize the leaf
+revenues subject to the unit-sum row and the tree's capacity rows
+(``formulations.capacity_rows``), whose right-hand sides are the (possibly
+fractional) assortment levels x.
 
-- per-(split, leaf) rows: ``leaf_primal_greedy`` / ``leaf_dual_greedy``;
-- per-split aggregated rows: ``split_primal_greedy`` / ``split_dual_greedy``.
+One greedy sweep serves every granularity.  It takes the leaves in
+nonincreasing revenue order and gives each the smallest residual capacity
+among the rows that hold it (``formulations.leaf_rows``), capped by the
+unit-sum budget, recording the row that went tight as an event (A = left
+row, B = right row, C = unit sum, which ends the sweep).  One dual replay
+turns the events, root-first, into a dual point of equal value: the
+certificate behind an optimality cut.  On the per-(split, leaf) and per-split
+rows the pair is exact (``leaf_*_greedy``, ``split_*_greedy``).
 
-The primal sweeps walk leaves in nonincreasing revenue order, give each leaf
-the largest feasible weight, and record which capacity became tight as an
-event (A = left capacity, B = right capacity, C = unit sum; C terminates).
-The dual constructions replay the event trace to produce a matching optimal
-dual point, which is certified by strong duality and is the raw material for
-an optimality cut.
+The per-product rows defeat the sweep: a product row groups the leaves under
+several splits of one product, so weight parked on one branch uses up
+capacity that a later leaf under another split of the product needed.
+``product_subproblem_lp`` therefore solves those rows with the bundled
+simplex; ``product_greedy_sweep`` runs the same sweep on them only to show
+the shortfall.  For binary x all three granularities share the closed-form
+optimum of ``integer_cut``.
 
-The per-product aggregation (one row per product of the tree) does not admit
-this greedy; ``product_subproblem_lp`` solves it with the bundled simplex,
-while ``product_greedy_sweep`` implements the (generally suboptimal) sweep
-for demonstration.  For binary x all three granularities have the same
-closed-form optimum, provided by ``integer_cut``.
-
-The product LP, the closed-form cuts and the certificates read their rows
-from ``formulations.capacity_rows``, the one place where the three
-granularities are defined.
-
-Arithmetic is pure Python throughout, so exact inputs (ints, Fractions)
-produce exact outputs.
-
-All functions are pure; the tie rules (unit-sum event wins ties, then
-shallower split, then smaller node id; tolerance 1e-12 on capacity
-comparisons) make traces deterministic.
+Arithmetic is pure Python, so exact inputs (ints, Fractions) give exact
+outputs.  All functions are pure; the tie rules (the unit-sum event wins,
+then the first row in ``leaf_rows`` order; capacities within ``TIE_TOL`` tie)
+make traces deterministic.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ContractViolation, DomainError
-from .formulations import Kind, as_kind, capacity_rows, row_product
+from .formulations import Kind, as_kind, capacity_rows, leaf_rows, row_product
 from .lp import LE, EQ, LinearProgram, LpSolution, solve_lp
 from .model import Number, ProductCatalog, PurchaseTree, as_values, traverse
 
@@ -53,10 +48,11 @@ EVENT_C = ("C",)
 class EventTrace:
     """Which capacity went tight at each step of a primal greedy sweep.
 
-    ``events`` are ``("A", s, l)`` / ``("B", s, l)`` / ``("C",)`` for the
-    per-(split, leaf) sweep and ``("A", s)`` / ``("B", s)`` / ``("C",)`` for
-    the per-split sweep; ``f`` maps each event to the leaf being processed
-    when it occurred.  A completed sweep records exactly one C event.
+    ``events`` are ``("A", key)`` / ``("B", key)`` for a left / right
+    capacity row, keyed as in ``capacity_rows`` (``(s, l)`` per-(split, leaf),
+    ``s`` per split), and ``("C",)`` for the unit sum; ``f`` maps each event
+    to the leaf being processed when it occurred.  Each row is recorded at
+    most once, and a completed sweep ends with exactly one C event.
     """
 
     kind: Kind
@@ -118,194 +114,104 @@ def _check_order(catalog, tree, order):
     return order
 
 
-def _split_rank(tree: PurchaseTree, s: int) -> tuple[int, int]:
-    return (tree.depth[s], s)
+# ---------------------------------------------------------------------------
+# One greedy sweep and one dual replay over the capacity rows
+# ---------------------------------------------------------------------------
 
 
-# ---------------------------------------------------------------------------
-# Per-(split, leaf) granularity
-# ---------------------------------------------------------------------------
+def _sweep(kind: Kind, catalog, tree, x, order) -> tuple[dict, EventTrace]:
+    """The greedy sweep against the capacity rows of one granularity."""
+    vals = as_values(x)
+    order = _check_order(catalog, tree, order)
+    y: dict[int, Number] = {l: 0 for l in tree.leaf_ids}
+    used: tuple[dict, dict] = ({}, {})  # weight parked per row key: right, left
+    events: list[tuple] = []
+    f: dict[tuple, int] = {}
+    assigned = 0
+    for l in order:
+        rows = leaf_rows(kind, tree, l)
+        best = None
+        for _, key, i, left in rows:
+            q = (vals[i - 1] if left else 1 - vals[i - 1]) - used[left].get(key, 0)
+            if best is None or q < best[0] - TIE_TOL:
+                best = (q, key, left)
+        q_c = 1 - assigned
+        q_star = q_c if best is None else min(q_c, best[0])
+        y[l] = q_star
+        assigned += q_star
+        for _, key, _, left in rows:
+            used[left][key] = used[left].get(key, 0) + q_star
+        if q_c <= q_star + TIE_TOL:
+            events.append(EVENT_C)
+            f[EVENT_C] = l
+            break
+        ev = ("A" if best[2] else "B", best[1])
+        if ev not in f:
+            events.append(ev)
+            f[ev] = l
+    return y, EventTrace(kind=kind, events=tuple(events), f=f, order=order)
+
+
+def _replay(kind: Kind, catalog, tree, trace: EventTrace) -> DualCertificate:
+    """The dual point matching a sweep, from its events.
+
+    Gamma is the revenue of the C leaf.  Multipliers are set root-first: each
+    event row gets the revenue of its leaf minus gamma and minus the
+    multipliers already set on the rows that hold that leaf.
+    """
+    if trace.kind != kind:
+        raise ContractViolation("trace kind mismatch")
+    if EVENT_C not in trace.f:
+        raise ContractViolation("trace has no C event")
+    gamma = catalog.leaf_revenue(tree, trace.f[EVENT_C])
+    steps = []
+    for ev in trace.events:
+        if ev != EVENT_C:
+            rows = leaf_rows(kind, tree, trace.f[ev])
+            for s, key, _, left in rows:
+                if key == ev[1] and left == (ev[0] == "A"):
+                    break
+            else:
+                raise ContractViolation(f"event {ev} is not a row of its leaf")
+            steps.append((tree.depth[s], s, key, left, trace.f[ev], rows))
+    steps.sort(key=lambda step: step[:2])
+    price: tuple[dict, dict] = ({}, {})  # multipliers per row key: beta, alpha
+    for _, _, key, left, l, rows in steps:
+        shallower = 0
+        for _, k, _, lf in rows:
+            shallower += price[lf].get(k, 0)
+        price[left][key] = catalog.leaf_revenue(tree, l) - gamma - shallower
+    alpha = {key: v for key, v in price[True].items() if v != 0}
+    beta = {key: v for key, v in price[False].items() if v != 0}
+    return DualCertificate(kind=kind, alpha=alpha, beta=beta, gamma=gamma)
 
 
 def leaf_primal_greedy(
     catalog: ProductCatalog, tree: PurchaseTree, x, order=None
 ) -> tuple[dict[int, Number], EventTrace]:
-    """Greedy optimum of the per-(split, leaf) subproblem.
-
-    Capacities for a leaf are the raw levels x of its left splits and 1 - x
-    of its right splits (no aggregation), plus the remaining unit-sum budget.
-    Returns the leaf weights and the event trace.
-    """
-    vals = as_values(x)
-    order = _check_order(catalog, tree, order)
-    y: dict[int, Number] = {l: 0 for l in tree.leaf_ids}
-    events: list[tuple] = []
-    f: dict[tuple, int] = {}
-    assigned = 0
-    for l in order:
-        q_c = 1 - assigned
-        best_a = None
-        for s in tree.left_splits[l]:
-            q = vals[tree.split_product(s) - 1]
-            if best_a is None or q < best_a[0] - TIE_TOL or (
-                abs(q - best_a[0]) <= TIE_TOL and _split_rank(tree, s) < best_a[1]
-            ):
-                best_a = (q, _split_rank(tree, s), s)
-        best_b = None
-        for s in tree.right_splits[l]:
-            q = 1 - vals[tree.split_product(s) - 1]
-            if best_b is None or q < best_b[0] - TIE_TOL or (
-                abs(q - best_b[0]) <= TIE_TOL and _split_rank(tree, s) < best_b[1]
-            ):
-                best_b = (q, _split_rank(tree, s), s)
-
-        q_a = best_a[0] if best_a is not None else None
-        q_b = best_b[0] if best_b is not None else None
-        q_star = q_c
-        for q in (q_a, q_b):
-            if q is not None and q < q_star:
-                q_star = q
-        y[l] = q_star
-        assigned += q_star
-        if q_c <= q_star + TIE_TOL:
-            events.append(EVENT_C)
-            f[EVENT_C] = l
-            break
-        if q_a is not None and q_a <= q_star + TIE_TOL:
-            ev = ("A", best_a[2], l)
-        else:
-            ev = ("B", best_b[2], l)
-        events.append(ev)
-        f[ev] = l
-    trace = EventTrace(kind=Kind.LEAF, events=tuple(events), f=f, order=order)
-    return y, trace
+    """Greedy optimum of the per-(split, leaf) subproblem: weights and trace."""
+    return _sweep(Kind.LEAF, catalog, tree, x, order)
 
 
 def leaf_dual_greedy(
     catalog: ProductCatalog, tree: PurchaseTree, trace: EventTrace
 ) -> DualCertificate:
-    """Dual point matching a per-(split, leaf) primal sweep."""
-    if trace.kind != Kind.LEAF:
-        raise ContractViolation("trace kind mismatch")
-    if EVENT_C not in trace.f:
-        raise ContractViolation("trace has no C event")
-    gamma = catalog.leaf_revenue(tree, trace.f[EVENT_C])
-    alpha: dict[tuple[int, int], Number] = {}
-    beta: dict[tuple[int, int], Number] = {}
-    for ev in trace.events:
-        if ev[0] == "A":
-            _, s, l = ev
-            v = catalog.leaf_revenue(tree, l) - gamma
-            if v != 0:
-                alpha[(s, l)] = v
-        elif ev[0] == "B":
-            _, s, l = ev
-            v = catalog.leaf_revenue(tree, l) - gamma
-            if v != 0:
-                beta[(s, l)] = v
-    return DualCertificate(kind=Kind.LEAF, alpha=alpha, beta=beta, gamma=gamma)
-
-
-# ---------------------------------------------------------------------------
-# Per-split granularity
-# ---------------------------------------------------------------------------
+    """Dual point matching a per-(split, leaf) sweep; a multiplier is r - gamma."""
+    return _replay(Kind.LEAF, catalog, tree, trace)
 
 
 def split_primal_greedy(
     catalog: ProductCatalog, tree: PurchaseTree, x, order=None
 ) -> tuple[dict[int, Number], EventTrace]:
-    """Greedy optimum of the per-split aggregated subproblem.
-
-    Each split carries a residual capacity (its level minus the weight already
-    parked on that side); the sweep assigns each leaf the smallest residual
-    along its path, capped by the unit-sum budget.  The unit-sum event wins
-    ties, then the shallowest (smallest id) tight split is recorded, each
-    split at most once.
-    """
-    vals = as_values(x)
-    order = _check_order(catalog, tree, order)
-    y: dict[int, Number] = {l: 0 for l in tree.leaf_ids}
-    used_left: dict[int, Number] = {s: 0 for s in tree.split_ids}
-    used_right: dict[int, Number] = {s: 0 for s in tree.split_ids}
-    events: list[tuple] = []
-    f: dict[tuple, int] = {}
-    assigned = 0
-    for l in order:
-        q_c = 1 - assigned
-        best = None  # (q, rank, split, is_left)
-        for s in tree.left_splits[l]:
-            q = vals[tree.split_product(s) - 1] - used_left[s]
-            if best is None or q < best[0] - TIE_TOL or (
-                abs(q - best[0]) <= TIE_TOL and _split_rank(tree, s) < best[1]
-            ):
-                best = (q, _split_rank(tree, s), s, True)
-        for s in tree.right_splits[l]:
-            q = 1 - vals[tree.split_product(s) - 1] - used_right[s]
-            if best is None or q < best[0] - TIE_TOL or (
-                abs(q - best[0]) <= TIE_TOL and _split_rank(tree, s) < best[1]
-            ):
-                best = (q, _split_rank(tree, s), s, False)
-
-        q_ab = best[0] if best is not None else None
-        q_star = q_c if q_ab is None else min(q_c, q_ab)
-        y[l] = q_star
-        assigned += q_star
-        for s in tree.left_splits[l]:
-            used_left[s] += q_star
-        for s in tree.right_splits[l]:
-            used_right[s] += q_star
-        if q_c <= q_star + TIE_TOL:
-            events.append(EVENT_C)
-            f[EVENT_C] = l
-            break
-        ev = ("A", best[2]) if best[3] else ("B", best[2])
-        if ev not in f:
-            events.append(ev)
-            f[ev] = l
-    trace = EventTrace(kind=Kind.SPLIT, events=tuple(events), f=f, order=order)
-    return y, trace
+    """Greedy optimum of the per-split aggregated subproblem: weights and trace."""
+    return _sweep(Kind.SPLIT, catalog, tree, x, order)
 
 
 def split_dual_greedy(
     catalog: ProductCatalog, tree: PurchaseTree, trace: EventTrace
 ) -> DualCertificate:
-    """Dual point matching a per-split primal sweep.
-
-    Multipliers are filled in increasing split depth; each event's multiplier
-    is the revenue of its leaf minus gamma and minus the multipliers already
-    set on shallower event splits along that leaf's path.
-    """
-    if trace.kind != Kind.SPLIT:
-        raise ContractViolation("trace kind mismatch")
-    if EVENT_C not in trace.f:
-        raise ContractViolation("trace has no C event")
-    gamma = catalog.leaf_revenue(tree, trace.f[EVENT_C])
-    alpha: dict[int, Number] = {}
-    beta: dict[int, Number] = {}
-
-    def shallower_sum(l: int, d: int) -> Number:
-        total = 0
-        for s2 in tree.left_splits[l]:
-            if tree.depth[s2] < d and s2 in alpha:
-                total += alpha[s2]
-        for s2 in tree.right_splits[l]:
-            if tree.depth[s2] < d and s2 in beta:
-                total += beta[s2]
-        return total
-
-    for d in range(1, tree.max_depth + 1):
-        for s in tree.splits_at_depth.get(d, ()):
-            ev_a = ("A", s)
-            if ev_a in trace.f:
-                l = trace.f[ev_a]
-                alpha[s] = catalog.leaf_revenue(tree, l) - gamma - shallower_sum(l, d)
-            ev_b = ("B", s)
-            if ev_b in trace.f:
-                l = trace.f[ev_b]
-                beta[s] = catalog.leaf_revenue(tree, l) - gamma - shallower_sum(l, d)
-    alpha = {s: v for s, v in alpha.items() if v != 0}
-    beta = {s: v for s, v in beta.items() if v != 0}
-    return DualCertificate(kind=Kind.SPLIT, alpha=alpha, beta=beta, gamma=gamma)
+    """Dual point matching a per-split primal sweep."""
+    return _replay(Kind.SPLIT, catalog, tree, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -389,33 +295,12 @@ def product_subproblem_lp(
 def product_greedy_sweep(
     catalog: ProductCatalog, tree: PurchaseTree, x, order=None
 ) -> tuple[dict[int, Number], Number]:
-    """Greedy sweep against the per-product rows (not optimal in general).
+    """The greedy sweep run on the per-product rows (not optimal in general).
 
-    Follows the same ordering and tie rules as the valid sweeps; exists to
-    demonstrate where per-product aggregation defeats the greedy argument.
+    Returns the leaf weights and their value; exists to demonstrate where
+    per-product aggregation defeats the greedy argument.
     """
-    vals = as_values(x)
-    order = _check_order(catalog, tree, order)
-    used_left: dict[int, Number] = {i: 0 for i in tree.products}
-    used_right: dict[int, Number] = {i: 0 for i in tree.products}
-    y: dict[int, Number] = {l: 0 for l in tree.leaf_ids}
-    assigned = 0
-    for l in order:
-        q = 1 - assigned
-        for i in tree.leaf_in_products[l]:
-            q = min(q, vals[i - 1] - used_left[i])
-        for i in tree.leaf_out_products[l]:
-            q = min(q, 1 - vals[i - 1] - used_right[i])
-        if q < 0:
-            q = 0
-        y[l] = q
-        assigned += q
-        for i in tree.leaf_in_products[l]:
-            used_left[i] += q
-        for i in tree.leaf_out_products[l]:
-            used_right[i] += q
-        if assigned >= 1:
-            break
+    y, _ = _sweep(Kind.PRODUCT, catalog, tree, x, order)
     value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items() if w != 0)
     return y, value
 
@@ -439,10 +324,8 @@ def knapsack_view(
     w: dict[int, Number] = {}
     for l in tree.leaf_ids:
         cap = 1
-        for s in tree.left_splits[l]:
-            cap = min(cap, vals[tree.split_product(s) - 1])
-        for s in tree.right_splits[l]:
-            cap = min(cap, 1 - vals[tree.split_product(s) - 1])
+        for _, _, i, left in leaf_rows(Kind.LEAF, tree, l):
+            cap = min(cap, vals[i - 1] if left else 1 - vals[i - 1])
         w[l] = cap
     remaining = 1
     value = 0

@@ -98,6 +98,49 @@ class TestGenerate:
         cfg_path.write_text(json.dumps({"n": 0, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}))
         assert main(["generate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"num_trees": 1, "shape": {"type": "t1", "depth": 1}},
+            {"n": "four", "num_trees": 1, "shape": {"type": "t1", "depth": 1}},
+            {"n": 4, "num_trees": 1, "shape": "t1"},
+            [{"n": 4, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}],
+        ],
+        ids=["missing-n", "text-n", "shape-not-object", "list-not-object"],
+    )
+    def test_malformed_config_exit_code(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["generate", "--config", str(cfg_path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+#: Edits that make the greedy-gap instance (n = 3, one tree) malformed.
+MALFORMED_INSTANCES = {
+    "n-mismatch": {"n": 2},
+    "weights-sum-to-1.1": {"lambda": [1.1]},
+    "missing-lambda": {"lambda": None},
+    "text-revenue": {"revenues": ["abc", "19", "18"]},
+    "nan-weight": {"lambda": [float("nan")]},
+    "inf-revenue": {"revenues": [float("inf"), "19", "18"]},
+    "bool-revenue": {"revenues": [True, "19", "18"]},
+    "missing-root": {"trees": [{"nodes": [{"leaf": {"option": 0}}]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_INSTANCES))
+def test_malformed_instance_exit_code(gap_instance_path, capsys, name):
+    obj = json.loads(gap_instance_path.read_text())
+    for key, value in MALFORMED_INSTANCES[name].items():
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+    gap_instance_path.write_text(json.dumps(obj))
+    argv = ["solve", "--instance", str(gap_instance_path), "--method", "brute"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestSolve:
     def test_benders_split(self, gap_instance_path, tmp_path):

@@ -1,18 +1,31 @@
-"""Golden digests of the formulation matrices and the closed-form cuts.
+"""Golden digests of the formulation matrices, the closed-form cuts and the
+greedy oracles.
 
 The instances are generated with integer revenues, so every entry of the
 constraint matrices and every closed-form multiplier is exact; the digests
 therefore pin the row layout and the certificates (including the insertion
-order of their multipliers) independently of how they are computed.
+order of their multipliers) independently of how they are computed.  The
+greedy oracles are fed exact Fraction levels, so their weights and duals are
+exact too; their digest leaves out the event trace and the multipliers'
+insertion order and pins only what the sweeps compute.
 """
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 
 from dfopt.formulations import Kind, build
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
-from dfopt.subproblems import integer_cut
+from dfopt.subproblems import (
+    EVENT_C,
+    integer_cut,
+    leaf_dual_greedy,
+    leaf_primal_greedy,
+    product_greedy_sweep,
+    split_dual_greedy,
+    split_primal_greedy,
+)
 
 SHAPES = (
     TreeShape(kind="t1", depth=3),
@@ -23,6 +36,7 @@ SEEDS = (0, 1, 2)
 
 BUILD_DIGEST = "8c62edd2acf0ef72ec306a61d8ac546f319a910a7e8d3838510d1a62f563114e"
 CUT_DIGEST = "d6b83d0a891b89657e8e4eeb3c0a7b572cdefd2f120faa6412fa868e7afba380"
+GREEDY_DIGEST = "5a93574def137c3a8d6cafe2d5b192ceff87d3cbab95291e3e326e17687af6f5"
 
 
 def golden_instances():
@@ -37,6 +51,17 @@ def binary_points(n, seed):
     rng = np.random.default_rng(seed)
     points = [(0,) * n, (1,) * n]
     points += [tuple(int(v) for v in rng.integers(0, 2, size=n)) for _ in range(6)]
+    return points
+
+
+def fraction_points(n, seed):
+    """Levels in multiples of 1/6, so capacities tie often and exactly."""
+    rng = np.random.default_rng(seed + 100)
+    points = [(Fraction(1, 2),) * n]
+    points += [
+        tuple(Fraction(int(v), 6) for v in rng.integers(0, 7, size=n))
+        for _ in range(7)
+    ]
     return points
 
 
@@ -72,3 +97,28 @@ def test_integer_cut_certificates_are_pinned():
                     )
                     h.update(repr(record).encode())
     assert h.hexdigest() == CUT_DIGEST
+
+
+def test_greedy_oracles_are_pinned():
+    h = hashlib.sha256()
+    pairs = (
+        (leaf_primal_greedy, leaf_dual_greedy),
+        (split_primal_greedy, split_dual_greedy),
+    )
+    for k, (catalog, forest) in enumerate(golden_instances()):
+        for x in fraction_points(catalog.n, k):
+            for tree in forest.trees:
+                for primal, dual in pairs:
+                    y, trace = primal(catalog, tree, x)
+                    cert = dual(catalog, tree, trace)
+                    record = (
+                        sorted(y.items()),
+                        trace.f[EVENT_C],
+                        cert.gamma,
+                        sorted(cert.alpha.items()),
+                        sorted(cert.beta.items()),
+                    )
+                    h.update(repr(record).encode())
+                y, value = product_greedy_sweep(catalog, tree, x)
+                h.update(repr((sorted(y.items()), value)).encode())
+    assert h.hexdigest() == GREEDY_DIGEST

@@ -1,0 +1,92 @@
+"""Property tests of the greedy oracles and the per-leaf row transpose.
+
+Small random trees and levels are drawn with ``hypothesis``; the runs are
+derandomized, so every run checks the same examples.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from dfopt.formulations import Kind, capacity_rows, leaf_rows  # noqa: E402
+from dfopt.model import Leaf, ProductCatalog, PurchaseTree, Split  # noqa: E402
+from dfopt.subproblems import (  # noqa: E402
+    leaf_dual_greedy,
+    leaf_primal_greedy,
+    split_dual_greedy,
+    split_primal_greedy,
+)
+
+N = 5
+PAIRS = {
+    Kind.LEAF: (leaf_primal_greedy, leaf_dual_greedy),
+    Kind.SPLIT: (split_primal_greedy, split_dual_greedy),
+}
+PROPERTY_SETTINGS = settings(
+    derandomize=True, database=None, max_examples=300, deadline=None
+)
+
+
+@st.composite
+def trees(draw, max_depth=4):
+    """A tree over products 1..N, no product twice on a path, ids preorder.
+
+    The top two levels always split, so every tree has at least four leaves.
+    """
+    nodes = {}
+
+    def grow(depth, on_path):
+        nid = len(nodes)
+        nodes[nid] = None
+        free = [p for p in range(1, N + 1) if p not in on_path]
+        if depth < max_depth and free and (depth < 2 or draw(st.booleans())):
+            product = draw(st.sampled_from(free))
+            left = grow(depth + 1, on_path | {product})
+            right = grow(depth + 1, on_path | {product})
+            nodes[nid] = Split(product, left, right)
+        else:
+            nodes[nid] = Leaf(draw(st.integers(0, N)))
+        return nid
+
+    root = grow(0, frozenset())
+    return PurchaseTree(nodes, root)
+
+
+catalogs = st.lists(st.integers(0, 20), min_size=N, max_size=N).map(
+    lambda revs: ProductCatalog(n=N, revenues=tuple(revs))
+)
+levels = st.lists(
+    st.floats(0, 1, allow_nan=False, allow_infinity=False), min_size=N, max_size=N
+)
+
+
+@PROPERTY_SETTINGS
+@given(catalog=catalogs, tree=trees(), x=levels, kind=st.sampled_from(list(PAIRS)))
+def test_greedy_dual_certifies_primal(catalog, tree, x, kind):
+    primal, dual = PAIRS[kind]
+    y, trace = primal(catalog, tree, x)
+    cert = dual(catalog, tree, trace)
+    value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items())
+    assert float(cert.objective(tree, x)) == pytest.approx(float(value), abs=1e-9)
+    assert all(v >= -1e-9 for v in cert.row_slacks(catalog, tree).values())
+    assert all(v >= 0 for v in cert.alpha.values())
+    assert all(v >= 0 for v in cert.beta.values())
+
+
+@PROPERTY_SETTINGS
+@given(tree=trees(), kind=st.sampled_from(list(Kind)))
+def test_leaf_rows_transpose_capacity_rows(tree, kind):
+    table = capacity_rows(kind, tree)
+    for l in tree.leaf_ids:
+        rows = leaf_rows(kind, tree, l)
+        held = [(key, i, left) for key, i, left, leaves, _ in table if l in leaves]
+        assert sorted(held, key=repr) == sorted(
+            ((key, i, left) for _, key, i, left in rows), key=repr
+        )
+        # tie-rank order: root-first, per-(split, leaf) rows left side first
+        splits = [s for s, _, _, _ in rows]
+        if kind == Kind.LEAF:
+            assert splits == list(tree.left_splits[l] + tree.right_splits[l])
+        else:
+            assert [tree.depth[s] for s in splits] == list(range(1, len(splits) + 1))

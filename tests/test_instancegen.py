@@ -113,8 +113,10 @@ class TestT2:
         for seed in range(100):
             forest = gen_t2(cfg("t2", seed=seed, num_trees=2))
             for tree in forest.trees:
-                for d, splits in tree.splits_at_depth.items():
-                    products = [tree.split_product(s) for s in splits]
+                for d in set(tree.depth[s] for s in tree.split_ids):
+                    products = [
+                        tree.split_product(s) for s in tree.split_ids if tree.depth[s] == d
+                    ]
                     if len(set(products)) < len(products):
                         found = True
         assert found

@@ -94,6 +94,20 @@ class TestTreeValidation:
         with pytest.raises(ValidationError):
             ProductCatalog(n=2, revenues=(1, -1))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), True])
+    def test_non_finite_or_boolean_revenue_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            ProductCatalog(n=2, revenues=(1, bad))
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(float("nan"), float("nan")), (float("inf"), 0.5), (True, 0), (False, 1)],
+    )
+    def test_non_finite_or_boolean_weight_rejected(self, weights):
+        tree = single_leaf_tree()
+        with pytest.raises(ValidationError):
+            DecisionForest(trees=(tree, tree), weights=weights)
+
 
 # ---------------------------------------------------------------------------
 # traverse
@@ -311,6 +325,27 @@ class TestJson:
         assert obj["revenues"] == ["0.5", "1/3"]
         catalog2, _ = instance_from_json(text)
         assert catalog2.revenues == (Fraction(1, 2), Fraction(1, 3))
+
+    @pytest.mark.parametrize("field", ["revenues", "lambda"])
+    def test_boolean_read_is_refused(self, field):
+        # a boolean is refused on write, so it is refused on read as well
+        obj = json.loads(
+            instance_to_json(
+                ProductCatalog(n=1, revenues=(1,)), single_tree_forest(single_leaf_tree())
+            )
+        )
+        obj[field] = [True]
+        with pytest.raises(ValidationError):
+            instance_from_json(json.dumps(obj))
+
+    def test_non_finite_read_is_refused(self):
+        text = instance_to_json(
+            ProductCatalog(n=1, revenues=(1,)), single_tree_forest(single_leaf_tree())
+        )
+        obj = json.loads(text)
+        obj["lambda"] = [float("nan")]
+        with pytest.raises(ValidationError):
+            instance_from_json(json.dumps(obj))
 
     def test_schema_shape(self):
         catalog, forest = seeded_instance(1, num_trees=2)

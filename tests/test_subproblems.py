@@ -255,6 +255,20 @@ class TestSplitGreedy:
                 assert sum(y[l] for l in tree.left_leaves[s]) <= xv + 1e-9
                 assert sum(y[l] for l in tree.right_leaves[s]) <= 1 - xv + 1e-9
 
+    def test_dual_rejects_event_off_its_leaf_path(self):
+        catalog, _, _ = thm1_fragment()
+        tree = single_leaf_tree(option=3)
+        _, trace = split_primal_greedy(catalog, tree, (0.3, 0.4, 0.5, 0.6))
+        stray = ("A", 0)
+        broken = type(trace)(
+            kind=trace.kind,
+            events=(stray,) + trace.events,
+            f={stray: 0, **trace.f},
+            order=trace.order,
+        )
+        with pytest.raises(ContractViolation):
+            split_dual_greedy(catalog, tree, broken)
+
     def test_dual_feasibility_and_complementary_slackness(self):
         for seed in range(100):
             catalog, tree, x = random_tree_and_x(seed)
