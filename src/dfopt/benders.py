@@ -18,10 +18,14 @@ x block of the full LP.  Subproblem oracle calls within a cut round are
 independent per tree; master solves and pool mutation are serialized, and
 nodes are processed one at a time, so runs are deterministic.
 
-Node LPs never reuse the parent's basis, which branching leaves primal
-infeasible: Benders masters are solved cold, monolithic nodes start from a
-hand-built feasible basis (``_monolithic_start_basis``), placed by the row
-indices ``formulations.build`` records (``unit_rows``, ``card_row``).
+Every re-solve starts from the basis of the LP it follows, which stays dual
+feasible, so ``solve_lp`` runs the dual simplex from it: each master from
+the previous round's master (new cuts append rows, whose slacks join the
+basis), each tree's product-oracle LP from its previous round, each B&B
+child from its parent's final basis, and a node's re-solve after lazy cuts
+from its own.  The monolithic root starts from a hand-built feasible basis
+(``_monolithic_start_basis``), placed by the row indices
+``formulations.build`` records (``unit_rows``, ``card_row``).
 """
 
 from __future__ import annotations
@@ -127,7 +131,12 @@ def evaluate_cut(cut: BendersCut, x) -> float:
 
 @dataclass
 class MasterState:
-    """Mutable decomposition state: cut pool and master dimensions."""
+    """Mutable decomposition state: cut pool and master dimensions.
+
+    ``master_lp`` puts the cardinality row first and the cuts after it in pool
+    order, so a basis of an earlier master fits a later one: new cuts only
+    append rows.
+    """
 
     n: int
     theta_ub: tuple[float, ...]
@@ -156,6 +165,12 @@ class MasterState:
         rows = []
         senses = []
         rhs = []
+        if self.cardinality is not None:
+            row = np.zeros(ncols)
+            row[:n] = 1.0
+            rows.append(row)
+            senses.append(EQ)
+            rhs.append(float(self.cardinality))
         for cut in self.pool:
             row = np.zeros(ncols)
             row[:n] = [-v for v in cut.coef]
@@ -163,12 +178,6 @@ class MasterState:
             rows.append(row)
             senses.append(LE)
             rhs.append(cut.const)
-        if self.cardinality is not None:
-            row = np.zeros(ncols)
-            row[:n] = 1.0
-            rows.append(row)
-            senses.append(EQ)
-            rhs.append(float(self.cardinality))
         lb = np.zeros(ncols)
         ub = np.concatenate([np.ones(n), np.asarray(self.theta_ub, dtype=float)])
         for i in fixed0:
@@ -191,12 +200,19 @@ def _master_state(catalog, forest, cardinality) -> MasterState:
     )
 
 
-def _separate(kind: Kind, catalog, forest, x_vals):
-    """Per-tree subproblem values and cut certificates at fractional x."""
+def _separate(kind: Kind, catalog, forest, x_vals, bases=None):
+    """Per-tree subproblem values and cut certificates at fractional x.
+
+    ``bases``, one entry per tree, carries each tree's product-oracle LP
+    basis from one call to the next; it is updated in place.
+    """
+    if bases is None:
+        bases = [None] * len(forest.trees)
     out = []
     for t, tree in enumerate(forest.trees):
         if kind is Kind.PRODUCT:
-            value, cert, _ = product_subproblem_lp(catalog, tree, x_vals)
+            value, cert, sol = product_subproblem_lp(catalog, tree, x_vals, bases[t])
+            bases[t] = sol.basis
             prov = FRACTIONAL_LP
         else:
             if kind is Kind.LEAF:
@@ -235,11 +251,14 @@ def relaxation_phase(
     n = catalog.n
     rounds = 0
     bounds: list[float] = []
+    master_basis = None
+    oracle_bases = [None] * len(forest.trees)
     while rounds < max_rounds:
         rounds += 1
-        sol = solve_lp(state.master_lp())
+        sol = solve_lp(state.master_lp(), warm=master_basis)
         if sol.status != "optimal":
             raise DomainError(f"master LP is {sol.status}")
+        master_basis = sol.basis
         obj = float(sol.objective)
         if bounds and obj > bounds[-1] + 1e-7:
             log.warning("master bound increased: %.12g -> %.12g", bounds[-1], obj)
@@ -248,7 +267,7 @@ def relaxation_phase(
         thetas = sol.x[n:]
         added = 0
         for t, (value, cert, prov) in enumerate(
-            _separate(kind, catalog, forest, x_vals)
+            _separate(kind, catalog, forest, x_vals, oracle_bases)
         ):
             if float(thetas[t]) > value + CUT_TOL:
                 cut = cut_from_certificate(cert, forest.trees[t], t, n, prov)
@@ -289,11 +308,18 @@ class BranchAndBoundResult:
 
 
 def _branch_and_bound(solve_node, on_integral, budget: Budget | None):
+    """Best-bound search over x fixings.
+
+    ``solve_node(fixed0, fixed1, warm)`` returns None for an infeasible node,
+    else ``(bound, x, payload, basis)``; ``warm`` is the parent's final basis
+    (None at the root), or the node's own when lazy cuts force a re-solve.
+    """
     budget = budget or Budget()
     t0 = time.monotonic()
     counter = itertools.count()
-    # entries (-bound, order, fixed0, fixed1): best bound first, ties by age
-    heap = [(-float("inf"), next(counter), frozenset(), frozenset())]
+    # entries (-bound, order, fixed0, fixed1, parent basis): best bound
+    # first, ties by age
+    heap = [(-float("inf"), next(counter), frozenset(), frozenset(), None)]
     incumbent_x = None
     incumbent_val = -float("inf")
     nodes = 0
@@ -311,15 +337,15 @@ def _branch_and_bound(solve_node, on_integral, budget: Budget | None):
         if out_of_budget():
             exhausted = True
             break
-        neg_bound, _, fixed0, fixed1 = heapq.heappop(heap)
+        neg_bound, _, fixed0, fixed1, warm = heapq.heappop(heap)
         if -neg_bound <= incumbent_val + PRUNE_TOL:
             continue
         nodes += 1
-        res = solve_node(fixed0, fixed1)
+        res = solve_node(fixed0, fixed1, warm)
         while True:
             if res is None:  # infeasible node
                 break
-            obj, x_vals, payload = res
+            obj, x_vals, payload, basis = res
             if obj <= incumbent_val + PRUNE_TOL:
                 break
             frac = [abs(v - round(v)) for v in x_vals]
@@ -328,7 +354,7 @@ def _branch_and_bound(solve_node, on_integral, budget: Budget | None):
                 outcome = on_integral(x_bin, payload)
                 if outcome[0] == "resolve":
                     cuts_added += outcome[1]
-                    res = solve_node(fixed0, fixed1)
+                    res = solve_node(fixed0, fixed1, basis)
                     continue
                 value = outcome[1]
                 if value > incumbent_val:
@@ -339,8 +365,8 @@ def _branch_and_bound(solve_node, on_integral, budget: Budget | None):
             j = max(range(len(x_vals)), key=lambda i: -abs(x_vals[i] - 0.5))
             # most fractional first; ties fall to the smallest index via max's
             # first-wins behavior on equal keys
-            heapq.heappush(heap, (-obj, next(counter), fixed0 | {j + 1}, fixed1))
-            heapq.heappush(heap, (-obj, next(counter), fixed0, fixed1 | {j + 1}))
+            heapq.heappush(heap, (-obj, next(counter), fixed0 | {j + 1}, fixed1, basis))
+            heapq.heappush(heap, (-obj, next(counter), fixed0, fixed1 | {j + 1}, basis))
             break
 
     open_bounds = [-e[0] for e in heap if -e[0] > incumbent_val + PRUNE_TOL]
@@ -392,13 +418,13 @@ def integer_phase(
     elif cardinality is not None and state.cardinality != cardinality:
         raise DomainError("cardinality differs from the relaxation state")
 
-    def solve_node(fixed0, fixed1):
-        sol = solve_lp(state.master_lp(fixed0, fixed1))
+    def solve_node(fixed0, fixed1, warm):
+        sol = solve_lp(state.master_lp(fixed0, fixed1), warm=warm)
         if sol.status != "optimal":
             return None
         x_vals = tuple(float(v) for v in sol.x[:n])
         theta = tuple(float(v) for v in sol.x[n:])
-        return float(sol.objective), x_vals, {"theta": theta}
+        return float(sol.objective), x_vals, {"theta": theta}, sol.basis
 
     def on_integral(x_bin, payload):
         thetas = payload["theta"]
@@ -468,19 +494,25 @@ def branch_and_bound_monolithic(
     base_ub = built.lp.ub
     slack_cols = slack_columns(built.lp)
 
-    def solve_node(fixed0, fixed1):
+    def solve_node(fixed0, fixed1, warm):
         lb = base_lb.copy()
         ub = base_ub.copy()
         for i in fixed0:
             ub[i - 1] = 0.0
         for i in fixed1:
             lb[i - 1] = 1.0
-        analytic = _monolithic_start_basis(built, forest, fixed0, fixed1, slack_cols)
-        sol = solve_lp_multi(built.lp.with_bounds(lb, ub), [analytic])
+        node_lp = built.lp.with_bounds(lb, ub)
+        if warm is not None:
+            sol = solve_lp(node_lp, warm=warm)
+        else:
+            analytic = _monolithic_start_basis(
+                built, forest, fixed0, fixed1, slack_cols
+            )
+            sol = solve_lp_multi(node_lp, [analytic])
         if sol.status != "optimal":
             return None
         x_vals = tuple(float(v) for v in sol.x[:n])
-        return float(sol.objective), x_vals, {}
+        return float(sol.objective), x_vals, {}, sol.basis
 
     def on_integral(x_bin, payload):
         return ("incumbent", float(expected_revenue(catalog, forest, x_bin)))

@@ -78,7 +78,12 @@ def cmd_generate(args) -> int:
     if not isinstance(cfg_obj, dict):
         raise ConfigError("generator config must be a JSON object")
     configs = cfg_obj["configs"] if "configs" in cfg_obj else [cfg_obj]
-    master_seed = int(cfg_obj.get("seed", 0))
+    if not isinstance(configs, list) or not all(isinstance(e, dict) for e in configs):
+        raise ConfigError("generator \"configs\" must be a list of JSON objects")
+    try:
+        master_seed = int(cfg_obj.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed generator seed: {exc}") from None
     multi = len(configs) > 1
     for idx, entry in enumerate(configs):
         entry = dict(entry)
@@ -308,12 +313,16 @@ def _grid(spec) -> list[tuple]:
 
 def _run_cells(spec, worker):
     """Evaluate ``worker`` per (cell, replication), optionally in a pool."""
-    reps = int(spec.get("replications", 1))
+    try:
+        reps = int(spec.get("replications", 1))
+        master_seed = int(spec.get("seed", 0))
+        cells = _grid(spec)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed experiment grid: {exc}") from None
     if reps < 1:
         raise ConfigError("replications must be >= 1")
-    master_seed = int(spec.get("seed", 0))
     tasks = []
-    for cell in _grid(spec):
+    for cell in cells:
         for rep in range(reps):
             seed = _rep_seed(master_seed, *cell, rep)
             tasks.append((cell, rep, seed))
@@ -413,7 +422,10 @@ def _experiment_tractability(spec, timings):
 def _experiment_benders(spec, timings):
     """Decomposition vs direct solve vs swap heuristic at fixed cardinality."""
     budget = _spec_budget(spec)
-    rhos = [float(r) for r in spec.get("rho", [0.2])]
+    try:
+        rhos = [float(r) for r in spec.get("rho", [0.2])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed rho list: {exc}") from None
 
     def worker(cell, rep, seed):
         type_name, n, num_trees, leaves = cell
@@ -536,9 +548,21 @@ EXPERIMENTS = {
     "heuristics": _experiment_heuristics,
 }
 
+#: Every key an experiment spec may hold; a misspelt key is refused rather
+#: than silently replaced by its default.
+SPEC_KEYS = frozenset({
+    "experiment", "types", "n", "num_trees", "leaves", "replications", "seed",
+    "revenue_range", "rho", "budget_nodes", "budget_sec", "timings", "out",
+})
+
 
 def cmd_experiment(args) -> int:
     spec = json.loads(Path(args.spec).read_text())
+    if not isinstance(spec, dict):
+        raise ConfigError("experiment spec must be a JSON object")
+    unknown = sorted(set(spec) - SPEC_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown experiment spec keys {unknown}")
     name = spec.get("experiment")
     if name not in EXPERIMENTS:
         raise ConfigError(

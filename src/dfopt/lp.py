@@ -1,16 +1,36 @@
-"""Dense bounded-variable primal simplex.
+"""Dense bounded-variable primal and dual simplex.
 
-Solves  max c'x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub  with a two-phase
-primal simplex over an explicit basis inverse.  Geared to the desk-scale
-problems this package builds (hundreds of rows/columns): matrices are dense
-numpy arrays, the basis inverse is updated by elementary row operations and
-refactorized periodically.
+Solves  max c'x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub  over an explicit
+basis inverse.  Geared to the desk-scale problems this package builds
+(hundreds of rows/columns): matrices are dense numpy arrays, the basis
+inverse is updated by elementary row operations and refactorized
+periodically.
+
+``solve_lp(lp, warm=None)`` is the one entry point.  Without a start basis
+it runs the two-phase primal simplex.  A start basis (``LpSolution.basis``
+of an earlier solve) is first extended by the slacks of any inequality rows
+appended after its own rows, then used as follows:
+
+- primal feasible: the primal simplex runs from it;
+- dual feasible (the same rows and costs after a right-hand-side or bound
+  change, or with rows appended): the bounded dual simplex runs from it and
+  the primal simplex confirms optimality;
+- neither, or a numerical failure on the way: a cold two-phase solve.
+
+``LpSolution.warm`` tells whether the start basis was accepted.  This covers
+the re-solves of the decomposition: a master after its cuts are appended, a
+product-oracle LP at new levels x, and a branch-and-bound child after one
+bound change.  ``solve_lp_multi`` tries several start bases in turn.
 
 Pivoting is deterministic: Dantzig pricing with smallest-index tie breaks,
-switching to Bland's rule after 3*(rows+cols) degenerate steps.  Tolerances:
-primal feasibility 1e-7, reduced-cost optimality 1e-9.  A reported Optimal is
-re-verified against the original rows before return; numerical failures raise
-SolverError instead of returning a wrong status.
+switching to Bland's rule after 3*(rows+cols) degenerate steps; the dual
+simplex prices the most infeasible row and, among tied ratios, takes the
+largest pivot.  Ratio tests ignore entries below ``max(ETA_TOL,
+1e-9 * max|entry|)``, so no pivot below that is ever committed, and neither
+method declares unboundedness or infeasibility before refactorizing.
+Tolerances: primal feasibility 1e-7, reduced-cost optimality 1e-9.  A
+reported Optimal is re-verified against the original rows before return;
+numerical failures raise SolverError instead of returning a wrong status.
 
 ``verify_solution_exact`` refactorizes a returned basis in exact rational
 arithmetic, for regression fixtures whose optima are known exactly.
@@ -32,8 +52,8 @@ LE, EQ, GE = "<=", "=", ">="
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
-PIVOT_TOL = 1e-10
-ETA_TOL = 1e-7  # pivots smaller than this trigger refactorization
+LEAVE_TOL = 1e-9  # dual simplex: a basic value this far outside its bounds leaves
+ETA_TOL = 1e-7  # smallest pivot element ever committed
 DEGEN_TOL = 1e-12
 REFACTOR_EVERY = 64
 
@@ -104,7 +124,11 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class WarmBasis:
-    """Opaque restart point: canonical basic columns plus nonbasic-at-upper set."""
+    """Opaque restart point: canonical basic columns plus nonbasic-at-upper set.
+
+    A basis taken with m rows also starts a program that has inequality rows
+    appended after those m: their slacks join the basis.
+    """
 
     basic: tuple[int, ...]
     at_upper: tuple[int, ...]
@@ -112,6 +136,14 @@ class WarmBasis:
 
 @dataclass
 class LpSolution:
+    """Result of one solve.
+
+    ``pivots`` and ``refactorizations`` (basis inverses computed from
+    scratch, the first one included) count the work of the solve that
+    produced the result; ``warm`` is true when that solve started from the
+    given start basis, false for a cold two-phase solve.
+    """
+
     status: str
     objective: float | None = None
     x: np.ndarray | None = None
@@ -119,6 +151,8 @@ class LpSolution:
     reduced_costs: np.ndarray | None = None
     basis: WarmBasis | None = None
     pivots: int = 0
+    refactorizations: int = 0
+    warm: bool = False
 
     def dual_objective(self, lp: LinearProgram) -> float:
         """b'y plus reduced-cost terms for nonbasic variables at their bounds."""
@@ -162,6 +196,11 @@ class _Canonical:
         self.slack_col = {i: n + k for k, i in enumerate(self.ineq_rows)}
 
 
+def _pivot_tol(v: np.ndarray) -> float:
+    """Entries of a pivot column or row below this are treated as zero."""
+    return max(ETA_TOL, 1e-9 * float(np.abs(v).max(initial=0.0)))
+
+
 class _Simplex:
     def __init__(self, can: _Canonical):
         self.can = can
@@ -171,11 +210,12 @@ class _Simplex:
         self.ub = can.ub.copy()
         self.m = can.A.shape[0]
         self.pivots = 0
+        self.refactorizations = 0
 
     # -- state helpers ----------------------------------------------------
 
-    def _setup(self, basis: list[int], at_upper: set[int]):
-        self.basis = list(basis)
+    def _setup(self, basis: list[int], at_upper):
+        self.basis = np.asarray(basis, dtype=int)
         ncols = self.A.shape[1]
         self.is_basic = np.zeros(ncols, dtype=bool)
         self.is_basic[self.basis] = True
@@ -191,8 +231,15 @@ class _Simplex:
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 "singular basis during refactorization",
-                {"basis": list(self.basis)},
+                {"basis": [int(j) for j in self.basis]},
             ) from exc
+        self.refactorizations += 1
+        self.since_refactor = 0
+
+    def _refactor(self) -> np.ndarray:
+        """Factorize the basis afresh; returns the recomputed basic values."""
+        self._factorize()
+        return self._basic_values()
 
     def _nonbasic_values(self):
         vals = np.where(self.at_upper, self.ub, self.lb)
@@ -204,34 +251,65 @@ class _Simplex:
         rhs = self.b - self.A @ xn
         return self.Binv @ rhs
 
-    # -- core loop ---------------------------------------------------------
+    def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
+        d = c - (c[self.basis] @ self.Binv) @ self.A
+        d[self.is_basic] = 0.0
+        return d
+
+    def _movable(self) -> np.ndarray:
+        """Nonbasic columns that may enter: fixed columns never do."""
+        return ~self.is_basic & (self.lb != self.ub)
+
+    def _priced_out(self, d: np.ndarray) -> np.ndarray:
+        """Columns whose reduced cost says they should enter (dual infeasible)."""
+        movable = self._movable()
+        viol_low = movable & ~self.at_upper & (d < -OPT_TOL)
+        viol_up = movable & self.at_upper & (d > OPT_TOL)
+        return np.flatnonzero(viol_low | viol_up)
+
+    def _bound_violation(self, x_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """How far each basic value lies below its lower / above its upper bound."""
+        return self.lb[self.basis] - x_b, x_b - self.ub[self.basis]
+
+    def _pivot(self, pos: int, j: int, w: np.ndarray, leave_to_upper: bool) -> bool:
+        """Column ``j`` (with ``w = Binv A_j``) replaces the basic column at ``pos``.
+
+        Returns True when the inverse was refactorized instead of updated.
+        """
+        leaving = int(self.basis[pos])
+        self.basis[pos] = j
+        self.is_basic[leaving] = False
+        self.is_basic[j] = True
+        self.at_upper[leaving] = leave_to_upper
+        self.at_upper[j] = False
+        self.pivots += 1
+        self.since_refactor += 1
+        if self.since_refactor >= REFACTOR_EVERY:
+            self._factorize()
+            return True
+        row = self.Binv[pos, :] / w[pos]
+        self.Binv -= np.outer(w, row)
+        self.Binv[pos, :] = row
+        return False
+
+    # -- primal simplex ----------------------------------------------------
 
     def run(self, c: np.ndarray, phase_one: bool) -> str:
+        """Primal simplex from a primal feasible basis."""
         m, ncols = self.A.shape
         max_iter = 50 * (m + ncols) + 10_000
         degen_limit = 3 * (m + ncols)
         degen_count = 0
         bland = False
-        since_refactor = 0
-        basis_arr = np.asarray(self.basis, dtype=int)
         x_b = self._basic_values()
 
         for _ in range(max_iter):
-            y = c[basis_arr] @ self.Binv
-            d = c - y @ self.A
-            d[self.is_basic] = 0.0
-
-            free = ~self.is_basic & (self.lb != self.ub)
-            viol_low = free & ~self.at_upper & (d < -OPT_TOL)
-            viol_up = free & self.at_upper & (d > OPT_TOL)
-            eligible = np.flatnonzero(viol_low | viol_up)
+            d = self._reduced_costs(c)
+            eligible = self._priced_out(d)
             if eligible.size == 0:
-                self.basis = [int(v) for v in basis_arr]
-                if since_refactor > 0:
+                if self.since_refactor > 0:
                     # confirm optimality against a freshly factorized basis
-                    self._factorize()
-                    x_b = self._basic_values()
-                    since_refactor = 0
+                    x_b = self._refactor()
                     continue
                 return OPTIMAL
             if bland:
@@ -244,14 +322,13 @@ class _Simplex:
             dec = sigma * w  # basic values move by -t * dec
 
             if m:
-                lbs_b = self.lb[basis_arr]
-                ubs_b = self.ub[basis_arr]
+                ptol = _pivot_tol(w)
+                lbs_b = self.lb[self.basis]
+                ubs_b = self.ub[self.basis]
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    t_low = np.where(
-                        dec > PIVOT_TOL, (x_b - lbs_b) / dec, np.inf
-                    )
+                    t_low = np.where(dec > ptol, (x_b - lbs_b) / dec, np.inf)
                     t_up = np.where(
-                        (dec < -PIVOT_TOL) & np.isfinite(ubs_b),
+                        (dec < -ptol) & np.isfinite(ubs_b),
                         (x_b - ubs_b) / dec,
                         np.inf,
                     )
@@ -262,7 +339,9 @@ class _Simplex:
 
             t_flip = self.ub[j] - self.lb[j]
             if not np.isfinite(min(t_flip, min_basic)):
-                self.basis = [int(v) for v in basis_arr]
+                if self.since_refactor > 0:
+                    x_b = self._refactor()
+                    continue
                 return UNBOUNDED
 
             if t_flip <= min_basic + DEGEN_TOL:
@@ -283,9 +362,9 @@ class _Simplex:
             piv_mag = np.abs(dec[cand])
             best_mag = float(piv_mag.max())
             stable = cand[piv_mag >= 0.5 * best_mag]
-            leave_pos = int(stable[int(np.argmin(basis_arr[stable]))])
+            leave_pos = int(stable[int(np.argmin(self.basis[stable]))])
             t_star = float(t_basic[leave_pos])
-            leave_to_upper = t_up[leave_pos] < t_low[leave_pos]
+            leave_to_upper = bool(t_up[leave_pos] < t_low[leave_pos])
 
             if t_star <= DEGEN_TOL:
                 degen_count += 1
@@ -294,32 +373,111 @@ class _Simplex:
             else:
                 degen_count = 0
 
-            leaving = int(basis_arr[leave_pos])
             x_b = x_b - dec * t_star
             start = self.ub[j] if self.at_upper[j] else self.lb[j]
             x_b[leave_pos] = start + sigma * t_star
-            basis_arr[leave_pos] = j
-            self.is_basic[leaving] = False
-            self.is_basic[j] = True
-            self.at_upper[leaving] = leave_to_upper
-            self.at_upper[j] = False
-            self.pivots += 1
-            since_refactor += 1
-
-            piv = w[leave_pos]
-            if abs(piv) < ETA_TOL or since_refactor >= REFACTOR_EVERY:
-                self.basis = [int(v) for v in basis_arr]
-                self._factorize()
+            if self._pivot(leave_pos, j, w, leave_to_upper):
                 x_b = self._basic_values()
-                since_refactor = 0
-            else:
-                row = self.Binv[leave_pos, :] / piv
-                self.Binv -= np.outer(w, row)
-                self.Binv[leave_pos, :] = row
 
         raise SolverError(
             "simplex iteration limit exceeded",
             {"phase_one": phase_one, "pivots": self.pivots},
+        )
+
+    # -- dual simplex ------------------------------------------------------
+
+    def dual(self, c: np.ndarray) -> str:
+        """Bounded dual simplex from a dual feasible basis.
+
+        Returns OPTIMAL once every basic value is within LEAVE_TOL of its
+        bounds (on a fresh factorization), INFEASIBLE when a row shows that
+        no point satisfies the bounds.  Raises SolverError when that row's
+        proof does not hold up without the pivot tolerance.
+        """
+        m, ncols = self.A.shape
+        max_iter = 50 * (m + ncols) + 10_000
+        degen_limit = 3 * (m + ncols)
+        degen_count = 0
+        bland = False
+        x_b = self._basic_values()
+
+        for _ in range(max_iter):
+            below, above = self._bound_violation(x_b)
+            infeas = np.maximum(below, above)
+            rows = np.flatnonzero(infeas > LEAVE_TOL)
+            if rows.size == 0:
+                if self.since_refactor > 0:
+                    x_b = self._refactor()
+                    continue
+                return OPTIMAL
+            if bland:
+                r = int(rows[int(np.argmin(self.basis[rows]))])
+            else:
+                r = int(rows[int(np.argmax(infeas[rows]))])
+            to_upper = bool(above[r] > LEAVE_TOL)
+
+            # the leaving value must rise (fall when above its upper bound):
+            # at-lower columns with a < 0 and at-upper columns with a > 0 can
+            # move it there
+            alpha = self.Binv[r, :] @ self.A
+            a = -alpha if to_upper else alpha
+            movable = self._movable()
+            ptol = _pivot_tol(alpha)
+            cand = np.flatnonzero(
+                movable & np.where(self.at_upper, a > ptol, a < -ptol)
+            )
+            if cand.size == 0:
+                if self.since_refactor > 0:
+                    x_b = self._refactor()
+                    continue
+                # every column that could move the row, however small its
+                # entry, over its whole range: not enough means infeasible
+                helps = movable & np.where(
+                    self.at_upper, a > DEGEN_TOL, a < -DEGEN_TOL
+                )
+                span = self.ub[helps] - self.lb[helps]
+                room = float(np.sum(np.abs(a[helps]) * span))
+                if room >= infeas[r] - LEAVE_TOL:
+                    raise SolverError(
+                        "dual ratio test found no pivot", {"row": r}
+                    )
+                return INFEASIBLE
+
+            d = self._reduced_costs(c)
+            ratios = np.maximum(d[cand] / -a[cand], 0.0)
+            t_min = float(ratios.min())
+            tied = cand[ratios <= t_min + DEGEN_TOL]
+            if bland:
+                q = int(tied[0])
+            else:
+                q = int(tied[int(np.argmax(np.abs(a[tied])))])
+
+            w = self.Binv @ self.A[:, q]
+            if abs(w[r]) < _pivot_tol(w):
+                # row and column disagree on the pivot: the inverse drifted
+                if self.since_refactor == 0:
+                    raise SolverError("dual pivot below tolerance", {"row": r})
+                x_b = self._refactor()
+                continue
+
+            if t_min <= DEGEN_TOL:
+                degen_count += 1
+                if degen_count > degen_limit:
+                    bland = True
+            else:
+                degen_count = 0
+
+            # primal step: the entering column moves until row r meets its bound
+            bound = self.ub[self.basis[r]] if to_upper else self.lb[self.basis[r]]
+            step = (x_b[r] - bound) / w[r]
+            start = self.ub[q] if self.at_upper[q] else self.lb[q]
+            x_b = x_b - step * w
+            x_b[r] = start + step
+            if self._pivot(r, q, w, to_upper):
+                x_b = self._basic_values()
+
+        raise SolverError(
+            "dual simplex iteration limit exceeded", {"pivots": self.pivots}
         )
 
 
@@ -332,7 +490,6 @@ def _cold_start(can: _Canonical, sim: _Simplex) -> str:
 
     basis: list[int] = [-1] * m
     art_cols: list[np.ndarray] = []
-    art_meta: list[int] = []
     for i in range(m):
         slack = can.slack_col.get(i)
         if slack is not None and resid[i] >= 0.0:
@@ -341,7 +498,6 @@ def _cold_start(can: _Canonical, sim: _Simplex) -> str:
             col = np.zeros(m)
             col[i] = 1.0 if resid[i] >= 0 else -1.0
             art_cols.append(col)
-            art_meta.append(i)
             basis[i] = ncols + len(art_cols) - 1
 
     n_art = len(art_cols)
@@ -349,7 +505,7 @@ def _cold_start(can: _Canonical, sim: _Simplex) -> str:
         sim.A = np.column_stack([can.A] + art_cols)
         sim.lb = np.concatenate([sim.lb, np.zeros(n_art)])
         sim.ub = np.concatenate([sim.ub, np.full(n_art, np.inf)])
-    sim._setup(basis, set())
+    sim._setup(basis, ())
 
     if n_art:
         c1 = np.zeros(sim.A.shape[1])
@@ -406,7 +562,9 @@ def _full_point(sim: _Simplex) -> np.ndarray:
     return vals
 
 
-def _extract(lp: LinearProgram, can: _Canonical, sim: _Simplex) -> LpSolution:
+def _extract(
+    lp: LinearProgram, can: _Canonical, sim: _Simplex, warm: bool
+) -> LpSolution:
     n = can.n_struct
     ncols = can.A.shape[1]
     full = _full_point(sim)
@@ -441,35 +599,107 @@ def _extract(lp: LinearProgram, can: _Canonical, sim: _Simplex) -> LpSolution:
     if any(j >= ncols for j in basic):
         # an artificial stayed basic (degenerately, at value 0); such a basis
         # is not reusable across resolves
-        warm = None
+        basis = None
     else:
-        warm = WarmBasis(basic=basic, at_upper=uppers)
+        basis = WarmBasis(basic=basic, at_upper=uppers)
     return LpSolution(
         status=OPTIMAL,
         objective=obj,
         x=x,
         duals=duals,
         reduced_costs=reduced,
-        basis=warm,
+        basis=basis,
         pivots=sim.pivots,
+        refactorizations=sim.refactorizations,
+        warm=warm,
     )
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase cold solve."""
-    lp.validate()
-    can = _Canonical(lp)
+def _status_only(status: str, sim: _Simplex, warm: bool) -> LpSolution:
+    return LpSolution(
+        status=status,
+        pivots=sim.pivots,
+        refactorizations=sim.refactorizations,
+        warm=warm,
+    )
+
+
+def _solve_cold(lp: LinearProgram, can: _Canonical) -> LpSolution:
+    """Two-phase primal simplex from the slack/artificial basis."""
     sim = _Simplex(can)
-    status = _cold_start(can, sim)
-    if status == INFEASIBLE:
-        return LpSolution(status=INFEASIBLE, pivots=sim.pivots)
+    if _cold_start(can, sim) == INFEASIBLE:
+        return _status_only(INFEASIBLE, sim, False)
     ncols = can.A.shape[1]
     c2 = np.zeros(sim.A.shape[1])
     c2[:ncols] = can.c_min
-    status = sim.run(c2, phase_one=False)
-    if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, pivots=sim.pivots)
-    return _extract(lp, can, sim)
+    if sim.run(c2, phase_one=False) == UNBOUNDED:
+        return _status_only(UNBOUNDED, sim, False)
+    return _extract(lp, can, sim, False)
+
+
+def _start(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":
+    """Factorize ``warm``, extended by the slacks of the rows after its own.
+
+    None when the basis does not fit the program or is singular.
+    """
+    m, ncols = can.A.shape
+    appended = range(len(warm.basic), m)
+    if any(i not in can.slack_col for i in appended):
+        return None
+    basic = list(warm.basic) + [can.slack_col[i] for i in appended]
+    if (
+        len(basic) != m
+        or len(set(basic)) != m
+        or any(not 0 <= j < ncols for j in basic)
+        or any(not 0 <= j < ncols for j in warm.at_upper)
+        or any(not np.isfinite(can.ub[j]) for j in warm.at_upper)
+    ):
+        return None
+    sim = _Simplex(can)
+    try:
+        sim._setup(basic, warm.at_upper)
+    except SolverError:
+        return None
+    return sim
+
+
+def _solve_warm(
+    lp: LinearProgram, can: _Canonical, warm: WarmBasis
+) -> "LpSolution | None":
+    """Solve from ``warm`` if it is primal or dual feasible; None sends the
+    caller to a cold solve."""
+    sim = _start(can, warm)
+    if sim is None:
+        return None
+    c = can.c_min
+    try:
+        below, above = sim._bound_violation(sim._basic_values())
+        if max(below.max(initial=0.0), above.max(initial=0.0)) > FEAS_TOL:
+            if sim._priced_out(sim._reduced_costs(c)).size:
+                return None
+            if sim.dual(c) == INFEASIBLE:
+                return _status_only(INFEASIBLE, sim, True)
+        if sim.run(c, phase_one=False) == UNBOUNDED:
+            return _status_only(UNBOUNDED, sim, True)
+        return _extract(lp, can, sim, True)
+    except SolverError:
+        return None
+
+
+def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
+    """Solve ``lp``, from the start basis ``warm`` when it is usable.
+
+    An unusable start basis (it does not fit, is singular, is neither primal
+    nor dual feasible, or the warm solve fails numerically) falls back to a
+    cold two-phase solve; ``LpSolution.warm`` tells which one served.
+    """
+    lp.validate()
+    can = _Canonical(lp)
+    if warm is not None:
+        sol = _solve_warm(lp, can, warm)
+        if sol is not None:
+            return sol
+    return _solve_cold(lp, can)
 
 
 def slack_columns(lp: LinearProgram) -> dict[int, int]:
@@ -482,35 +712,11 @@ def slack_columns(lp: LinearProgram) -> dict[int, int]:
     return dict(_Canonical(lp).slack_col)
 
 
-def _try_warm(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":
-    ncols = can.A.shape[1]
-    if (
-        len(warm.basic) != can.A.shape[0]
-        or len(set(warm.basic)) != len(warm.basic)
-        or any(not 0 <= j < ncols for j in warm.basic)
-        or any(not 0 <= j < ncols for j in warm.at_upper)
-        or any(not np.isfinite(can.ub[j]) for j in warm.at_upper)
-    ):
-        return None
-    sim = _Simplex(can)
-    try:
-        sim._setup(list(warm.basic), set(warm.at_upper))
-    except SolverError:
-        return None
-    x_b = sim._basic_values()
-    lo = can.lb[list(warm.basic)]
-    hi = can.ub[list(warm.basic)]
-    if np.any(x_b < lo - FEAS_TOL) or np.any(x_b > hi + FEAS_TOL):
-        return None
-    return sim
-
-
 def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:
-    """Try candidate warm bases in order; cold start when none is usable.
+    """Try candidate start bases in order; cold start when none is usable.
 
-    Warm attempts are best-effort: a numerical failure inside one falls
-    through to the next candidate (and finally to the cold start) instead of
-    propagating.
+    The cold fallback goes through ``solve_lp``, so a caller watching that
+    name sees which calls the start bases did not serve.
     """
     bases = [warm for warm in bases if warm is not None]
     if not bases:
@@ -518,23 +724,15 @@ def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:
     lp.validate()
     can = _Canonical(lp)
     for warm in bases:
-        try:
-            sim = _try_warm(can, warm)
-            if sim is None:
-                continue
-            status = sim.run(can.c_min.copy(), phase_one=False)
-            if status == UNBOUNDED:
-                return LpSolution(status=UNBOUNDED, pivots=sim.pivots)
-            return _extract(lp, can, sim)
-        except SolverError:
-            continue
+        sol = _solve_warm(lp, can, warm)
+        if sol is not None:
+            return sol
     return solve_lp(lp)
 
 
 def solve_lp_with_basis(lp: LinearProgram, warm: WarmBasis | None) -> LpSolution:
-    """Warm-started solve; silently falls back to a cold start when the basis
-    is dimensionally wrong, singular, or primal infeasible under the bounds."""
-    return solve_lp_multi(lp, [warm])
+    """``solve_lp(lp, warm)``, under the name older callers use."""
+    return solve_lp(lp, warm)
 
 
 # ---------------------------------------------------------------------------

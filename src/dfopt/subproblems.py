@@ -35,7 +35,7 @@ from typing import Mapping
 
 from .errors import ContractViolation, DomainError
 from .formulations import Kind, as_kind, capacity_rows, leaf_rows, row_product
-from .lp import LE, EQ, LinearProgram, LpSolution, solve_lp
+from .lp import LE, EQ, LinearProgram, LpSolution, WarmBasis, solve_lp
 from .model import Number, ProductCatalog, PurchaseTree, as_values, traverse
 
 #: Capacities closer than this are treated as tied.
@@ -272,12 +272,17 @@ def _product_subproblem_lp_data(catalog, tree, vals):
 
 
 def product_subproblem_lp(
-    catalog: ProductCatalog, tree: PurchaseTree, x
+    catalog: ProductCatalog, tree: PurchaseTree, x, warm: WarmBasis | None = None
 ) -> tuple[float, DualCertificate, LpSolution]:
-    """Per-product subproblem via the bundled simplex; duals become the cut."""
+    """Per-product subproblem via the bundled simplex; duals become the cut.
+
+    x enters only the right-hand sides, so the basis of the same tree's LP at
+    other levels (``warm``, from the returned solution's ``basis``) stays dual
+    feasible and starts the dual simplex.
+    """
     vals = as_values(x)
     lp, rows, _ = _product_subproblem_lp_data(catalog, tree, vals)
-    sol = solve_lp(lp)
+    sol = solve_lp(lp, warm=warm)
     if sol.status != "optimal":
         raise ContractViolation(f"product subproblem LP is {sol.status}")
     alpha: dict[int, float] = {}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from dfopt import lp
+from dfopt import benders, lp, subproblems
 from dfopt.benders import (
     Budget,
     _monolithic_start_basis,
@@ -293,7 +293,78 @@ class TestMonolithicStartBasis:
                     for i in fixed1:
                         lb[i - 1] = 1.0
                     node_lp = built.lp.with_bounds(lb, ub)
-                    assert lp._try_warm(lp._Canonical(node_lp), start) is not None
+                    sim = lp._start(lp._Canonical(node_lp), start)
+                    below, above = sim._bound_violation(sim._basic_values())
+                    assert max(below.max(), above.max()) <= lp.FEAS_TOL
+                    assert lp.solve_lp_multi(node_lp, [start]).warm
+
+
+def record_solves(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that logs (kwargs, solution)."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(lp_, *args, **kwargs):
+        sol = real(lp_, *args, **kwargs)
+        calls.append((kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+WARM_INSTANCES = [(seed, card) for seed in (1, 2, 3) for card in (None, 3)]
+
+
+class TestWarmStartsServe:
+    """Every re-solve starts from the basis it is handed, never from a silent
+    cold fallback (``LpSolution.warm``)."""
+
+    @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_relaxation_masters_after_round_one(
+        self, monkeypatch, kind, seed, cardinality
+    ):
+        catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
+        masters = record_solves(monkeypatch, benders, "solve_lp")
+        relax = relaxation_phase(kind, catalog, forest, cardinality)
+        assert [sol.warm for _, sol in masters] == [False] + [True] * (relax.rounds - 1)
+
+    @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
+    def test_product_oracle_after_first_call(self, monkeypatch, seed, cardinality):
+        catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
+        oracles = record_solves(monkeypatch, subproblems, "solve_lp")
+        relax = relaxation_phase(Kind.PRODUCT, catalog, forest, cardinality)
+        trees = len(forest.trees)
+        assert len(oracles) == trees * relax.rounds
+        assert [sol.warm for _, sol in oracles] == [False] * trees + [True] * (
+            len(oracles) - trees
+        )
+
+    @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_integer_phase_children_and_lazy_resolves(
+        self, monkeypatch, kind, seed, cardinality
+    ):
+        catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
+        relax = relaxation_phase(kind, catalog, forest, cardinality)
+        nodes = record_solves(monkeypatch, benders, "solve_lp")
+        res = integer_phase(kind, catalog, forest, state=relax.state, budget=None)
+        assert len(nodes) >= res.nodes
+        assert nodes[0][0]["warm"] is None
+        assert all(kw["warm"] is not None and sol.warm for kw, sol in nodes[1:])
+
+    @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_monolithic_children(self, monkeypatch, kind, seed, cardinality):
+        catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
+        built = build(kind, catalog, forest, cardinality)
+        roots = record_solves(monkeypatch, benders, "solve_lp_multi")
+        children = record_solves(monkeypatch, benders, "solve_lp")
+        res = branch_and_bound_monolithic(built, catalog, forest)
+        assert len(roots) == 1 and roots[0][1].warm
+        assert len(children) == res.nodes - 1
+        assert all(kw["warm"] is not None and sol.warm for kw, sol in children)
 
 
 @pytest.mark.parametrize(

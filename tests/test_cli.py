@@ -105,8 +105,12 @@ class TestGenerate:
             {"n": "four", "num_trees": 1, "shape": {"type": "t1", "depth": 1}},
             {"n": 4, "num_trees": 1, "shape": "t1"},
             [{"n": 4, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}],
+            {"configs": [5]},
         ],
-        ids=["missing-n", "text-n", "shape-not-object", "list-not-object"],
+        ids=[
+            "missing-n", "text-n", "shape-not-object", "list-not-object",
+            "configs-entry-not-object",
+        ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, cfg):
         cfg_path = tmp_path / "cfg.json"
@@ -429,6 +433,17 @@ class TestExperiment:
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({"experiment": "nope"}))
         assert main(["experiment", "--spec", str(spec_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "edit", [{"n": ["x"]}, {"cells": 5}], ids=["text-n", "unread-key"]
+    )
+    def test_malformed_spec_exit_code(self, tmp_path, capsys, edit):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(self.SPEC, **edit)))
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "o").exists()
 
 
 class TestEntryPoint:
