@@ -10,7 +10,6 @@ from .benders import (
     Budget,
     MasterState,
     RelaxationResult,
-    evaluate_cut,
     integer_phase,
     relaxation_phase,
     solve_two_phase,

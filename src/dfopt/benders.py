@@ -13,18 +13,19 @@ each epigraph variable to its tree's subproblem value:
   adding closed-form cuts lazily whenever a node's LP solution is integral
   and some epigraph variable exceeds its tree's traversal revenue.
 
-The same engine also solves the monolithic formulations by branching on the
-x block of the full LP.  Subproblem oracle calls within a cut round are
-independent per tree; master solves and pool mutation are serialized, and
-nodes are processed one at a time, so runs are deterministic.
+One branch-and-bound loop serves both exact searches: it branches on the x
+block of the cut master (with lazy cuts) or of the full monolithic LP.
+Subproblem oracle calls within a cut round are independent per tree; master
+solves and pool mutation are serialized, and nodes are processed one at a
+time, so runs are deterministic.
 
 Every re-solve starts from the basis of the LP it follows, which stays dual
 feasible, so ``solve_lp`` runs the dual simplex from it: each master from
 the previous round's master (new cuts append rows, whose slacks join the
 basis), each tree's product-oracle LP from its previous round, each B&B
 child from its parent's final basis, and a node's re-solve after lazy cuts
-from its own.  The monolithic root starts from a hand-built feasible basis
-(``_monolithic_start_basis``), placed by the row indices
+from its own.  Only the monolithic root starts from a hand-built feasible
+basis (``_monolithic_start_basis``), placed by the row indices
 ``formulations.build`` records (``unit_rows``, ``card_row``).
 """
 
@@ -43,6 +44,7 @@ from .formulations import BuiltFormulation, Kind, as_kind, row_product
 from .lp import (
     EQ,
     LE,
+    OPTIMAL,
     LinearProgram,
     WarmBasis,
     slack_columns,
@@ -122,13 +124,6 @@ def cut_from_certificate(
     )
 
 
-def evaluate_cut(cut: BendersCut, x) -> float:
-    values = x.values if isinstance(x, AssortmentVector) else x
-    if len(values) != len(cut.coef):
-        raise DomainError("cut/assortment dimension mismatch")
-    return cut.value_at([float(v) for v in values])
-
-
 @dataclass
 class MasterState:
     """Mutable decomposition state: cut pool and master dimensions.
@@ -153,11 +148,7 @@ class MasterState:
         self.pool.append(cut)
         return True
 
-    def master_lp(
-        self,
-        fixed0: frozenset[int] = frozenset(),
-        fixed1: frozenset[int] = frozenset(),
-    ) -> LinearProgram:
+    def master_lp(self) -> LinearProgram:
         n, k = self.n, len(self.theta_ub)
         ncols = n + k
         c = np.zeros(ncols)
@@ -180,10 +171,6 @@ class MasterState:
             rhs.append(cut.const)
         lb = np.zeros(ncols)
         ub = np.concatenate([np.ones(n), np.asarray(self.theta_ub, dtype=float)])
-        for i in fixed0:
-            ub[i - 1] = 0.0
-        for i in fixed1:
-            lb[i - 1] = 1.0
         A = np.array(rows) if rows else np.zeros((0, ncols))
         return LinearProgram.build(c=c, A=A, senses=senses, b=rhs, lb=lb, ub=ub)
 
@@ -303,17 +290,23 @@ class BranchAndBoundResult:
     gap_pct: float
     nodes: int
     optimal: bool
-    wall_s: float
     cuts_added: int = 0
 
 
-def _branch_and_bound(solve_node, on_integral, budget: Budget | None):
-    """Best-bound search over x fixings.
+def _branch_and_bound(
+    catalog, forest, node_lp, budget: Budget | None, separate=None, root=None
+):
+    """Best-bound search over fixings of the x block (the first n columns).
 
-    ``solve_node(fixed0, fixed1, warm)`` returns None for an infeasible node,
-    else ``(bound, x, payload, basis)``; ``warm`` is the parent's final basis
-    (None at the root), or the node's own when lazy cuts force a re-solve.
+    A node solves ``node_lp()`` with its fixings applied to the bounds: the
+    root from the start basis ``root`` when given (else cold), every other
+    node from its parent's final basis.  At an integral point,
+    ``separate(x_bin, point)`` may add cuts to the LPs ``node_lp`` builds and
+    return how many; the node is then re-solved from its own basis.  An
+    integral point without cuts competes for the incumbent with its model
+    value, never the LP's.
     """
+    n = catalog.n
     budget = budget or Budget()
     t0 = time.monotonic()
     counter = itertools.count()
@@ -324,74 +317,67 @@ def _branch_and_bound(solve_node, on_integral, budget: Budget | None):
     incumbent_val = -float("inf")
     nodes = 0
     cuts_added = 0
-    exhausted = False
-
-    def out_of_budget():
-        if budget.max_nodes is not None and nodes >= budget.max_nodes:
-            return True
-        if budget.max_seconds is not None and time.monotonic() - t0 > budget.max_seconds:
-            return True
-        return False
 
     while heap:
-        if out_of_budget():
-            exhausted = True
-            break
+        if (budget.max_nodes is not None and nodes >= budget.max_nodes) or (
+            budget.max_seconds is not None
+            and time.monotonic() - t0 > budget.max_seconds
+        ):
+            break  # out of budget: the open nodes bound the optimum
         neg_bound, _, fixed0, fixed1, warm = heapq.heappop(heap)
         if -neg_bound <= incumbent_val + PRUNE_TOL:
             continue
         nodes += 1
-        res = solve_node(fixed0, fixed1, warm)
         while True:
-            if res is None:  # infeasible node
+            lp = node_lp()
+            lb, ub = lp.lb.copy(), lp.ub.copy()
+            for i in fixed0:
+                ub[i - 1] = 0.0
+            for i in fixed1:
+                lb[i - 1] = 1.0
+            lp = lp.with_bounds(lb, ub)
+            if warm is None and root is not None:
+                sol = solve_lp_multi(lp, [root])
+            else:
+                sol = solve_lp(lp, warm=warm)
+            if sol.status != OPTIMAL or sol.objective <= incumbent_val + PRUNE_TOL:
                 break
-            obj, x_vals, payload, basis = res
-            if obj <= incumbent_val + PRUNE_TOL:
-                break
+            warm = sol.basis
+            obj = float(sol.objective)
+            x_vals = tuple(float(v) for v in sol.x[:n])
             frac = [abs(v - round(v)) for v in x_vals]
-            if max(frac, default=0.0) <= INT_TOL:
-                x_bin = tuple(int(round(v)) for v in x_vals)
-                outcome = on_integral(x_bin, payload)
-                if outcome[0] == "resolve":
-                    cuts_added += outcome[1]
-                    res = solve_node(fixed0, fixed1, basis)
-                    continue
-                value = outcome[1]
-                if value > incumbent_val:
-                    incumbent_val = value
-                    incumbent_x = AssortmentVector(x_bin)
-                    log.info("incumbent %.6f at node %d", value, nodes)
+            if max(frac, default=0.0) > INT_TOL:
+                # most fractional first; ties fall to the smallest index via
+                # max's first-wins behavior on equal keys
+                j = max(range(n), key=lambda i: -abs(x_vals[i] - 0.5))
+                heapq.heappush(heap, (-obj, next(counter), fixed0 | {j + 1}, fixed1, warm))
+                heapq.heappush(heap, (-obj, next(counter), fixed0, fixed1 | {j + 1}, warm))
                 break
-            j = max(range(len(x_vals)), key=lambda i: -abs(x_vals[i] - 0.5))
-            # most fractional first; ties fall to the smallest index via max's
-            # first-wins behavior on equal keys
-            heapq.heappush(heap, (-obj, next(counter), fixed0 | {j + 1}, fixed1, basis))
-            heapq.heappush(heap, (-obj, next(counter), fixed0, fixed1 | {j + 1}, basis))
+            x_bin = tuple(int(round(v)) for v in x_vals)
+            added = separate(x_bin, sol.x) if separate is not None else 0
+            if added:
+                cuts_added += added
+                continue
+            value = float(expected_revenue(catalog, forest, x_bin))
+            if value > incumbent_val:
+                incumbent_val = value
+                incumbent_x = AssortmentVector(x_bin)
+                log.info("incumbent %.6f at node %d", value, nodes)
             break
 
     open_bounds = [-e[0] for e in heap if -e[0] > incumbent_val + PRUNE_TOL]
-    if exhausted and open_bounds:
-        upper = max(open_bounds)
-        optimal = False
-    else:
-        upper = incumbent_val
-        optimal = incumbent_x is not None
+    upper = max([incumbent_val] + open_bounds)
     if incumbent_x is None:
-        value = float("-inf")
         gap = float("inf")
     else:
-        value = incumbent_val
-        ub = max(upper, value)
-        gap = 0.0 if ub <= 0 else 100.0 * (ub - value) / ub
-        upper = ub
+        gap = 0.0 if upper <= 0 else 100.0 * (upper - incumbent_val) / upper
     return BranchAndBoundResult(
         x=incumbent_x,
-        value=value,
+        value=incumbent_val,
         upper_bound=upper,
         gap_pct=gap,
         nodes=nodes,
-        optimal=optimal,
-        wall_s=time.monotonic() - t0,
+        optimal=incumbent_x is not None and not open_bounds,
         cuts_added=cuts_added,
     )
 
@@ -418,68 +404,37 @@ def integer_phase(
     elif cardinality is not None and state.cardinality != cardinality:
         raise DomainError("cardinality differs from the relaxation state")
 
-    def solve_node(fixed0, fixed1, warm):
-        sol = solve_lp(state.master_lp(fixed0, fixed1), warm=warm)
-        if sol.status != "optimal":
-            return None
-        x_vals = tuple(float(v) for v in sol.x[:n])
-        theta = tuple(float(v) for v in sol.x[n:])
-        return float(sol.objective), x_vals, {"theta": theta}, sol.basis
-
-    def on_integral(x_bin, payload):
-        thetas = payload["theta"]
+    def separate(x_bin, point):
         added = 0
-        value = 0.0
         for t, tree in enumerate(forest.trees):
             g_t, cert = integer_cut(kind, catalog, tree, x_bin)
-            if thetas[t] > float(g_t) + CUT_TOL:
-                cut = cut_from_certificate(
-                    cert, tree, t, n, INTEGER_CLOSED_FORM
-                )
-                if state.add_cut(cut):
-                    added += 1
-        if added:
-            return ("resolve", added)
-        value = float(expected_revenue(catalog, forest, x_bin))
-        return ("incumbent", value)
+            if float(point[n + t]) > float(g_t) + CUT_TOL:
+                cut = cut_from_certificate(cert, tree, t, n, INTEGER_CLOSED_FORM)
+                added += state.add_cut(cut)
+        return added
 
-    return _branch_and_bound(solve_node, on_integral, budget)
+    return _branch_and_bound(catalog, forest, state.master_lp, budget, separate)
 
 
-def _monolithic_start_basis(built, forest, fixed0, fixed1, slack_cols):
-    """Phase-1-free starting basis for a node of the monolithic problem.
+def _monolithic_start_basis(built: BuiltFormulation, forest) -> WarmBasis:
+    """Phase-1-free start basis for the root of the monolithic problem.
 
-    The binary point offering exactly the fixed-at-1 products (topped up with
-    the smallest free products when a cardinality row must be met) routes
-    every tree to one leaf; those indicator columns cover the unit-sum rows,
-    slacks cover the capacity rows, and one offered free product covers the
-    cardinality row.  The implied basic point is feasible by construction.
+    The binary point offering products 1..k (k the cardinality, 0 without
+    one) routes every tree to one leaf; those indicator columns cover the
+    unit-sum rows, slacks cover the capacity rows, and product 1 covers the
+    cardinality row, or at cardinality 0 its own slack does.  Products 2..k
+    sit at their upper bound.  The implied basic point is feasible by
+    construction.
     """
-    n = built.n
-    ones = set(fixed1)
-    card_col = None
-    if built.cardinality is not None:
-        free = [i for i in range(1, n + 1) if i not in fixed0 and i not in fixed1]
-        need = built.cardinality - len(ones)
-        if need < 0 or need > len(free):
-            return None  # node is infeasible; let the solver report it
-        topped = free[:need]
-        if not topped:
-            return None  # all offered products are fixed; no free basic column
-        ones |= set(topped)
-        card_col = topped[0] - 1
-    x0 = tuple(1 if i in ones else 0 for i in range(1, n + 1))
-    basic = [slack_cols.get(i) for i in range(built.lp.num_rows)]
+    k = built.cardinality or 0
+    x0 = tuple(1 if i < k else 0 for i in range(built.n))
+    basic = list(slack_columns(built.lp).values())
     for t, tree in enumerate(forest.trees):
         _, leaf_star = traverse(tree, x0)
         basic[built.unit_rows[t]] = built.y_cols[(t, leaf_star)]
-    if card_col is not None:
-        basic[built.card_row] = card_col
-    at_upper = []
-    for i in ones:
-        if i not in fixed1 and i - 1 != card_col:
-            at_upper.append(i - 1)  # free product offered: park at upper bound
-    return WarmBasis(basic=tuple(basic), at_upper=tuple(sorted(at_upper)))
+    if k:
+        basic[built.card_row] = 0
+    return WarmBasis(basic=tuple(basic), at_upper=tuple(range(1, k)))
 
 
 def branch_and_bound_monolithic(
@@ -489,35 +444,13 @@ def branch_and_bound_monolithic(
     budget: Budget | None = None,
 ) -> BranchAndBoundResult:
     """Solve a monolithic formulation to integrality by branching on x."""
-    n = built.n
-    base_lb = built.lp.lb
-    base_ub = built.lp.ub
-    slack_cols = slack_columns(built.lp)
-
-    def solve_node(fixed0, fixed1, warm):
-        lb = base_lb.copy()
-        ub = base_ub.copy()
-        for i in fixed0:
-            ub[i - 1] = 0.0
-        for i in fixed1:
-            lb[i - 1] = 1.0
-        node_lp = built.lp.with_bounds(lb, ub)
-        if warm is not None:
-            sol = solve_lp(node_lp, warm=warm)
-        else:
-            analytic = _monolithic_start_basis(
-                built, forest, fixed0, fixed1, slack_cols
-            )
-            sol = solve_lp_multi(node_lp, [analytic])
-        if sol.status != "optimal":
-            return None
-        x_vals = tuple(float(v) for v in sol.x[:n])
-        return float(sol.objective), x_vals, {}, sol.basis
-
-    def on_integral(x_bin, payload):
-        return ("incumbent", float(expected_revenue(catalog, forest, x_bin)))
-
-    return _branch_and_bound(solve_node, on_integral, budget)
+    return _branch_and_bound(
+        catalog,
+        forest,
+        lambda: built.lp,
+        budget,
+        root=_monolithic_start_basis(built, forest),
+    )
 
 
 def solve_two_phase(

@@ -422,10 +422,7 @@ def _experiment_tractability(spec, timings):
 def _experiment_benders(spec, timings):
     """Decomposition vs direct solve vs swap heuristic at fixed cardinality."""
     budget = _spec_budget(spec)
-    try:
-        rhos = [float(r) for r in spec.get("rho", [0.2])]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed rho list: {exc}") from None
+    rhos = [float(r) for r in spec.get("rho", [0.2])]
 
     def worker(cell, rep, seed):
         type_name, n, num_trees, leaves = cell
@@ -556,6 +553,27 @@ SPEC_KEYS = frozenset({
 })
 
 
+def _check_spec(spec) -> None:
+    """Refuse the values that would otherwise fail inside a worker."""
+
+    def number(v, kind=(int, float)):
+        return isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
+
+    for key, kind, what in (
+        ("budget_sec", (int, float), "a finite number"),
+        ("budget_nodes", int, "an integer"),
+    ):
+        v = spec.get(key)
+        if v is not None and not (number(v, kind) and v >= 0):
+            raise ConfigError(f"{key} must be {what} >= 0, got {v!r}")
+    rr = spec.get("revenue_range", [1, 100])
+    if not (isinstance(rr, list) and len(rr) == 2 and all(number(v, int) for v in rr)):
+        raise ConfigError(f"revenue_range must be two integers, got {rr!r}")
+    rho = spec.get("rho", [0.2])
+    if not (isinstance(rho, list) and all(number(r) and r > 0 for r in rho)):
+        raise ConfigError(f"rho must be a list of finite numbers > 0, got {rho!r}")
+
+
 def cmd_experiment(args) -> int:
     spec = json.loads(Path(args.spec).read_text())
     if not isinstance(spec, dict):
@@ -568,6 +586,7 @@ def cmd_experiment(args) -> int:
         raise ConfigError(
             f"unknown experiment {name!r} (choose from {sorted(EXPERIMENTS)})"
         )
+    _check_spec(spec)
     timings = bool(spec.get("timings", True)) and not args.no_timings
     table, header, rows = EXPERIMENTS[name](spec, timings)
     out_dir = Path(args.out or spec.get("out", "."))

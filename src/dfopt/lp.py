@@ -6,10 +6,16 @@ basis inverse.  Geared to the desk-scale problems this package builds
 inverse is updated by elementary row operations and refactorized
 periodically.
 
+Every row i owns a slack ("logical") column at n + i: bounds [0, inf) for
+an inequality row, [0, 0] for an equality row.  The cold solve covers the
+rows its slacks cannot with phase-1 artificials; artificial i is its row's
+slack up to sign, so when phase 1 ends each basic artificial is swapped for
+that slack and every optimal solution carries a basis that restarts a solve.
+
 ``solve_lp(lp, warm=None)`` is the one entry point.  Without a start basis
 it runs the two-phase primal simplex.  A start basis (``LpSolution.basis``
-of an earlier solve) is first extended by the slacks of any inequality rows
-appended after its own rows, then used as follows:
+of an earlier solve) is first extended by the slacks of any rows appended
+after its own rows, then used as follows:
 
 - primal feasible: the primal simplex runs from it;
 - dual feasible (the same rows and costs after a right-hand-side or bound
@@ -126,8 +132,8 @@ class LinearProgram:
 class WarmBasis:
     """Opaque restart point: canonical basic columns plus nonbasic-at-upper set.
 
-    A basis taken with m rows also starts a program that has inequality rows
-    appended after those m: their slacks join the basis.
+    A basis taken with m rows also starts a program that has rows of any
+    sense appended after those m: their slacks join the basis.
     """
 
     basic: tuple[int, ...]
@@ -138,10 +144,11 @@ class WarmBasis:
 class LpSolution:
     """Result of one solve.
 
-    ``pivots`` and ``refactorizations`` (basis inverses computed from
-    scratch, the first one included) count the work of the solve that
-    produced the result; ``warm`` is true when that solve started from the
-    given start basis, false for a cold two-phase solve.
+    ``basis`` is set exactly when the status is optimal.  ``pivots`` and
+    ``refactorizations`` (basis inverses computed from scratch, the first one
+    included) count the work of the solve that produced the result; ``warm``
+    is true when that solve started from the given start basis, false for a
+    cold two-phase solve.
     """
 
     status: str
@@ -164,36 +171,24 @@ class LpSolution:
 class _Canonical:
     """Internal minimization form: A z = b, all rows equalities via slacks.
 
-    Columns: structural variables first, then one slack per inequality row
-    (>= rows are negated to <= first).  Artificial columns are appended only
-    for a cold start.  ``row_sign`` maps internal duals back to the original
-    row orientation.
+    Columns: structural variables first, then row i's slack at n + i (>= rows
+    are negated to <= first).  Inequality slacks range over [0, inf),
+    equality slacks are fixed at 0.  Artificial columns exist only during
+    phase 1 of a cold start.  ``row_sign`` maps internal duals back to the
+    original row orientation.
     """
 
     def __init__(self, lp: LinearProgram):
         m, n = lp.A.shape
         self.lp = lp
         self.n_struct = n
-        self.row_sign = np.ones(m)
-        A = lp.A.copy()
-        b = lp.b.copy()
-        for i, s in enumerate(lp.senses):
-            if s == GE:
-                A[i, :] *= -1.0
-                b[i] *= -1.0
-                self.row_sign[i] = -1.0
-        self.ineq_rows = [i for i, s in enumerate(lp.senses) if s != EQ]
-        n_slack = len(self.ineq_rows)
-        full = np.zeros((m, n + n_slack))
-        full[:, :n] = A
-        for k, i in enumerate(self.ineq_rows):
-            full[i, n + k] = 1.0
-        self.A = full
-        self.b = b
-        self.lb = np.concatenate([lp.lb, np.zeros(n_slack)])
-        self.ub = np.concatenate([lp.ub, np.full(n_slack, np.inf)])
-        self.c_min = np.concatenate([-lp.c, np.zeros(n_slack)])
-        self.slack_col = {i: n + k for k, i in enumerate(self.ineq_rows)}
+        self.row_sign = np.array([-1.0 if s == GE else 1.0 for s in lp.senses])
+        self.A = np.hstack([lp.A * self.row_sign[:, None], np.eye(m)])
+        self.b = lp.b * self.row_sign
+        slack_ub = np.array([0.0 if s == EQ else np.inf for s in lp.senses])
+        self.lb = np.concatenate([lp.lb, np.zeros(m)])
+        self.ub = np.concatenate([lp.ub, slack_ub])
+        self.c_min = np.concatenate([-lp.c, np.zeros(m)])
 
 
 def _pivot_tol(v: np.ndarray) -> float:
@@ -482,76 +477,46 @@ class _Simplex:
 
 
 def _cold_start(can: _Canonical, sim: _Simplex) -> str:
-    """Phase 1: artificial columns cover rows infeasible at the lower-bound point."""
-    m = sim.m
-    ncols = can.A.shape[1]
-    x0 = np.where(np.isfinite(can.lb), can.lb, 0.0)
-    resid = can.b - can.A @ x0
+    """Phase 1: artificial columns cover rows infeasible at the lower-bound point.
 
-    basis: list[int] = [-1] * m
-    art_cols: list[np.ndarray] = []
-    for i in range(m):
-        slack = can.slack_col.get(i)
-        if slack is not None and resid[i] >= 0.0:
-            basis[i] = slack
-        else:
-            col = np.zeros(m)
-            col[i] = 1.0 if resid[i] >= 0 else -1.0
-            art_cols.append(col)
-            basis[i] = ncols + len(art_cols) - 1
-
-    n_art = len(art_cols)
-    if n_art:
-        sim.A = np.column_stack([can.A] + art_cols)
-        sim.lb = np.concatenate([sim.lb, np.zeros(n_art)])
-        sim.ub = np.concatenate([sim.ub, np.full(n_art, np.inf)])
-    sim._setup(basis, ())
-
-    if n_art:
-        c1 = np.zeros(sim.A.shape[1])
-        c1[ncols:] = 1.0
-        status = sim.run(c1, phase_one=True)
-        if status != OPTIMAL:
-            raise SolverError("phase 1 did not terminate at an optimum", {})
-        infeas = float(c1 @ _full_point(sim))
-        if infeas > FEAS_TOL:
-            return INFEASIBLE
-        # pin artificials at zero for phase 2
-        sim.lb[ncols:] = 0.0
-        sim.ub[ncols:] = 0.0
-        _pivot_out_artificials(sim, ncols)
-    return OPTIMAL
-
-
-def _pivot_out_artificials(sim: _Simplex, ncols: int) -> None:
-    """Swap zero-valued basic artificials for real columns when possible.
-
-    Keeps the same (degenerate) basic point but makes the final basis
-    reusable as a warm start.  Rows where no real column has a nonzero
-    tableau entry are redundant; their artificial stays, pinned at zero.
+    An inequality row whose residual there is nonnegative starts with its
+    slack basic; every other row gets an artificial +-e_i.  A basic
+    artificial left at the end (at value 0) is its row's slack up to sign,
+    so it is swapped for that slack, and the artificials are dropped.
     """
-    for pos in range(sim.m):
-        art = sim.basis[pos]
-        if art < ncols:
-            continue
-        row = sim.Binv[pos, :] @ sim.A[:, :ncols]
-        candidates = np.flatnonzero(np.abs(row) > 1e-7)
-        for j in candidates:
-            j = int(j)
-            if sim.is_basic[j]:
-                continue
-            w = sim.Binv @ sim.A[:, j]
-            piv = w[pos]
-            if abs(piv) < 1e-7:
-                continue
-            new_row = sim.Binv[pos, :] / piv
-            sim.Binv -= np.outer(w, new_row)
-            sim.Binv[pos, :] = new_row
-            sim.basis[pos] = j
-            sim.is_basic[art] = False
-            sim.is_basic[j] = True
-            sim.at_upper[j] = False
-            break
+    m, ncols = can.A.shape
+    n = can.n_struct
+    resid = can.b - can.A @ can.lb
+    sign = np.where(resid >= 0.0, 1.0, -1.0)
+    arts = [i for i in range(m) if resid[i] < 0.0 or can.ub[n + i] == 0.0]
+    basis = list(range(n, n + m))
+    for k, i in enumerate(arts):
+        basis[i] = ncols + k
+    if arts:
+        art_cols = np.zeros((m, len(arts)))
+        art_cols[arts, range(len(arts))] = sign[arts]
+        sim.A = np.hstack([can.A, art_cols])
+        sim.lb = np.concatenate([sim.lb, np.zeros(len(arts))])
+        sim.ub = np.concatenate([sim.ub, np.full(len(arts), np.inf)])
+    sim._setup(basis, ())
+    if not arts:
+        return OPTIMAL
+
+    c1 = np.zeros(sim.A.shape[1])
+    c1[ncols:] = 1.0
+    if sim.run(c1, phase_one=True) != OPTIMAL:
+        raise SolverError("phase 1 did not terminate at an optimum", {})
+    if float(c1 @ _full_point(sim)) > FEAS_TOL:
+        return INFEASIBLE
+    for pos in np.flatnonzero(sim.basis >= ncols):
+        i = arts[sim.basis[pos] - ncols]
+        sim.basis[pos] = n + i
+        sim.Binv[pos, :] *= sign[i]  # B's column at pos changes sign with it
+    sim.A, sim.lb, sim.ub = can.A, sim.lb[:ncols], sim.ub[:ncols]
+    sim.at_upper = sim.at_upper[:ncols]
+    sim.is_basic = np.zeros(ncols, dtype=bool)
+    sim.is_basic[sim.basis] = True
+    return OPTIMAL
 
 
 def _full_point(sim: _Simplex) -> np.ndarray:
@@ -565,14 +530,8 @@ def _full_point(sim: _Simplex) -> np.ndarray:
 def _extract(
     lp: LinearProgram, can: _Canonical, sim: _Simplex, warm: bool
 ) -> LpSolution:
-    n = can.n_struct
-    ncols = can.A.shape[1]
-    full = _full_point(sim)
-    x = full[:n].copy()
-
-    c_min = np.zeros(sim.A.shape[1])
-    c_min[:ncols] = can.c_min
-    y_min = c_min[sim.basis] @ sim.Binv
+    x = _full_point(sim)[: can.n_struct].copy()
+    y_min = can.c_min[sim.basis] @ sim.Binv
     duals = -(y_min * can.row_sign)
     reduced = lp.c - duals @ lp.A
 
@@ -594,14 +553,10 @@ def _extract(
     if np.any(x < lp.lb - FEAS_TOL) or np.any(x > lp.ub + FEAS_TOL):
         raise SolverError("optimal point violates variable bounds", {})
 
-    basic = tuple(int(j) for j in sim.basis)
-    uppers = tuple(int(j) for j in np.flatnonzero(sim.at_upper) if j < ncols)
-    if any(j >= ncols for j in basic):
-        # an artificial stayed basic (degenerately, at value 0); such a basis
-        # is not reusable across resolves
-        basis = None
-    else:
-        basis = WarmBasis(basic=basic, at_upper=uppers)
+    basis = WarmBasis(
+        basic=tuple(int(j) for j in sim.basis),
+        at_upper=tuple(int(j) for j in np.flatnonzero(sim.at_upper)),
+    )
     return LpSolution(
         status=OPTIMAL,
         objective=obj,
@@ -629,10 +584,7 @@ def _solve_cold(lp: LinearProgram, can: _Canonical) -> LpSolution:
     sim = _Simplex(can)
     if _cold_start(can, sim) == INFEASIBLE:
         return _status_only(INFEASIBLE, sim, False)
-    ncols = can.A.shape[1]
-    c2 = np.zeros(sim.A.shape[1])
-    c2[:ncols] = can.c_min
-    if sim.run(c2, phase_one=False) == UNBOUNDED:
+    if sim.run(can.c_min, phase_one=False) == UNBOUNDED:
         return _status_only(UNBOUNDED, sim, False)
     return _extract(lp, can, sim, False)
 
@@ -643,10 +595,7 @@ def _start(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":
     None when the basis does not fit the program or is singular.
     """
     m, ncols = can.A.shape
-    appended = range(len(warm.basic), m)
-    if any(i not in can.slack_col for i in appended):
-        return None
-    basic = list(warm.basic) + [can.slack_col[i] for i in appended]
+    basic = list(warm.basic) + list(range(can.n_struct + len(warm.basic), ncols))
     if (
         len(basic) != m
         or len(set(basic)) != m
@@ -703,13 +652,12 @@ def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
 
 
 def slack_columns(lp: LinearProgram) -> dict[int, int]:
-    """Canonical column index of each inequality row's slack variable.
+    """Canonical column index of each row's slack variable.
 
     Lets callers assemble analytic warm bases without re-deriving the
-    canonical layout (structural columns first, then one slack per
-    inequality row in row order).
+    canonical layout (structural columns first, then row i's slack at n + i).
     """
-    return dict(_Canonical(lp).slack_col)
+    return {i: lp.num_cols + i for i in range(lp.num_rows)}
 
 
 def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:

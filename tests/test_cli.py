@@ -435,7 +435,25 @@ class TestExperiment:
         assert main(["experiment", "--spec", str(spec_path)]) == EXIT_CONFIG
 
     @pytest.mark.parametrize(
-        "edit", [{"n": ["x"]}, {"cells": 5}], ids=["text-n", "unread-key"]
+        "edit",
+        [
+            {"n": ["x"]},
+            {"cells": 5},
+            {"experiment": "tractability", "budget_sec": "x"},
+            {"experiment": "tractability", "budget_nodes": "3"},
+            {"revenue_range": "ab"},
+            {"revenue_range": [1]},
+            {"experiment": "benders", "rho": ["nan"]},
+        ],
+        ids=[
+            "text-n",
+            "unread-key",
+            "text-budget-sec",
+            "text-budget-nodes",
+            "text-revenue-range",
+            "short-revenue-range",
+            "nan-rho",
+        ],
     )
     def test_malformed_spec_exit_code(self, tmp_path, capsys, edit):
         spec_path = tmp_path / "spec.json"

@@ -342,6 +342,7 @@ def check_warm_case(seed: int, case: str) -> None:
     if cold.status == "optimal":
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert_kkt(changed, warm)
+        assert warm.basis is not None and cold.basis is not None
     again = solve_lp(changed, warm=sol.basis)
     assert again.pivots == warm.pivots
     assert again.refactorizations == warm.refactorizations
@@ -404,6 +405,55 @@ class TestDualSimplex:
         warm = solve_lp(grown, warm=sol.basis)
         assert warm.warm and warm.pivots >= 1
         assert len(warm.basis.basic) == grown.num_rows
+
+
+def duplicated_equality_lp() -> LinearProgram:
+    """max 2x + y  s.t.  x + y = 1 (written twice), x <= 0.5, x, y in [0, 1].
+
+    One copy of the equality row is redundant, so one phase-1 artificial
+    stays basic (at 0) however phase 1 pivots.
+    """
+    return LinearProgram.build(
+        c=[2.0, 1.0], A=[[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]],
+        senses=[EQ, EQ, LE], b=[1.0, 1.0, 0.5], ub=[1.0, 1.0],
+    )
+
+
+class TestRedundantRows:
+    def test_optimum_carries_a_basis(self):
+        sol = solve_lp(duplicated_equality_lp())
+        assert sol.status == "optimal" and sol.basis is not None
+        assert sol.objective == pytest.approx(1.5, abs=1e-12)
+        assert verify_solution_exact(duplicated_equality_lp(), sol)["optimal"]
+
+    def test_phase_one_swap_keeps_the_inverse(self):
+        # -x - y = -1 written twice: both rows start on an artificial -e_i,
+        # one of them is still basic (at 0) when phase 1 ends, and its row's
+        # fixed slack, +e_i, takes its place
+        lp = LinearProgram.build(
+            c=[-1.0, -2.0], A=[[-1.0, -1.0], [-1.0, -1.0]], senses=[EQ, EQ], b=[-1.0, -1.0]
+        )
+        can = lp_module._Canonical(lp)
+        sim = lp_module._Simplex(can)
+        assert lp_module._cold_start(can, sim) == "optimal"
+        assert sim.A is can.A and sim.basis.max() < can.A.shape[1]
+        assert np.allclose(sim.Binv @ can.A[:, sim.basis], np.eye(2), atol=1e-12)
+
+    def test_basis_starts_an_appended_equality_row(self):
+        # y - x = 0.2 cuts off the old optimum (0.5, 0.5): the row's fixed
+        # slack joins the basis at -0.2 and the dual simplex drives it out
+        lp = duplicated_equality_lp()
+        sol = solve_lp(lp)
+        grown = LinearProgram.build(
+            c=lp.c, A=np.vstack([lp.A, [-1.0, 1.0]]), senses=list(lp.senses) + [EQ],
+            b=np.append(lp.b, 0.2), lb=lp.lb, ub=lp.ub,
+        )
+        warm = solve_lp(grown, warm=sol.basis)
+        cold = solve_lp(grown)
+        assert warm.warm and warm.status == cold.status == "optimal"
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        assert np.allclose(warm.x, [0.4, 0.6], atol=1e-12)
+        assert_kkt(grown, warm)
 
 
 #: Relaxation phases whose cold-solved masters once failed: the ratio test
