@@ -46,9 +46,6 @@ from .instancegen import (
     assign_leaf_options,
     gen_lambda,
     gen_revenues,
-    gen_t1,
-    gen_t2,
-    gen_t3,
     generate_instance,
     max3sat_to_instance,
     parse_dimacs,

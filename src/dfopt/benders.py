@@ -47,7 +47,6 @@ from .lp import (
     OPTIMAL,
     LinearProgram,
     WarmBasis,
-    slack_columns,
     solve_lp,
     solve_lp_multi,
 )
@@ -428,7 +427,7 @@ def _monolithic_start_basis(built: BuiltFormulation, forest) -> WarmBasis:
     """
     k = built.cardinality or 0
     x0 = tuple(1 if i < k else 0 for i in range(built.n))
-    basic = list(slack_columns(built.lp).values())
+    basic = list(range(built.lp.num_cols, built.lp.num_cols + built.lp.num_rows))
     for t, tree in enumerate(forest.trees):
         _, leaf_star = traverse(tree, x0)
         basic[built.unit_rows[t]] = built.y_cols[(t, leaf_star)]

@@ -62,8 +62,14 @@ def capacity_rows(kind: Kind, tree: PurchaseTree) -> list[tuple]:
     """
     rows = []
     if kind == Kind.PRODUCT:
-        for i in tree.products:
-            lefts, rights = tree.product_left_leaves[i], tree.product_right_leaves[i]
+        # one pass over the (split, leaf) incidences; leaves come ascending
+        nodes = tree.nodes
+        sides: dict[int, tuple[list, list]] = {}  # product -> (right, left)
+        for l in tree.leaf_ids:
+            for s, went_left in tree.path[l]:
+                sides.setdefault(nodes[s].product, ([], []))[went_left].append(l)
+        for i in sorted(sides):
+            rights, lefts = map(tuple, sides[i])
             rows += [(i, i, True, lefts, rights), (i, i, False, rights, lefts)]
         return rows
     for s in tree.split_ids:
@@ -84,18 +90,20 @@ def leaf_rows(kind: Kind, tree: PurchaseTree, leaf: int) -> list[tuple]:
     with the last three as in ``capacity_rows``, in tie-rank order:
     root-first, except that per-(split, leaf) rows list all left rows first.
     """
-    lefts, rights = tree.left_splits[leaf], tree.right_splits[leaf]
     nodes = tree.nodes
+    path = tree.path[leaf]
     if kind == Kind.LEAF:
-        return [(s, (s, leaf), nodes[s].product, True) for s in lefts] + [
-            (s, (s, leaf), nodes[s].product, False) for s in rights
+        return [
+            (s, (s, leaf), nodes[s].product, went_left)
+            for side in (True, False)
+            for s, went_left in path
+            if went_left == side
         ]
-    rows = [None] * (len(lefts) + len(rights))  # placed by depth: root-first
     by_product = kind == Kind.PRODUCT
-    for left, splits in ((True, lefts), (False, rights)):
-        for s in splits:
-            i = nodes[s].product
-            rows[tree.depth[s] - 1] = (s, i if by_product else s, i, left)
+    rows = []
+    for s, went_left in path:
+        i = nodes[s].product
+        rows.append((s, i if by_product else s, i, went_left))
     return rows
 
 

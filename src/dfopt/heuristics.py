@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .instancegen import sample_without_replacement
 from .model import (
     AssortmentVector,
     DecisionForest,
@@ -32,6 +33,7 @@ from .model import (
     Number,
     ProductCatalog,
     check_cardinality,
+    check_size,
     expected_revenue,
 )
 
@@ -144,7 +146,10 @@ def local_search(
     the most; stops at a local optimum.  Values increase strictly, so no
     assortment repeats.
     """
-    members = () if start is None else start.support()
+    members = ()
+    if start is not None:
+        check_size(catalog, start)
+        members = start.support()
     walks = _Walks(catalog, forest, members)
     moves = 0
     while True:
@@ -246,11 +251,8 @@ def divide_and_conquer(
     best = None
     total_moves = 0
     for _ in range(restarts):
-        pool = list(range(1, n + 1))
-        for i in range(b):
-            j = int(rng.integers(i, n))
-            pool[i], pool[j] = pool[j], pool[i]
-        walks = _Walks(catalog, forest, pool[:b])
+        start = sample_without_replacement(rng, list(range(1, n + 1)), b)
+        walks = _Walks(catalog, forest, start)
         moves = 0
         while True:
             best_swap = None

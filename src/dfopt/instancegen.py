@@ -131,8 +131,8 @@ def assign_leaf_options(tree_nodes: dict[int, Node], root: int, rng) -> Purchase
     tree = PurchaseTree(tree_nodes, root)
     filled = dict(tree_nodes)
     for l in tree.leaf_ids:
-        candidates = sorted(tree.leaf_in_products[l]) + [0]
-        filled[l] = Leaf(_choice(rng, candidates))
+        offered = [tree.split_product(s) for s, left in tree.path[l] if left]
+        filled[l] = Leaf(_choice(rng, sorted(offered) + [0]))
     return PurchaseTree(filled, root)
 
 
@@ -222,24 +222,6 @@ def _gen_forest(config: GeneratorConfig, rng) -> DecisionForest:
             trees.append(_gen_t3_tree(config, rng))
     weights = gen_lambda(config.num_trees, rng)
     return DecisionForest(trees=tuple(trees), weights=weights)
-
-
-def gen_t1(config: GeneratorConfig) -> DecisionForest:
-    if config.shape.kind != "t1":
-        raise ConfigError("config shape is not t1")
-    return _gen_forest(config, _rng(config.seed))
-
-
-def gen_t2(config: GeneratorConfig) -> DecisionForest:
-    if config.shape.kind != "t2":
-        raise ConfigError("config shape is not t2")
-    return _gen_forest(config, _rng(config.seed))
-
-
-def gen_t3(config: GeneratorConfig) -> DecisionForest:
-    if config.shape.kind != "t3":
-        raise ConfigError("config shape is not t3")
-    return _gen_forest(config, _rng(config.seed))
 
 
 def generate_instance(config: GeneratorConfig) -> tuple[ProductCatalog, DecisionForest]:

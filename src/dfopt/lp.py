@@ -651,15 +651,6 @@ def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
     return _solve_cold(lp, can)
 
 
-def slack_columns(lp: LinearProgram) -> dict[int, int]:
-    """Canonical column index of each row's slack variable.
-
-    Lets callers assemble analytic warm bases without re-deriving the
-    canonical layout (structural columns first, then row i's slack at n + i).
-    """
-    return {i: lp.num_cols + i for i in range(lp.num_rows)}
-
-
 def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:
     """Try candidate start bases in order; cold start when none is usable.
 

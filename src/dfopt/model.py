@@ -61,13 +61,14 @@ class PurchaseTree:
 
     - ``split_ids`` / ``leaf_ids``: node ids in ascending order.
     - ``depth[s]``: split depth, root split = 1.
-    - ``left_leaves[s]`` / ``right_leaves[s]``: leaves under each branch.
-    - ``left_splits[l]`` / ``right_splits[l]``: splits a leaf lies left/right
-      of, ordered root-first.
-    - ``products``: products appearing on any split; ``product_left_leaves`` /
-      ``product_right_leaves`` aggregate branch leaves per product.
-    - ``leaf_in_products[l]`` / ``leaf_out_products[l]``: products that must
-      be offered / not offered for the leaf to be reached.
+    - ``left_leaves[s]`` / ``right_leaves[s]``: leaves under each branch,
+      ascending.
+    - ``path[l]``: the root-first ``(split, went_left)`` pairs leading to leaf
+      l; the leaf is reached exactly when the products of its left splits
+      are offered and those of its right splits are not.
+
+    The tree knows no capacity-row granularity; ``formulations.capacity_rows``
+    groups these sets into rows.
     """
 
     __slots__ = (
@@ -78,13 +79,7 @@ class PurchaseTree:
         "depth",
         "left_leaves",
         "right_leaves",
-        "left_splits",
-        "right_splits",
-        "products",
-        "product_left_leaves",
-        "product_right_leaves",
-        "leaf_in_products",
-        "leaf_out_products",
+        "path",
     )
 
     def __init__(self, nodes: Mapping[int, Node], root: int):
@@ -122,8 +117,7 @@ class PurchaseTree:
         self.root = root
 
         depth: dict[int, int] = {}
-        left_splits: dict[int, tuple[int, ...]] = {}
-        right_splits: dict[int, tuple[int, ...]] = {}
+        paths: dict[int, tuple[tuple[int, bool], ...]] = {}
         left_leaves: dict[int, list[int]] = {}
         right_leaves: dict[int, list[int]] = {}
         splits: list[int] = []
@@ -144,8 +138,7 @@ class PurchaseTree:
             depth[nid] = len(path) + 1
             if isinstance(node, Leaf):
                 leaves.append(nid)
-                left_splits[nid] = tuple(s for s, went_left in path if went_left)
-                right_splits[nid] = tuple(s for s, went_left in path if not went_left)
+                paths[nid] = path
                 for s, went_left in path:
                     (left_leaves if went_left else right_leaves)[s].append(nid)
             else:
@@ -168,26 +161,7 @@ class PurchaseTree:
         self.depth = depth
         self.left_leaves = {s: tuple(sorted(v)) for s, v in left_leaves.items()}
         self.right_leaves = {s: tuple(sorted(v)) for s, v in right_leaves.items()}
-        self.left_splits = left_splits
-        self.right_splits = right_splits
-
-        prod_left: dict[int, list[int]] = {}
-        prod_right: dict[int, list[int]] = {}
-        for s in self.split_ids:
-            p = nodes[s].product
-            prod_left.setdefault(p, []).extend(self.left_leaves[s])
-            prod_right.setdefault(p, []).extend(self.right_leaves[s])
-        self.products = tuple(sorted(prod_left))
-        self.product_left_leaves = {p: tuple(sorted(v)) for p, v in prod_left.items()}
-        self.product_right_leaves = {p: tuple(sorted(v)) for p, v in prod_right.items()}
-        self.leaf_in_products = {
-            l: tuple(sorted(nodes[s].product for s in left_splits[l]))
-            for l in self.leaf_ids
-        }
-        self.leaf_out_products = {
-            l: tuple(sorted(nodes[s].product for s in right_splits[l]))
-            for l in self.leaf_ids
-        }
+        self.path = paths
 
     def split_product(self, s: int) -> int:
         return self.nodes[s].product
@@ -365,12 +339,19 @@ def expected_revenue(catalog: ProductCatalog, forest: DecisionForest, x) -> Numb
     incremental move scores repeat exactly this sum, so keep the two alike.
     """
     vals = as_values(x)
+    check_size(catalog, vals)
     _check_binary(vals)
     total = 0
     for tree, w in zip(forest.trees, forest.weights):
         option, _ = _walk(tree, vals)
         total += w * catalog.revenue_of(option)
     return total
+
+
+def check_size(catalog: ProductCatalog, vals) -> None:
+    """Refuse an assortment that does not have one level per product."""
+    if len(vals) != catalog.n:
+        raise DomainError(f"assortment has {len(vals)} levels for n={catalog.n}")
 
 
 def check_cardinality(n: int, cardinality: int | None) -> None:
@@ -388,12 +369,13 @@ def _leaf_masks(catalog, tree, n):
     """
     rows = []
     for l in tree.leaf_ids:
-        in_mask = 0
-        for p in tree.leaf_in_products[l]:
-            in_mask |= 1 << (n - p)
-        out_mask = 0
-        for p in tree.leaf_out_products[l]:
-            out_mask |= 1 << (n - p)
+        in_mask = out_mask = 0
+        for s, went_left in tree.path[l]:
+            bit = 1 << (n - tree.split_product(s))
+            if went_left:
+                in_mask |= bit
+            else:
+                out_mask |= bit
         rows.append((in_mask, out_mask, catalog.leaf_revenue(tree, l)))
     return rows
 

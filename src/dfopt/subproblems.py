@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation
 from .formulations import Kind, as_kind, capacity_rows, leaf_rows, row_product
 from .lp import LE, EQ, LinearProgram, LpSolution, WarmBasis, solve_lp
 from .model import Number, ProductCatalog, PurchaseTree, as_values, traverse
@@ -58,7 +58,6 @@ class EventTrace:
     kind: Kind
     events: tuple[tuple, ...]
     f: Mapping[tuple, int]
-    order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -102,33 +101,20 @@ def leaf_order(catalog: ProductCatalog, tree: PurchaseTree) -> tuple[int, ...]:
     )
 
 
-def _check_order(catalog, tree, order):
-    if order is None:
-        return leaf_order(catalog, tree)
-    order = tuple(order)
-    if sorted(order) != list(tree.leaf_ids):
-        raise DomainError("order is not a permutation of the tree's leaves")
-    revs = [catalog.leaf_revenue(tree, l) for l in order]
-    if any(revs[i] < revs[i + 1] for i in range(len(revs) - 1)):
-        raise DomainError("order is not nonincreasing in revenue")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # One greedy sweep and one dual replay over the capacity rows
 # ---------------------------------------------------------------------------
 
 
-def _sweep(kind: Kind, catalog, tree, x, order) -> tuple[dict, EventTrace]:
+def _sweep(kind: Kind, catalog, tree, x) -> tuple[dict, EventTrace]:
     """The greedy sweep against the capacity rows of one granularity."""
     vals = as_values(x)
-    order = _check_order(catalog, tree, order)
     y: dict[int, Number] = {l: 0 for l in tree.leaf_ids}
     used: tuple[dict, dict] = ({}, {})  # weight parked per row key: right, left
     events: list[tuple] = []
     f: dict[tuple, int] = {}
     assigned = 0
-    for l in order:
+    for l in leaf_order(catalog, tree):
         rows = leaf_rows(kind, tree, l)
         best = None
         for _, key, i, left in rows:
@@ -149,7 +135,7 @@ def _sweep(kind: Kind, catalog, tree, x, order) -> tuple[dict, EventTrace]:
         if ev not in f:
             events.append(ev)
             f[ev] = l
-    return y, EventTrace(kind=kind, events=tuple(events), f=f, order=order)
+    return y, EventTrace(kind=kind, events=tuple(events), f=f)
 
 
 def _replay(kind: Kind, catalog, tree, trace: EventTrace) -> DualCertificate:
@@ -187,10 +173,10 @@ def _replay(kind: Kind, catalog, tree, trace: EventTrace) -> DualCertificate:
 
 
 def leaf_primal_greedy(
-    catalog: ProductCatalog, tree: PurchaseTree, x, order=None
+    catalog: ProductCatalog, tree: PurchaseTree, x
 ) -> tuple[dict[int, Number], EventTrace]:
     """Greedy optimum of the per-(split, leaf) subproblem: weights and trace."""
-    return _sweep(Kind.LEAF, catalog, tree, x, order)
+    return _sweep(Kind.LEAF, catalog, tree, x)
 
 
 def leaf_dual_greedy(
@@ -201,10 +187,10 @@ def leaf_dual_greedy(
 
 
 def split_primal_greedy(
-    catalog: ProductCatalog, tree: PurchaseTree, x, order=None
+    catalog: ProductCatalog, tree: PurchaseTree, x
 ) -> tuple[dict[int, Number], EventTrace]:
     """Greedy optimum of the per-split aggregated subproblem: weights and trace."""
-    return _sweep(Kind.SPLIT, catalog, tree, x, order)
+    return _sweep(Kind.SPLIT, catalog, tree, x)
 
 
 def split_dual_greedy(
@@ -298,14 +284,14 @@ def product_subproblem_lp(
 
 
 def product_greedy_sweep(
-    catalog: ProductCatalog, tree: PurchaseTree, x, order=None
+    catalog: ProductCatalog, tree: PurchaseTree, x
 ) -> tuple[dict[int, Number], Number]:
     """The greedy sweep run on the per-product rows (not optimal in general).
 
     Returns the leaf weights and their value; exists to demonstrate where
     per-product aggregation defeats the greedy argument.
     """
-    y, _ = _sweep(Kind.PRODUCT, catalog, tree, x, order)
+    y, _ = _sweep(Kind.PRODUCT, catalog, tree, x)
     value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items() if w != 0)
     return y, value
 

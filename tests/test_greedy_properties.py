@@ -1,4 +1,4 @@
-"""Property tests of the greedy oracles and the per-leaf row transpose.
+"""Property tests of the greedy oracles, leaf paths and capacity rows.
 
 Small random trees and levels are drawn with ``hypothesis``; the runs are
 derandomized, so every run checks the same examples.
@@ -10,7 +10,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dfopt.formulations import Kind, capacity_rows, leaf_rows  # noqa: E402
-from dfopt.model import Leaf, ProductCatalog, PurchaseTree, Split  # noqa: E402
+from dfopt.model import (  # noqa: E402
+    Leaf,
+    ProductCatalog,
+    PurchaseTree,
+    Split,
+    traverse,
+)
 from dfopt.subproblems import (  # noqa: E402
     leaf_dual_greedy,
     leaf_primal_greedy,
@@ -87,6 +93,33 @@ def test_leaf_rows_transpose_capacity_rows(tree, kind):
         # tie-rank order: root-first, per-(split, leaf) rows left side first
         splits = [s for s, _, _, _ in rows]
         if kind == Kind.LEAF:
-            assert splits == list(tree.left_splits[l] + tree.right_splits[l])
+            sides = [[s for s, left in tree.path[l] if left == side] for side in (True, False)]
+            assert splits == sides[0] + sides[1]
         else:
             assert [tree.depth[s] for s in splits] == list(range(1, len(splits) + 1))
+
+
+@PROPERTY_SETTINGS
+@given(tree=trees())
+def test_offering_a_paths_left_products_reaches_its_leaf(tree):
+    for l in tree.leaf_ids:
+        offered = {tree.split_product(s) for s, left in tree.path[l] if left}
+        x = tuple(int(i in offered) for i in range(1, N + 1))
+        assert traverse(tree, x) == (tree.leaf_option(l), l)
+
+
+@PROPERTY_SETTINGS
+@given(tree=trees())
+def test_product_rows_are_unions_of_split_rows(tree):
+    union = {}
+    for _, i, left, leaves, _ in capacity_rows(Kind.SPLIT, tree):
+        union.setdefault((i, left), set()).update(leaves)
+    rows = capacity_rows(Kind.PRODUCT, tree)
+    products = sorted({i for i, _ in union})
+    assert [(key, left) for key, _, left, _, _ in rows] == [
+        (i, left) for i in products for left in (True, False)
+    ]
+    for key, i, left, leaves, other in rows:
+        assert key == i
+        assert leaves == tuple(sorted(union[i, left]))
+        assert other == tuple(sorted(union[i, not left]))

@@ -50,6 +50,13 @@ class TestLocalSearch:
         start = AssortmentVector.from_set(3, {1, 2})
         assert local_search(catalog, forest, start).value == 20
 
+    def test_wrong_length_start_rejected(self):
+        catalog, tree = greedy_gap_tree()
+        forest = single_tree_forest(tree)
+        for start in (AssortmentVector((1, 1)), AssortmentVector((1,) * 9)):
+            with pytest.raises(DomainError):
+                local_search(catalog, forest, start)
+
     def test_never_beats_brute_force(self):
         for seed in range(25):
             catalog, forest = seeded_instance(seed)

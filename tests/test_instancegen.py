@@ -11,9 +11,6 @@ from dfopt.instancegen import (
     GeneratorConfig,
     TreeShape,
     gen_lambda,
-    gen_t1,
-    gen_t2,
-    gen_t3,
     generate_instance,
     gen_revenues,
     max3sat_to_instance,
@@ -62,7 +59,7 @@ class TestConfig:
 
 class TestT1:
     def test_minimal_shape(self):
-        forest = gen_t1(cfg("t1", n=2, depth=1, num_trees=1, seed=4))
+        forest = generate_instance(cfg("t1", n=2, depth=1, num_trees=1, seed=4))[1]
         tree = forest.trees[0]
         assert len(tree.split_ids) == 1
         assert len(tree.leaf_ids) == 2
@@ -74,7 +71,7 @@ class TestT1:
 
     def test_one_product_per_level(self):
         for seed in range(50):
-            forest = gen_t1(cfg("t1", seed=seed))
+            forest = generate_instance(cfg("t1", seed=seed))[1]
             for tree in forest.trees:
                 assert len(tree.leaf_ids) == 8
                 per_level = {}
@@ -95,15 +92,15 @@ class TestT1:
 class TestT2:
     def test_depth_one_matches_t1_distribution(self):
         # with one split per tree both families draw one uniform product
-        f1 = gen_t1(cfg("t1", n=5, depth=1, num_trees=40, seed=9))
-        f2 = gen_t2(cfg("t2", n=5, depth=1, num_trees=40, seed=9))
+        f1 = generate_instance(cfg("t1", n=5, depth=1, num_trees=40, seed=9))[1]
+        f2 = generate_instance(cfg("t2", n=5, depth=1, num_trees=40, seed=9))[1]
         p1 = sorted(t.split_product(t.split_ids[0]) for t in f1.trees)
         p2 = sorted(t.split_product(t.split_ids[0]) for t in f2.trees)
         assert set(p1) <= set(range(1, 6)) and set(p2) <= set(range(1, 6))
 
     def test_assumption_holds_by_construction(self):
         for seed in range(200):
-            forest = gen_t2(cfg("t2", seed=seed, num_trees=1))
+            forest = generate_instance(cfg("t2", seed=seed, num_trees=1))[1]
             tree = forest.trees[0]  # construction would have raised otherwise
             assert len(tree.leaf_ids) == 8
 
@@ -111,7 +108,7 @@ class TestT2:
         # unlike the per-level family, siblings at equal depth may share a product
         found = False
         for seed in range(100):
-            forest = gen_t2(cfg("t2", seed=seed, num_trees=2))
+            forest = generate_instance(cfg("t2", seed=seed, num_trees=2))[1]
             for tree in forest.trees:
                 for d in set(tree.depth[s] for s in tree.split_ids):
                     products = [
@@ -124,12 +121,12 @@ class TestT2:
 
 class TestT3:
     def test_minimal(self):
-        forest = gen_t3(cfg("t3", n=4, leaves=2, num_trees=1, seed=1))
+        forest = generate_instance(cfg("t3", n=4, leaves=2, num_trees=1, seed=1))[1]
         assert len(forest.trees[0].split_ids) == 1
 
     def test_leaf_count_exact(self):
         for seed in range(200):
-            forest = gen_t3(cfg("t3", seed=seed, num_trees=1))
+            forest = generate_instance(cfg("t3", seed=seed, num_trees=1))[1]
             tree = forest.trees[0]
             assert len(tree.leaf_ids) == 8
             assert len(tree.split_ids) == 7
@@ -137,7 +134,7 @@ class TestT3:
     def test_unbalanced_in_general(self):
         depth_spread = False
         for seed in range(30):
-            forest = gen_t3(cfg("t3", seed=seed, num_trees=1))
+            forest = generate_instance(cfg("t3", seed=seed, num_trees=1))[1]
             tree = forest.trees[0]
             depths = {tree.depth[l] for l in tree.leaf_ids}
             if len(depths) > 1:
@@ -146,17 +143,17 @@ class TestT3:
 
     def test_small_n_guard(self):
         with pytest.raises(ConfigError):
-            gen_t3(cfg("t3", n=2, leaves=16, num_trees=1, seed=0))
+            generate_instance(cfg("t3", n=2, leaves=16, num_trees=1, seed=0))
 
 
 class TestLeafOptions:
     def test_candidate_sets(self):
         for seed in range(50):
-            forest = gen_t1(cfg("t1", seed=seed, num_trees=2))
+            forest = generate_instance(cfg("t1", seed=seed, num_trees=2))[1]
             for tree in forest.trees:
                 for l in tree.leaf_ids:
-                    allowed = set(tree.leaf_in_products[l]) | {0}
-                    assert tree.leaf_option(l) in allowed
+                    offered = [tree.split_product(s) for s, left in tree.path[l] if left]
+                    assert tree.leaf_option(l) in offered + [0]
 
     def test_traverse_never_leaves_assortment(self):
         rng = np.random.default_rng(0)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dfopt.errors import DomainError, SizeGuardError, ValidationError
+from dfopt.formulations import Kind, capacity_rows
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import (
     AssortmentVector,
@@ -74,16 +75,20 @@ class TestTreeValidation:
 
     def test_repeat_across_branches_allowed(self):
         _, tree = split_relax_tree()
-        assert tree.products == (1, 2)
+        assert tree.path[4] == ((1, True), (2, True))
+        assert tree.path[7] == ((1, False), (3, False))
+        assert [key for key, *_ in capacity_rows(Kind.PRODUCT, tree)] == [1, 1, 2, 2]
 
     def test_index_sets(self):
         _, tree = greedy_gap_tree()
         assert tree.left_leaves[1] == (6, 7, 8, 9)
         assert tree.right_leaves[1] == (10, 11)
-        assert tree.product_left_leaves[3] == (6, 8, 10)
-        assert tree.product_right_leaves[3] == (7, 9, 11)
-        assert tree.leaf_in_products[6] == (1, 2, 3)
-        assert tree.leaf_out_products[11] == (1, 3)
+        assert tree.path[6] == ((1, True), (2, True), (4, True))
+        assert tree.path[11] == ((1, False), (3, False))
+        rows = capacity_rows(Kind.PRODUCT, tree)
+        by_side = {(key, left): leaves for key, _, left, leaves, _ in rows}
+        assert by_side[3, True] == (6, 8, 10)
+        assert by_side[3, False] == (7, 9, 11)
 
     def test_weights_must_sum_to_one(self):
         tree = single_leaf_tree()
@@ -208,6 +213,13 @@ class TestExpectedRevenue:
         forest = single_tree_forest(tree)
         x = AssortmentVector.from_set(3, {1, 2, 3})
         assert expected_revenue(catalog, forest, x) == 20
+
+    def test_wrong_length_rejected(self):
+        catalog, tree = greedy_gap_tree()
+        forest = single_tree_forest(tree)
+        for x in ((1, 1), (1,) * 4, AssortmentVector((1,) * 9)):
+            with pytest.raises(DomainError):
+                expected_revenue(catalog, forest, x)
 
     def test_permutation_invariance(self):
         catalog, forest = seeded_instance(3, num_trees=4)

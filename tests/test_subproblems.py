@@ -198,7 +198,6 @@ class TestLeafGreedy:
             kind=trace.kind,
             events=tuple(e for e in trace.events if e != EVENT_C),
             f={k: v for k, v in trace.f.items() if k != EVENT_C},
-            order=trace.order,
         )
         with pytest.raises(ContractViolation):
             leaf_dual_greedy(catalog, tree, broken)
@@ -264,7 +263,6 @@ class TestSplitGreedy:
             kind=trace.kind,
             events=(stray,) + trace.events,
             f={stray: 0, **trace.f},
-            order=trace.order,
         )
         with pytest.raises(ContractViolation):
             split_dual_greedy(catalog, tree, broken)
@@ -350,7 +348,8 @@ class TestIntegerCut:
             assert value == r_star
             assert cert.gamma == r_star
             assert not cert.alpha  # no split was crossed to the right
-            for s in tree.left_splits[leaf_star]:
+            for s, went_left in tree.path[leaf_star]:
+                assert went_left  # every product is offered
                 expect = max(
                     catalog.leaf_revenue(tree, l) for l in tree.right_leaves[s]
                 ) - r_star
