@@ -279,45 +279,19 @@ def _clause_tree(clause: tuple[int, int, int], signal_product: int) -> PurchaseT
     the literal evaluates true leads to a leaf buying the signal product, the
     other branch falls through to the next literal, and the final
     fall-through leaf is a no-purchase.
+
+    Node ids: root 0, its no-purchase leaf 1; literal k tests at split
+    2 + 2k with its satisfying leaf at 3 + 2k, and the final fall-through
+    leaf is 8.
     """
-    nodes: dict[int, Node] = {}
-    next_id = 0
-
-    def alloc(node: Node) -> int:
-        nonlocal next_id
-        nodes[next_id] = node
-        next_id += 1
-        return next_id - 1
-
-    root = alloc(Split(signal_product, left=-1, right=-1))
-    zero_right = alloc(Leaf(0))
-
-    chain_parent = root
-    attach_left = True  # which child of chain_parent receives the next split
+    nodes: dict[int, Node] = {0: Split(signal_product, left=2, right=1), 1: Leaf(0)}
     for k, lit in enumerate(clause):
-        split_id = alloc(Split(abs(lit), left=-1, right=-1))
-        sat_leaf = alloc(Leaf(signal_product))
-        if k < 2:
-            cont_id = -1  # patched when the next split is allocated
-        else:
-            cont_id = alloc(Leaf(0))
-        if lit > 0:
-            left, right = sat_leaf, cont_id
-            next_attach_left = False
-        else:
-            left, right = cont_id, sat_leaf
-            next_attach_left = True
-        nodes[split_id] = Split(abs(lit), left, right)
-        parent = nodes[chain_parent]
-        if chain_parent == root:
-            nodes[root] = Split(parent.product, left=split_id, right=zero_right)
-        elif attach_left:
-            nodes[chain_parent] = Split(parent.product, split_id, parent.right)
-        else:
-            nodes[chain_parent] = Split(parent.product, parent.left, split_id)
-        chain_parent = split_id
-        attach_left = next_attach_left
-    return PurchaseTree(nodes, root)
+        split, sat, cont = 2 + 2 * k, 3 + 2 * k, 4 + 2 * k
+        left, right = (sat, cont) if lit > 0 else (cont, sat)
+        nodes[split] = Split(abs(lit), left, right)
+        nodes[sat] = Leaf(signal_product)
+    nodes[8] = Leaf(0)
+    return PurchaseTree(nodes, root=0)
 
 
 def max3sat_to_instance(

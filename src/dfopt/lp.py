@@ -7,26 +7,26 @@ inverse is updated by elementary row operations and refactorized
 periodically.
 
 Every row i owns a slack ("logical") column at n + i: bounds [0, inf) for
-an inequality row, [0, 0] for an equality row.  The cold solve covers the
-rows its slacks cannot with phase-1 artificials; artificial i is its row's
-slack up to sign, so when phase 1 ends each basic artificial is swapped for
-that slack and every optimal solution carries a basis that restarts a solve.
+an inequality row, [0, 0] for an equality row.  So the slack basis, with
+every structural column at its lower bound, exists for every program, and
+every optimal solution carries a basis that restarts a solve.
 
-``solve_lp(lp, warm=None)`` is the one entry point.  Without a start basis
-it runs the two-phase primal simplex.  A start basis (``LpSolution.basis``
-of an earlier solve) is first extended by the slacks of any rows appended
-after its own rows, then used as follows:
+``solve_lp(lp, warm=None)`` is the one entry point, and every solve takes
+one path from a start basis.  The start is the slack basis, or a given
+start basis (``LpSolution.basis`` of an earlier solve) extended by the
+slacks of any rows appended after its own rows.  When the start is primal
+infeasible, the bounded dual simplex runs first: on the true costs when the
+start is dual feasible (the same rows and costs after a right-hand-side or
+bound change, or with rows appended), otherwise on zero costs, under which
+every basis is dual feasible, so that the dual serves as phase 1.  The
+primal simplex then reaches or confirms the optimum.
 
-- primal feasible: the primal simplex runs from it;
-- dual feasible (the same rows and costs after a right-hand-side or bound
-  change, or with rows appended): the bounded dual simplex runs from it and
-  the primal simplex confirms optimality;
-- neither, or a numerical failure on the way: a cold two-phase solve.
-
-``LpSolution.warm`` tells whether the start basis was accepted.  This covers
-the re-solves of the decomposition: a master after its cuts are appended, a
-product-oracle LP at new levels x, and a branch-and-bound child after one
-bound change.  ``solve_lp_multi`` tries several start bases in turn.
+A given start basis that does not fit the program, is singular, or fails
+numerically on the way falls back to the slack basis; ``LpSolution.warm``
+tells whether the given basis served.  This covers the re-solves of the
+decomposition: a master after its cuts are appended, a product-oracle LP at
+new levels x, and a branch-and-bound child after one bound change.
+``solve_lp_multi`` tries several start bases in turn.
 
 Pivoting is deterministic: Dantzig pricing with smallest-index tie breaks,
 switching to Bland's rule after 3*(rows+cols) degenerate steps; the dual
@@ -148,7 +148,7 @@ class LpSolution:
     ``refactorizations`` (basis inverses computed from scratch, the first one
     included) count the work of the solve that produced the result; ``warm``
     is true when that solve started from the given start basis, false for a
-    cold two-phase solve.
+    solve from the slack basis.
     """
 
     status: str
@@ -173,9 +173,8 @@ class _Canonical:
 
     Columns: structural variables first, then row i's slack at n + i (>= rows
     are negated to <= first).  Inequality slacks range over [0, inf),
-    equality slacks are fixed at 0.  Artificial columns exist only during
-    phase 1 of a cold start.  ``row_sign`` maps internal duals back to the
-    original row orientation.
+    equality slacks are fixed at 0.  ``row_sign`` maps internal duals back to
+    the original row orientation.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -197,27 +196,27 @@ def _pivot_tol(v: np.ndarray) -> float:
 
 
 class _Simplex:
-    def __init__(self, can: _Canonical):
-        self.can = can
+    """Simplex state of ``can`` at a start basis, factorized on construction.
+
+    Nonbasic columns sit at their lower bound except those in ``at_upper``.
+    """
+
+    def __init__(self, can: _Canonical, basis, at_upper=()):
         self.A = can.A
         self.b = can.b
-        self.lb = can.lb.copy()
-        self.ub = can.ub.copy()
-        self.m = can.A.shape[0]
+        self.lb = can.lb
+        self.ub = can.ub
         self.pivots = 0
         self.refactorizations = 0
-
-    # -- state helpers ----------------------------------------------------
-
-    def _setup(self, basis: list[int], at_upper):
         self.basis = np.asarray(basis, dtype=int)
         ncols = self.A.shape[1]
         self.is_basic = np.zeros(ncols, dtype=bool)
         self.is_basic[self.basis] = True
         self.at_upper = np.zeros(ncols, dtype=bool)
-        for j in at_upper:
-            self.at_upper[j] = True
+        self.at_upper[list(at_upper)] = True
         self._factorize()
+
+    # -- state helpers ----------------------------------------------------
 
     def _factorize(self):
         B = self.A[:, self.basis]
@@ -289,7 +288,7 @@ class _Simplex:
 
     # -- primal simplex ----------------------------------------------------
 
-    def run(self, c: np.ndarray, phase_one: bool) -> str:
+    def run(self, c: np.ndarray) -> str:
         """Primal simplex from a primal feasible basis."""
         m, ncols = self.A.shape
         max_iter = 50 * (m + ncols) + 10_000
@@ -374,10 +373,7 @@ class _Simplex:
             if self._pivot(leave_pos, j, w, leave_to_upper):
                 x_b = self._basic_values()
 
-        raise SolverError(
-            "simplex iteration limit exceeded",
-            {"phase_one": phase_one, "pivots": self.pivots},
-        )
+        raise SolverError("simplex iteration limit exceeded", {"pivots": self.pivots})
 
     # -- dual simplex ------------------------------------------------------
 
@@ -387,7 +383,9 @@ class _Simplex:
         Returns OPTIMAL once every basic value is within LEAVE_TOL of its
         bounds (on a fresh factorization), INFEASIBLE when a row shows that
         no point satisfies the bounds.  Raises SolverError when that row's
-        proof does not hold up without the pivot tolerance.
+        proof does not hold up without the pivot tolerance.  Under zero
+        costs every basis is dual feasible, and OPTIMAL means primal
+        feasible: that is phase 1.
         """
         m, ncols = self.A.shape
         max_iter = 50 * (m + ncols) + 10_000
@@ -476,49 +474,6 @@ class _Simplex:
         )
 
 
-def _cold_start(can: _Canonical, sim: _Simplex) -> str:
-    """Phase 1: artificial columns cover rows infeasible at the lower-bound point.
-
-    An inequality row whose residual there is nonnegative starts with its
-    slack basic; every other row gets an artificial +-e_i.  A basic
-    artificial left at the end (at value 0) is its row's slack up to sign,
-    so it is swapped for that slack, and the artificials are dropped.
-    """
-    m, ncols = can.A.shape
-    n = can.n_struct
-    resid = can.b - can.A @ can.lb
-    sign = np.where(resid >= 0.0, 1.0, -1.0)
-    arts = [i for i in range(m) if resid[i] < 0.0 or can.ub[n + i] == 0.0]
-    basis = list(range(n, n + m))
-    for k, i in enumerate(arts):
-        basis[i] = ncols + k
-    if arts:
-        art_cols = np.zeros((m, len(arts)))
-        art_cols[arts, range(len(arts))] = sign[arts]
-        sim.A = np.hstack([can.A, art_cols])
-        sim.lb = np.concatenate([sim.lb, np.zeros(len(arts))])
-        sim.ub = np.concatenate([sim.ub, np.full(len(arts), np.inf)])
-    sim._setup(basis, ())
-    if not arts:
-        return OPTIMAL
-
-    c1 = np.zeros(sim.A.shape[1])
-    c1[ncols:] = 1.0
-    if sim.run(c1, phase_one=True) != OPTIMAL:
-        raise SolverError("phase 1 did not terminate at an optimum", {})
-    if float(c1 @ _full_point(sim)) > FEAS_TOL:
-        return INFEASIBLE
-    for pos in np.flatnonzero(sim.basis >= ncols):
-        i = arts[sim.basis[pos] - ncols]
-        sim.basis[pos] = n + i
-        sim.Binv[pos, :] *= sign[i]  # B's column at pos changes sign with it
-    sim.A, sim.lb, sim.ub = can.A, sim.lb[:ncols], sim.ub[:ncols]
-    sim.at_upper = sim.at_upper[:ncols]
-    sim.is_basic = np.zeros(ncols, dtype=bool)
-    sim.is_basic[sim.basis] = True
-    return OPTIMAL
-
-
 def _full_point(sim: _Simplex) -> np.ndarray:
     vals = sim._nonbasic_values()
     x_b = sim._basic_values()
@@ -579,14 +534,23 @@ def _status_only(status: str, sim: _Simplex, warm: bool) -> LpSolution:
     )
 
 
-def _solve_cold(lp: LinearProgram, can: _Canonical) -> LpSolution:
-    """Two-phase primal simplex from the slack/artificial basis."""
-    sim = _Simplex(can)
-    if _cold_start(can, sim) == INFEASIBLE:
-        return _status_only(INFEASIBLE, sim, False)
-    if sim.run(can.c_min, phase_one=False) == UNBOUNDED:
-        return _status_only(UNBOUNDED, sim, False)
-    return _extract(lp, can, sim, False)
+def _solve(
+    lp: LinearProgram, can: _Canonical, sim: _Simplex, warm: bool
+) -> LpSolution:
+    """Optimize from the start basis ``sim`` holds.
+
+    A primal infeasible start goes through the dual simplex first, on the
+    true costs when the start is dual feasible and on zero costs otherwise.
+    """
+    c = can.c_min
+    below, above = sim._bound_violation(sim._basic_values())
+    if max(below.max(initial=0.0), above.max(initial=0.0)) > FEAS_TOL:
+        dual_feasible = sim._priced_out(sim._reduced_costs(c)).size == 0
+        if sim.dual(c if dual_feasible else np.zeros_like(c)) == INFEASIBLE:
+            return _status_only(INFEASIBLE, sim, warm)
+    if sim.run(c) == UNBOUNDED:
+        return _status_only(UNBOUNDED, sim, warm)
+    return _extract(lp, can, sim, warm)
 
 
 def _start(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":
@@ -604,33 +568,21 @@ def _start(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":
         or any(not np.isfinite(can.ub[j]) for j in warm.at_upper)
     ):
         return None
-    sim = _Simplex(can)
     try:
-        sim._setup(basic, warm.at_upper)
+        return _Simplex(can, basic, warm.at_upper)
     except SolverError:
         return None
-    return sim
 
 
 def _solve_warm(
     lp: LinearProgram, can: _Canonical, warm: WarmBasis
 ) -> "LpSolution | None":
-    """Solve from ``warm`` if it is primal or dual feasible; None sends the
-    caller to a cold solve."""
+    """Solve from ``warm``; None sends the caller to the slack basis."""
     sim = _start(can, warm)
     if sim is None:
         return None
-    c = can.c_min
     try:
-        below, above = sim._bound_violation(sim._basic_values())
-        if max(below.max(initial=0.0), above.max(initial=0.0)) > FEAS_TOL:
-            if sim._priced_out(sim._reduced_costs(c)).size:
-                return None
-            if sim.dual(c) == INFEASIBLE:
-                return _status_only(INFEASIBLE, sim, True)
-        if sim.run(c, phase_one=False) == UNBOUNDED:
-            return _status_only(UNBOUNDED, sim, True)
-        return _extract(lp, can, sim, True)
+        return _solve(lp, can, sim, True)
     except SolverError:
         return None
 
@@ -638,9 +590,9 @@ def _solve_warm(
 def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
     """Solve ``lp``, from the start basis ``warm`` when it is usable.
 
-    An unusable start basis (it does not fit, is singular, is neither primal
-    nor dual feasible, or the warm solve fails numerically) falls back to a
-    cold two-phase solve; ``LpSolution.warm`` tells which one served.
+    An unusable start basis (it does not fit, is singular, or the warm solve
+    fails numerically) falls back to the slack basis; ``LpSolution.warm``
+    tells which one served.
     """
     lp.validate()
     can = _Canonical(lp)
@@ -648,7 +600,8 @@ def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
         sol = _solve_warm(lp, can, warm)
         if sol is not None:
             return sol
-    return _solve_cold(lp, can)
+    slacks = range(can.n_struct, can.A.shape[1])
+    return _solve(lp, can, _Simplex(can, slacks), False)
 
 
 def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:

@@ -308,16 +308,26 @@ def traverse(tree: PurchaseTree, x) -> tuple[int, int]:
     """Walk a binary assortment down the tree.
 
     Returns ``(option, leaf_id)`` for the unique leaf reached by going left at
-    a split exactly when its product is offered.  Requires binary levels.
+    a split exactly when its product is offered.  Requires binary levels.  An
+    x too short for a product the walk tests raises DomainError; a too-long x
+    is caught only by callers that hold a catalog.
     """
     vals = as_values(x)
     _check_binary(vals)
-    return _walk(tree, vals)
+    try:
+        return _walk(tree, vals)
+    except IndexError:
+        raise DomainError(
+            f"assortment has {len(vals)} levels, too few for the tree"
+        ) from None
 
 
-def choice_probability(forest: DecisionForest, option: int, x) -> Number:
+def choice_probability(
+    catalog: ProductCatalog, forest: DecisionForest, option: int, x
+) -> Number:
     """Probability that a random customer picks ``option`` from assortment x."""
     vals = as_values(x)
+    check_size(catalog, vals)
     if option != NO_PURCHASE:
         if not 1 <= option <= len(vals):
             raise DomainError(f"option {option} out of range")

@@ -5,7 +5,8 @@ split products, leaf options), not by ``dfopt.formulations``: x levels in
 [0, 1], one weight per (tree, leaf) summing to 1 per tree, capacity rows at
 the leaf, split or product granularity, and an optional cardinality row.
 ``linprog`` checks both relaxation solvers, ``milp`` with x binary checks
-the integer optimum of every exact method.
+the integer optimum of every exact method.  A property over small random
+LPs checks ``solve_lp`` itself against ``linprog``.
 """
 
 import numpy as np
@@ -14,8 +15,14 @@ import pytest
 pytest.importorskip("scipy")
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp  # noqa: E402
 
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # the property test is skipped
+    given = None
+
 from dfopt import build, cli, relaxation_phase, solve_relaxation  # noqa: E402
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance  # noqa: E402
+from dfopt.lp import EQ, GE, LE, LinearProgram, solve_lp  # noqa: E402
 from dfopt.model import Split  # noqa: E402
 
 KINDS = ("leaf", "split", "product")
@@ -142,3 +149,67 @@ def test_integer_optimum_matches_highs(n, shape, trees, seed, cardinality):
         row = cli.solve_one(catalog, forest, method, cardinality=cardinality, timings=False)
         assert row["optimal"], method
         assert row["value"] == pytest.approx(ref, abs=1e-6), method
+
+
+def random_lp(rng) -> LinearProgram:
+    """Up to 6 x 6 with small integer data, rows of every sense.
+
+    Three draws in four have a right-hand side that admits a lattice point
+    inside the bounds; the rest are drawn freely and are mostly infeasible.
+    Free upper bounds make some draws unbounded.
+    """
+    m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    senses = [(LE, GE, EQ)[k] for k in rng.integers(0, 3, size=m)]
+    c = rng.integers(-3, 4, size=n).astype(float)
+    lb = rng.integers(-2, 1, size=n).astype(float)
+    ub = np.where(rng.random(n) < 0.5, np.inf, lb + rng.integers(0, 4, size=n))
+    if rng.random() < 0.75:
+        x0 = lb + rng.integers(0, 2, size=n) * np.minimum(ub - lb, 1.0)
+        room = np.array([{LE: 1, GE: -1, EQ: 0}[s] for s in senses])
+        b = A @ x0 + room * rng.integers(0, 3, size=m)
+    else:
+        b = rng.integers(-4, 5, size=m).astype(float)
+    return LinearProgram.build(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub)
+
+
+def highs_lp(lp: LinearProgram) -> tuple[str, "float | None"]:
+    """Status and optimum of ``lp`` by ``linprog``.
+
+    Feasibility is settled first, on zero costs: HiGHS's presolve can report
+    an unbounded program as infeasible, and a feasible program without an
+    optimum is unbounded.
+    """
+    sign = np.array([-1.0 if s == GE else 1.0 for s in lp.senses])
+    ineq = np.array([s != EQ for s in lp.senses])
+    kwargs = dict(
+        A_ub=(lp.A * sign[:, None])[ineq] if ineq.any() else None,
+        b_ub=(lp.b * sign)[ineq] if ineq.any() else None,
+        A_eq=lp.A[~ineq] if not ineq.all() else None,
+        b_eq=lp.b[~ineq] if not ineq.all() else None,
+        bounds=[(lo, hi if np.isfinite(hi) else None) for lo, hi in zip(lp.lb, lp.ub)],
+        method="highs",
+    )
+    feasible = linprog(np.zeros(lp.num_cols), **kwargs)
+    assert feasible.status in (0, 2), feasible.message
+    if feasible.status == 2:
+        return "infeasible", None
+    res = linprog(-lp.c, **kwargs)
+    return ("optimal", -float(res.fun)) if res.status == 0 else ("unbounded", None)
+
+
+def check_against_highs(seed: int) -> None:
+    lp = random_lp(np.random.default_rng(seed))
+    status, objective = highs_lp(lp)
+    sol = solve_lp(lp)
+    assert sol.status == status
+    if status == "optimal":
+        assert sol.objective == pytest.approx(objective, abs=1e-7)
+
+
+if given is not None:
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_solve_lp_matches_highs(seed):
+        check_against_highs(seed)

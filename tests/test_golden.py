@@ -7,7 +7,8 @@ therefore pin the row layout and the certificates (including the insertion
 order of their multipliers) independently of how they are computed.  The
 greedy oracles are fed exact Fraction levels, so their weights and duals are
 exact too; their digest leaves out the event trace and the multipliers'
-insertion order and pins only what the sweeps compute.
+insertion order and pins only what the sweeps compute.  The 3-CNF reduction's
+instances are pinned byte for byte through their JSON.
 """
 
 import hashlib
@@ -16,7 +17,14 @@ from fractions import Fraction
 import numpy as np
 
 from dfopt.formulations import Kind, build
-from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
+from dfopt.instancegen import (
+    GeneratorConfig,
+    TreeShape,
+    generate_instance,
+    max3sat_to_instance,
+    random_formula,
+)
+from dfopt.model import instance_to_json
 from dfopt.subproblems import (
     EVENT_C,
     integer_cut,
@@ -37,6 +45,7 @@ SEEDS = (0, 1, 2)
 BUILD_DIGEST = "8c62edd2acf0ef72ec306a61d8ac546f319a910a7e8d3838510d1a62f563114e"
 CUT_DIGEST = "d6b83d0a891b89657e8e4eeb3c0a7b572cdefd2f120faa6412fa868e7afba380"
 GREEDY_DIGEST = "5a93574def137c3a8d6cafe2d5b192ceff87d3cbab95291e3e326e17687af6f5"
+CLAUSE_TREE_DIGEST = "914f01667d2de2486ba0bdc91bdd361051267057a985283b683148dbe7c2b9bb"
 
 
 def golden_instances():
@@ -122,3 +131,15 @@ def test_greedy_oracles_are_pinned():
                 y, value = product_greedy_sweep(catalog, tree, x)
                 h.update(repr((sorted(y.items()), value)).encode())
     assert h.hexdigest() == GREEDY_DIGEST
+
+
+def test_reduction_instances_are_pinned():
+    # 300 random formulas, 3-10 variables and 1-15 clauses each
+    rng = np.random.default_rng(303)
+    h = hashlib.sha256()
+    for _ in range(300):
+        k = int(rng.integers(3, 11))
+        m = int(rng.integers(1, 16))
+        formula = random_formula(rng, num_vars=k, num_clauses=m)
+        h.update(instance_to_json(*max3sat_to_instance(formula)).encode())
+    assert h.hexdigest() == CLAUSE_TREE_DIGEST

@@ -380,6 +380,34 @@ class TestDualSimplex:
             x = lp_module._full_point(sim)[: changed.num_cols]
             assert changed.c @ x == pytest.approx(cold.objective, abs=1e-9)
 
+    def test_start_neither_primal_nor_dual_feasible_is_served(self):
+        # new costs and right-hand sides: the old basis fits neither
+        # simplex, so the zero-cost dual runs from it as phase 1
+        neither = 0
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            lp = mixed_lp(rng)
+            sol = solve_lp(lp)
+            changed = LinearProgram.build(
+                c=lp.c + rng.normal(size=lp.num_cols), A=lp.A, senses=lp.senses,
+                b=lp.b + rng.normal(scale=0.5, size=lp.num_rows), lb=lp.lb, ub=lp.ub,
+            )
+            can = lp_module._Canonical(changed)
+            sim = lp_module._start(can, sol.basis)
+            below, above = sim._bound_violation(sim._basic_values())
+            if (
+                max(below.max(), above.max()) > lp_module.FEAS_TOL
+                and sim._priced_out(sim._reduced_costs(can.c_min)).size
+            ):
+                neither += 1
+            warm = solve_lp(changed, warm=sol.basis)
+            cold = solve_lp(changed)
+            assert warm.warm and warm.status == cold.status
+            if cold.status == "optimal":
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert_kkt(changed, warm)
+        assert neither >= 4
+
     def test_child_made_infeasible_is_proved_warm(self):
         # max x0 - x1  s.t.  x0 + x1 >= 1.5 on the unit box: x1 = 0.5 is basic;
         # fixing it to 0 leaves no feasible point
@@ -410,8 +438,8 @@ class TestDualSimplex:
 def duplicated_equality_lp() -> LinearProgram:
     """max 2x + y  s.t.  x + y = 1 (written twice), x <= 0.5, x, y in [0, 1].
 
-    One copy of the equality row is redundant, so one phase-1 artificial
-    stays basic (at 0) however phase 1 pivots.
+    One copy of the equality row is redundant, so the fixed slack of one of
+    the two copies stays basic (at 0) however the solve pivots.
     """
     return LinearProgram.build(
         c=[2.0, 1.0], A=[[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]],
@@ -425,19 +453,6 @@ class TestRedundantRows:
         assert sol.status == "optimal" and sol.basis is not None
         assert sol.objective == pytest.approx(1.5, abs=1e-12)
         assert verify_solution_exact(duplicated_equality_lp(), sol)["optimal"]
-
-    def test_phase_one_swap_keeps_the_inverse(self):
-        # -x - y = -1 written twice: both rows start on an artificial -e_i,
-        # one of them is still basic (at 0) when phase 1 ends, and its row's
-        # fixed slack, +e_i, takes its place
-        lp = LinearProgram.build(
-            c=[-1.0, -2.0], A=[[-1.0, -1.0], [-1.0, -1.0]], senses=[EQ, EQ], b=[-1.0, -1.0]
-        )
-        can = lp_module._Canonical(lp)
-        sim = lp_module._Simplex(can)
-        assert lp_module._cold_start(can, sim) == "optimal"
-        assert sim.A is can.A and sim.basis.max() < can.A.shape[1]
-        assert np.allclose(sim.Binv @ can.A[:, sim.basis], np.eye(2), atol=1e-12)
 
     def test_basis_starts_an_appended_equality_row(self):
         # y - x = 0.2 cuts off the old optimum (0.5, 0.5): the row's fixed

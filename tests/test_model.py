@@ -142,6 +142,13 @@ class TestTraverse:
         with pytest.raises(DomainError):
             traverse(tree, (0.5, 0, 0, 0, 0))
 
+    def test_too_short_input_rejected(self):
+        # the 2-level x has no level for the products further down
+        catalog, forest = seeded_instance(1, n=6, leaves=6)
+        for tree in forest.trees:
+            with pytest.raises(DomainError):
+                traverse(tree, (1, 1))
+
     def test_generated_options_stay_offered(self):
         # leaf options are consistent by construction: never an off-assortment buy
         for seed in range(30):
@@ -161,23 +168,32 @@ class TestTraverse:
 
 class TestChoiceProbability:
     def test_single_leaf_no_purchase(self):
+        catalog = ProductCatalog(n=1, revenues=(5,))
         forest = single_tree_forest(single_leaf_tree())
         for s in [set(), {1}]:
-            assert choice_probability(forest, 0, AssortmentVector.from_set(1, s)) == 1
+            x = AssortmentVector.from_set(1, s)
+            assert choice_probability(catalog, forest, 0, x) == 1
 
     def test_five_product_probabilities(self):
-        _, tree = five_product_tree()
+        catalog, tree = five_product_tree()
         forest = single_tree_forest(tree)
         x = AssortmentVector.from_set(5, {1, 3, 4, 5})
-        assert choice_probability(forest, 5, x) == 1
+        assert choice_probability(catalog, forest, 5, x) == 1
         for j in [1, 3, 4, 0]:
-            assert choice_probability(forest, j, x) == 0
+            assert choice_probability(catalog, forest, j, x) == 0
 
     def test_rejects_unoffered_option(self):
-        _, tree = five_product_tree()
+        catalog, tree = five_product_tree()
         forest = single_tree_forest(tree)
         with pytest.raises(DomainError):
-            choice_probability(forest, 2, AssortmentVector.from_set(5, {1, 3}))
+            choice_probability(catalog, forest, 2, AssortmentVector.from_set(5, {1, 3}))
+
+    def test_wrong_length_rejected(self):
+        # a 9-level x on n = 6 once gave a probability; a 2-level one an IndexError
+        catalog, forest = seeded_instance(1, n=6, leaves=6)
+        for x in ((1,) * 9, (1, 1)):
+            with pytest.raises(DomainError):
+                choice_probability(catalog, forest, 0, x)
 
     def test_matches_per_tree_tally(self):
         catalog, forest = seeded_instance(11, num_trees=3)
@@ -188,7 +204,7 @@ class TestChoiceProbability:
                 for tree, w in zip(forest.trees, forest.weights)
                 if traverse(tree, x)[0] == option
             )
-            assert choice_probability(forest, option, x) == pytest.approx(expected)
+            assert choice_probability(catalog, forest, option, x) == pytest.approx(expected)
 
     def test_probabilities_sum_to_one(self):
         for seed in range(100):
@@ -196,7 +212,7 @@ class TestChoiceProbability:
             members = {i for i in range(1, 7) if (seed >> i) & 1}
             x = AssortmentVector.from_set(6, members)
             total = sum(
-                choice_probability(forest, j, x) for j in sorted(members) + [0]
+                choice_probability(catalog, forest, j, x) for j in sorted(members) + [0]
             )
             assert total == pytest.approx(1.0, abs=1e-12)
 
