@@ -1,15 +1,22 @@
 """Dense bounded-variable primal and dual simplex.
 
-Solves  max c'x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub  over an explicit
-basis inverse.  Geared to the desk-scale problems this package builds
-(hundreds of rows/columns): matrices are dense numpy arrays, the basis
-inverse is updated by elementary row operations and refactorized
-periodically.
+Solves  max c'x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub.  Geared to the
+desk-scale problems this package builds (hundreds of rows/columns):
+matrices are dense numpy arrays.
 
 Every row i owns a slack ("logical") column at n + i: bounds [0, inf) for
 an inequality row, [0, 0] for an equality row.  So the slack basis, with
 every structural column at its lower bound, exists for every program, and
 every optimal solution carries a basis that restarts a solve.
+
+The simplex reaches its basis only through ftran (B^-1 a), btran
+(c_B' B^-1) and one row of B^-1, and behind them factorizes only the basis
+kernel: the rows whose slack is nonbasic against the basic structural
+columns, a square block of order k <= min(rows, cols).  A basic slack
+covers its own row, so the slack block stays implicit.  This fits the cut
+masters, which have far more rows than basic structural columns.  The dense
+kernel inverse is updated at every pivot (rank-1, or bordered when a slack
+leaves or enters the basis) and refactorized periodically.
 
 ``solve_lp(lp, warm=None)`` is the one entry point, and every solve takes
 one path from a start basis.  The start is the slack basis, or a given
@@ -145,10 +152,10 @@ class LpSolution:
     """Result of one solve.
 
     ``basis`` is set exactly when the status is optimal.  ``pivots`` and
-    ``refactorizations`` (basis inverses computed from scratch, the first one
-    included) count the work of the solve that produced the result; ``warm``
-    is true when that solve started from the given start basis, false for a
-    solve from the slack basis.
+    ``refactorizations`` (basis kernels factorized from scratch, the first
+    one included, also when the kernel is empty) count the work of the solve
+    that produced the result; ``warm`` is true when that solve started from
+    the given start basis, false for a solve from the slack basis.
     """
 
     status: str
@@ -169,20 +176,24 @@ class LpSolution:
 
 
 class _Canonical:
-    """Internal minimization form: A z = b, all rows equalities via slacks.
+    """Internal minimization form: A z + s = b, all rows equalities via slacks.
 
     Columns: structural variables first, then row i's slack at n + i (>= rows
-    are negated to <= first).  Inequality slacks range over [0, inf),
-    equality slacks are fixed at 0.  ``row_sign`` maps internal duals back to
-    the original row orientation.
+    are negated to <= first).  Only the structural part ``A`` is stored (with
+    its transpose ``AT``); a slack column is the unit vector of its row.
+    Inequality slacks range over [0, inf), equality slacks are fixed at 0,
+    and every slack costs 0 in ``c_min``.  ``row_sign`` maps internal duals
+    back to the original row orientation.
     """
 
     def __init__(self, lp: LinearProgram):
         m, n = lp.A.shape
         self.lp = lp
         self.n_struct = n
+        self.num_rows = m
         self.row_sign = np.array([-1.0 if s == GE else 1.0 for s in lp.senses])
-        self.A = np.hstack([lp.A * self.row_sign[:, None], np.eye(m)])
+        self.A = lp.A * self.row_sign[:, None]
+        self.AT = np.ascontiguousarray(self.A.T)
         self.b = lp.b * self.row_sign
         slack_ub = np.array([0.0 if s == EQ else np.inf for s in lp.senses])
         self.lb = np.concatenate([lp.lb, np.zeros(m)])
@@ -195,10 +206,164 @@ def _pivot_tol(v: np.ndarray) -> float:
     return max(ETA_TOL, 1e-9 * float(np.abs(v).max(initial=0.0)))
 
 
+class _Kernel:
+    """The part of a basis of [A | I] that its slacks do not cover, inverted.
+
+    The kernel is K = A[rows, cols]: ``cols`` are the basic structural
+    columns and ``rows`` the rows whose slack is nonbasic, so K is square,
+    of order k.  A basic slack covers its own row, so the rest of the basis
+    B stays implicit: B^-1 a holds K^-1 a[rows] at the kernel positions and
+    a_i - A[i, cols] K^-1 a[rows] at the position of row i's slack.  Nothing
+    of order m x m is formed.
+
+    ``replace`` keeps rows and columns up to date at every pivot and updates
+    ``inv`` = K^-1 in place of a refactorization.  Kernel rows and columns
+    live in buffers of min(m, n) entries; one that leaves the kernel is
+    overwritten by the last.
+    """
+
+    def __init__(self, A: np.ndarray, AT: np.ndarray, basis: np.ndarray, rows):
+        """The kernel of ``basis``, whose basic slacks leave ``rows`` uncovered."""
+        m, n = A.shape
+        self.A, self.AT, self.m, self.n = A, AT, m, n
+        cap = min(m, n)
+        # ftran's w[p] is z[at[p]] for z = [a - A[:, cols] x, x]: the slack
+        # row i at a slack position, m + (kernel index) at a kernel one
+        self.at = basis - n
+        pos = (self.at < 0).nonzero()[0]
+        k = len(pos)
+        slots = np.arange(k)
+        self.at[pos] = m + slots
+        self.row_slot = np.full(m, -1)  # kernel index of each kernel row
+        self.row_slot[rows] = slots
+        # basis position, column and row of each kernel index
+        self._pos, self._cols, self._rows = index = np.empty((3, cap), dtype=int)
+        index[:, :k] = pos, basis[pos], rows
+        self._full_rows = np.zeros((cap, n + m))  # [A | I][rows]
+        self._full_rows[:k, :n] = A[rows]
+        self._full_rows[slots, n + rows] = 1.0
+        self._AT_cols = np.empty((cap, m))  # A[:, cols] transposed
+        self._AT_cols[:k] = AT[self._cols[:k]]
+        self._resize(k)
+
+    def _resize(self, k: int):
+        self.k = k
+        self.pos = self._pos[:k]
+        self.cols = self._cols[:k]
+        self.rows = self._rows[:k]
+        self.full_rows = self._full_rows[:k]
+        self.AT_cols = self._AT_cols[:k]
+
+    def factorize(self):
+        """K^-1 afresh; raises LinAlgError when K is singular."""
+        K = self.full_rows[:, self.cols]
+        self.inv = np.linalg.inv(K) if self.k else K
+
+    def ftran(self, a: np.ndarray) -> np.ndarray:
+        """B^-1 a, by basis position."""
+        x = self.inv.dot(a[self.rows])
+        return np.concatenate((a - x.dot(self.AT_cols), x))[self.at]
+
+    def btran(self, c: np.ndarray) -> np.ndarray:
+        """Duals y of ``rows`` with y'K = c[cols]: y'B = c_B' when slacks cost 0.
+
+        Every other row's dual is 0.
+        """
+        return c[self.cols].dot(self.inv)
+
+    def row(self, p: int) -> np.ndarray:
+        """Row p of B^-1 times [A | I]: every column's entry in pivot row p."""
+        i = self.at[p]
+        if i >= self.m:
+            return self.inv[i - self.m].dot(self.full_rows)
+        alpha = -self.AT_cols[:, i].dot(self.inv).dot(self.full_rows)
+        alpha[: self.n] += self.A[i]
+        alpha[self.n + i] += 1.0
+        return alpha
+
+    def replace(self, p: int, j: int, w: np.ndarray, update: bool):
+        """Column j (w = B^-1 [A | I]_j) takes basis position p.
+
+        A structural column for a structural one is a rank-1 update of K^-1.
+        A structural column for the slack of row i borders K^-1 with row i
+        and column j; the slack of row l for a structural column removes
+        row l and that column (Schur complement); a slack for a slack
+        replaces one kernel row (Sherman-Morrison).  With ``update`` false
+        ``inv`` is left stale, for a refactorization.
+        """
+        m, n, k, M = self.m, self.n, self.k, self.inv
+        at = int(self.at[p])
+        if j < n and at >= m:
+            t = at - m
+            if update:
+                u = w[self.pos]
+                row = M[t] / u[t]
+                M -= u[:, None] * row
+                M[t] = row
+            self._cols[t] = j
+            self._AT_cols[t] = self.AT[j]
+        elif j < n:
+            i = at
+            if update:
+                u, s = w[self.pos], w[p]
+                v = self.AT_cols[:, i].dot(M) / s
+                grown = np.empty((k + 1, k + 1))
+                grown[:k, :k] = M + u[:, None] * v
+                grown[:k, k] = -u / s
+                grown[k, :k] = -v
+                grown[k, k] = 1.0 / s
+                self.inv = grown
+            self._pos[k], self._cols[k] = p, j
+            self._AT_cols[k] = self.AT[j]
+            self._set_row(k, i)
+            self.at[p], self.row_slot[i] = m + k, k
+            self._resize(k + 1)
+        elif at >= m:
+            t, a, last = at - m, self.row_slot[j - n], k - 1
+            if update:
+                col = M[:, a] / M[t, a]
+                row = M[t].copy()
+                col[t], row[a] = col[last], row[last]
+                M[t] = M[last]
+                M[:, a] = M[:, last]
+                self.inv = M[:last, :last] - col[:last, None] * row[:last]
+            q, r = self._pos[last], self._rows[last]
+            self._pos[t], self._cols[t] = q, self._cols[last]
+            self._AT_cols[t] = self._AT_cols[last]
+            self._rows[a] = r
+            self._full_rows[a] = self._full_rows[last]
+            self.at[q], self.row_slot[r] = m + t, a
+            self.at[p], self.row_slot[j - n] = j - n, -1
+            self._resize(last)
+        else:
+            i, a = at, self.row_slot[j - n]
+            if update:
+                g = self.AT_cols[:, i].dot(M)
+                col = M[:, a] / g[a]
+                M -= col[:, None] * g
+                M[:, a] = col
+            self._set_row(a, i)
+            self.at[p], self.row_slot[j - n], self.row_slot[i] = j - n, -1, a
+
+    def _set_row(self, slot: int, i: int):
+        """Kernel row ``slot`` becomes row i of [A | I]."""
+        self._rows[slot] = i
+        full = self._full_rows[slot]
+        full[: self.n] = self.A[i]
+        full[self.n :] = 0.0
+        full[self.n + i] = 1.0
+
+
 class _Simplex:
     """Simplex state of ``can`` at a start basis, factorized on construction.
 
-    Nonbasic columns sit at their lower bound except those in ``at_upper``.
+    Nonbasic columns sit at their lower bound except those in ``at_upper``;
+    ``x_b`` holds the basic values.  The basis is reached only through its
+    ``kernel``: ftran, btran and one row of B^-1.
+
+    The loops here and in the kernel call ndarray methods (``dot``,
+    ``nonzero``, ``argmax``) rather than ``@`` and the numpy functions: on
+    arrays of a few dozen entries each saves a microsecond or more per call.
     """
 
     def __init__(self, can: _Canonical, basis, at_upper=()):
@@ -206,22 +371,24 @@ class _Simplex:
         self.b = can.b
         self.lb = can.lb
         self.ub = can.ub
+        self.m, self.n = can.A.shape
         self.pivots = 0
         self.refactorizations = 0
-        self.basis = np.asarray(basis, dtype=int)
-        ncols = self.A.shape[1]
+        self.basis = np.array(basis, dtype=int)
+        ncols = self.n + self.m
         self.is_basic = np.zeros(ncols, dtype=bool)
         self.is_basic[self.basis] = True
         self.at_upper = np.zeros(ncols, dtype=bool)
         self.at_upper[list(at_upper)] = True
-        self._factorize()
+        rows = (~self.is_basic[self.n :]).nonzero()[0]
+        self.kernel = _Kernel(can.A, can.AT, self.basis, rows)
+        self._refactor()
 
     # -- state helpers ----------------------------------------------------
 
     def _factorize(self):
-        B = self.A[:, self.basis]
         try:
-            self.Binv = np.linalg.inv(B)
+            self.kernel.factorize()
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 "singular basis during refactorization",
@@ -233,7 +400,16 @@ class _Simplex:
     def _refactor(self) -> np.ndarray:
         """Factorize the basis afresh; returns the recomputed basic values."""
         self._factorize()
-        return self._basic_values()
+        self.x_b = self._basic_values()
+        return self.x_b
+
+    def _column(self, j: int) -> np.ndarray:
+        """Column j of [A | I]."""
+        if j < self.n:
+            return self.kernel.AT[j]
+        e = np.zeros(self.m)
+        e[j - self.n] = 1.0
+        return e
 
     def _nonbasic_values(self):
         vals = np.where(self.at_upper, self.ub, self.lb)
@@ -242,11 +418,10 @@ class _Simplex:
 
     def _basic_values(self):
         xn = self._nonbasic_values()
-        rhs = self.b - self.A @ xn
-        return self.Binv @ rhs
+        return self.kernel.ftran(self.b - self.A.dot(xn[: self.n]) - xn[self.n :])
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        d = c - (c[self.basis] @ self.Binv) @ self.A
+        d = c - self.kernel.btran(c).dot(self.kernel.full_rows)
         d[self.is_basic] = 0.0
         return d
 
@@ -259,16 +434,16 @@ class _Simplex:
         movable = self._movable()
         viol_low = movable & ~self.at_upper & (d < -OPT_TOL)
         viol_up = movable & self.at_upper & (d > OPT_TOL)
-        return np.flatnonzero(viol_low | viol_up)
+        return (viol_low | viol_up).nonzero()[0]
 
     def _bound_violation(self, x_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """How far each basic value lies below its lower / above its upper bound."""
         return self.lb[self.basis] - x_b, x_b - self.ub[self.basis]
 
     def _pivot(self, pos: int, j: int, w: np.ndarray, leave_to_upper: bool) -> bool:
-        """Column ``j`` (with ``w = Binv A_j``) replaces the basic column at ``pos``.
+        """Column ``j`` (with ``w = B^-1 A_j``) replaces the basic column at ``pos``.
 
-        Returns True when the inverse was refactorized instead of updated.
+        Returns True when the kernel was refactorized instead of updated.
         """
         leaving = int(self.basis[pos])
         self.basis[pos] = j
@@ -278,24 +453,22 @@ class _Simplex:
         self.at_upper[j] = False
         self.pivots += 1
         self.since_refactor += 1
-        if self.since_refactor >= REFACTOR_EVERY:
+        update = self.since_refactor < REFACTOR_EVERY
+        self.kernel.replace(pos, j, w, update)
+        if not update:
             self._factorize()
-            return True
-        row = self.Binv[pos, :] / w[pos]
-        self.Binv -= np.outer(w, row)
-        self.Binv[pos, :] = row
-        return False
+        return not update
 
     # -- primal simplex ----------------------------------------------------
 
     def run(self, c: np.ndarray) -> str:
         """Primal simplex from a primal feasible basis."""
-        m, ncols = self.A.shape
+        m, ncols = self.m, self.n + self.m
         max_iter = 50 * (m + ncols) + 10_000
         degen_limit = 3 * (m + ncols)
         degen_count = 0
         bland = False
-        x_b = self._basic_values()
+        x_b = self.x_b
 
         for _ in range(max_iter):
             d = self._reduced_costs(c)
@@ -305,14 +478,15 @@ class _Simplex:
                     # confirm optimality against a freshly factorized basis
                     x_b = self._refactor()
                     continue
+                self.x_b = x_b
                 return OPTIMAL
             if bland:
                 j = int(eligible[0])
             else:
-                j = int(eligible[int(np.argmax(np.abs(d[eligible])))])
+                j = int(eligible[abs(d[eligible]).argmax()])
 
             sigma = -1.0 if self.at_upper[j] else 1.0
-            w = self.Binv @ self.A[:, j]
+            w = self.kernel.ftran(self._column(j))
             dec = sigma * w  # basic values move by -t * dec
 
             if m:
@@ -336,6 +510,7 @@ class _Simplex:
                 if self.since_refactor > 0:
                     x_b = self._refactor()
                     continue
+                self.x_b = x_b
                 return UNBOUNDED
 
             if t_flip <= min_basic + DEGEN_TOL:
@@ -352,11 +527,11 @@ class _Simplex:
 
             # leaving row: among tied minima prefer the numerically largest
             # pivot element, then the smallest basic column index
-            cand = np.flatnonzero(t_basic <= min_basic + DEGEN_TOL)
+            cand = (t_basic <= min_basic + DEGEN_TOL).nonzero()[0]
             piv_mag = np.abs(dec[cand])
             best_mag = float(piv_mag.max())
             stable = cand[piv_mag >= 0.5 * best_mag]
-            leave_pos = int(stable[int(np.argmin(self.basis[stable]))])
+            leave_pos = int(stable[self.basis[stable].argmin()])
             t_star = float(t_basic[leave_pos])
             leave_to_upper = bool(t_up[leave_pos] < t_low[leave_pos])
 
@@ -385,40 +560,42 @@ class _Simplex:
         no point satisfies the bounds.  Raises SolverError when that row's
         proof does not hold up without the pivot tolerance.  Under zero
         costs every basis is dual feasible, and OPTIMAL means primal
-        feasible: that is phase 1.
+        feasible: that is phase 1.  There every reduced cost and so every
+        ratio is 0, and the tie rule alone picks the entering column, so no
+        reduced cost is computed.
         """
-        m, ncols = self.A.shape
+        zero_cost = not c.any()
+        m, ncols = self.m, self.n + self.m
         max_iter = 50 * (m + ncols) + 10_000
         degen_limit = 3 * (m + ncols)
         degen_count = 0
         bland = False
-        x_b = self._basic_values()
+        x_b = self.x_b
 
         for _ in range(max_iter):
             below, above = self._bound_violation(x_b)
             infeas = np.maximum(below, above)
-            rows = np.flatnonzero(infeas > LEAVE_TOL)
+            rows = (infeas > LEAVE_TOL).nonzero()[0]
             if rows.size == 0:
                 if self.since_refactor > 0:
                     x_b = self._refactor()
                     continue
+                self.x_b = x_b
                 return OPTIMAL
             if bland:
-                r = int(rows[int(np.argmin(self.basis[rows]))])
+                r = int(rows[self.basis[rows].argmin()])
             else:
-                r = int(rows[int(np.argmax(infeas[rows]))])
+                r = int(rows[infeas[rows].argmax()])
             to_upper = bool(above[r] > LEAVE_TOL)
 
             # the leaving value must rise (fall when above its upper bound):
             # at-lower columns with a < 0 and at-upper columns with a > 0 can
             # move it there
-            alpha = self.Binv[r, :] @ self.A
+            alpha = self.kernel.row(r)
             a = -alpha if to_upper else alpha
             movable = self._movable()
             ptol = _pivot_tol(alpha)
-            cand = np.flatnonzero(
-                movable & np.where(self.at_upper, a > ptol, a < -ptol)
-            )
+            cand = (movable & np.where(self.at_upper, a > ptol, a < -ptol)).nonzero()[0]
             if cand.size == 0:
                 if self.since_refactor > 0:
                     x_b = self._refactor()
@@ -434,20 +611,25 @@ class _Simplex:
                     raise SolverError(
                         "dual ratio test found no pivot", {"row": r}
                     )
+                self.x_b = x_b
                 return INFEASIBLE
 
-            d = self._reduced_costs(c)
-            ratios = np.maximum(d[cand] / -a[cand], 0.0)
-            t_min = float(ratios.min())
-            tied = cand[ratios <= t_min + DEGEN_TOL]
+            if zero_cost:
+                t_min, tied = 0.0, cand
+            else:
+                d = self._reduced_costs(c)
+                ratios = np.maximum(d[cand] / -a[cand], 0.0)
+                t_min = float(ratios.min())
+                tied = cand[ratios <= t_min + DEGEN_TOL]
             if bland:
                 q = int(tied[0])
             else:
-                q = int(tied[int(np.argmax(np.abs(a[tied])))])
+                q = int(tied[abs(a[tied]).argmax()])
 
-            w = self.Binv @ self.A[:, q]
-            if abs(w[r]) < _pivot_tol(w):
-                # row and column disagree on the pivot: the inverse drifted
+            # w[r] is alpha[q] computed through the column: judged by the
+            # row's tolerance, a disagreement means the kernel drifted
+            w = self.kernel.ftran(self._column(q))
+            if abs(w[r]) < ptol:
                 if self.since_refactor == 0:
                     raise SolverError("dual pivot below tolerance", {"row": r})
                 x_b = self._refactor()
@@ -476,9 +658,7 @@ class _Simplex:
 
 def _full_point(sim: _Simplex) -> np.ndarray:
     vals = sim._nonbasic_values()
-    x_b = sim._basic_values()
-    for pos, col in enumerate(sim.basis):
-        vals[col] = x_b[pos]
+    vals[sim.basis] = sim._basic_values()
     return vals
 
 
@@ -486,31 +666,31 @@ def _extract(
     lp: LinearProgram, can: _Canonical, sim: _Simplex, warm: bool
 ) -> LpSolution:
     x = _full_point(sim)[: can.n_struct].copy()
-    y_min = can.c_min[sim.basis] @ sim.Binv
+    y_min = np.zeros(can.num_rows)
+    y_min[sim.kernel.rows] = sim.kernel.btran(can.c_min)
     duals = -(y_min * can.row_sign)
     reduced = lp.c - duals @ lp.A
 
     obj = float(lp.c @ x)
 
     # never report a wrong Optimal: re-verify the original rows and bounds
+    # (a row's signed residual is <= 0 when it holds; an equality's is 0)
     resid = lp.A @ x - lp.b
-    for i, s in enumerate(lp.senses):
-        bad = (
-            (s == LE and resid[i] > FEAS_TOL)
-            or (s == GE and resid[i] < -FEAS_TOL)
-            or (s == EQ and abs(resid[i]) > FEAS_TOL)
+    signed = resid * can.row_sign
+    equality = can.ub[can.n_struct :] == 0.0
+    bad = ((signed > FEAS_TOL) | (equality & (signed < -FEAS_TOL))).nonzero()[0]
+    if bad.size:
+        i = int(bad[0])
+        raise SolverError(
+            "optimal basis fails primal feasibility check",
+            {"row": i, "residual": float(resid[i])},
         )
-        if bad:
-            raise SolverError(
-                "optimal basis fails primal feasibility check",
-                {"row": i, "residual": float(resid[i])},
-            )
-    if np.any(x < lp.lb - FEAS_TOL) or np.any(x > lp.ub + FEAS_TOL):
+    if (x < lp.lb - FEAS_TOL).any() or (x > lp.ub + FEAS_TOL).any():
         raise SolverError("optimal point violates variable bounds", {})
 
     basis = WarmBasis(
-        basic=tuple(int(j) for j in sim.basis),
-        at_upper=tuple(int(j) for j in np.flatnonzero(sim.at_upper)),
+        basic=tuple(sim.basis.tolist()),
+        at_upper=tuple(sim.at_upper.nonzero()[0].tolist()),
     )
     return LpSolution(
         status=OPTIMAL,
@@ -543,7 +723,7 @@ def _solve(
     true costs when the start is dual feasible and on zero costs otherwise.
     """
     c = can.c_min
-    below, above = sim._bound_violation(sim._basic_values())
+    below, above = sim._bound_violation(sim.x_b)
     if max(below.max(initial=0.0), above.max(initial=0.0)) > FEAS_TOL:
         dual_feasible = sim._priced_out(sim._reduced_costs(c)).size == 0
         if sim.dual(c if dual_feasible else np.zeros_like(c)) == INFEASIBLE:
@@ -558,7 +738,7 @@ def _start(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":
 
     None when the basis does not fit the program or is singular.
     """
-    m, ncols = can.A.shape
+    m, ncols = can.num_rows, len(can.lb)
     basic = list(warm.basic) + list(range(can.n_struct + len(warm.basic), ncols))
     if (
         len(basic) != m
@@ -600,7 +780,7 @@ def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
         sol = _solve_warm(lp, can, warm)
         if sol is not None:
             return sol
-    slacks = range(can.n_struct, can.A.shape[1])
+    slacks = range(can.n_struct, len(can.lb))
     return _solve(lp, can, _Simplex(can, slacks), False)
 
 
@@ -660,9 +840,12 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
     if sol.status != OPTIMAL or sol.basis is None:
         raise SolverError("exact verification needs an optimal basis", {})
     can = _Canonical(lp)
-    m = can.A.shape[0]
-    ncols = can.A.shape[1]
-    A = [[Fraction(can.A[i, j]) for j in range(ncols)] for i in range(m)]
+    m = can.num_rows
+    ncols = len(can.lb)
+    A = [
+        [Fraction(v) for v in can.A[i]] + [Fraction(int(i == s)) for s in range(m)]
+        for i in range(m)
+    ]
     b = [Fraction(v) for v in can.b]
     lbs = [Fraction(v) if np.isfinite(v) else None for v in can.lb]
     ubs = [Fraction(v) if np.isfinite(v) else None for v in can.ub]
@@ -694,15 +877,11 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
     y = _rational_solve(Bt, [c_min[j] for j in basic])
     optimal = True
     for j in range(ncols):
-        if j in basic:
+        if j in basic or lbs[j] == ubs[j]:
             continue
         dj = c_min[j] - sum(y[i] * A[i][j] for i in range(m))
-        if j in at_upper:
-            if dj < 0:
-                optimal = False
-        elif lbs[j] is not None and (ubs[j] is None or lbs[j] != ubs[j]):
-            if dj < 0:
-                optimal = False
+        if dj > 0 if j in at_upper else dj < 0:
+            optimal = False
     objective = sum(Fraction(lp.c[j]) * point[j] for j in range(can.n_struct))
     return {
         "objective": objective,

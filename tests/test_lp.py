@@ -435,6 +435,90 @@ class TestDualSimplex:
         assert len(warm.basis.basic) == grown.num_rows
 
 
+class TestKernel:
+    """The basis is reached through ftran, btran and the rows of B^-1."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pivots_of_every_kind_keep_the_kernel_exact(self, seed):
+        rng = np.random.default_rng(seed)
+        m, n = 8, 6
+        lp = LinearProgram.build(
+            c=rng.normal(size=n), A=rng.normal(size=(m, n)), senses=[LE] * m,
+            b=np.ones(m), ub=np.ones(n),
+        )
+        can = lp_module._Canonical(lp)
+        sim = lp_module._Simplex(can, range(n, n + m))
+        full = np.hstack([can.A, np.eye(m)])
+        kinds = set()
+        # 80 pivots: the kernel is refactorized once on the way
+        for _ in range(80):
+            # a nonbasic structural column or slack, each kind at even odds
+            nonbasic = np.flatnonzero(~sim.is_basic)
+            pools = [p for p in np.split(nonbasic, [np.sum(nonbasic < n)]) if p.size]
+            j = int(rng.choice(pools[int(rng.integers(len(pools)))]))
+            w = sim.kernel.ftran(sim._column(j))
+            pos = int(rng.choice(np.flatnonzero(np.abs(w) >= 0.5 * np.abs(w).max())))
+            kinds.add((int(sim.basis[pos]) < n, j < n))
+            sim._pivot(pos, j, w, False)
+
+            B = full[:, sim.basis]
+            a, c = rng.normal(size=m), np.append(rng.normal(size=n), np.zeros(m))
+            kernel = sim.kernel
+            x = np.linalg.solve(B, a)
+            assert np.allclose(kernel.ftran(a), x, rtol=0, atol=1e-9)
+            y = np.zeros(m)
+            y[kernel.rows] = kernel.btran(c)
+            assert np.allclose(y, np.linalg.solve(B.T, c[sim.basis]), rtol=0, atol=1e-9)
+            Binv = np.linalg.inv(B)
+            for r in range(m):
+                assert np.allclose(kernel.row(r), Binv[r] @ full, rtol=0, atol=1e-9)
+            k = int(np.sum(sim.basis < n))
+            assert kernel.k == k and kernel.inv.shape == (k, k)
+        # (structural leaves, structural enters): all four pivot kinds ran
+        assert kinds == set(itertools.product((True, False), repeat=2))
+
+    def test_tall_lp_keeps_no_square_array(self):
+        rng = np.random.default_rng(0)
+        m, n = 300, 20
+        A = rng.uniform(0.0, 1.0, size=(m, n))
+        b = A @ rng.uniform(0.2, 0.8, size=n)
+        senses = [GE if i % 2 else LE for i in range(m)]
+        b = b + np.where(np.array(senses) == GE, -0.5, 0.5)
+        lp = LinearProgram.build(
+            c=rng.normal(size=n), A=A, senses=senses, b=b, ub=np.ones(n)
+        )
+        can = lp_module._Canonical(lp)
+        sim = lp_module._Simplex(can, range(n, n + m))
+        sol = lp_module._solve(lp, can, sim, False)
+        assert sol.status == "optimal" and sol.pivots > 0
+        assert np.any(sim.basis < n)
+        for state in (can, sim, sim.kernel):
+            for name, value in vars(state).items():
+                if isinstance(value, np.ndarray):
+                    assert value.size < m * m, name
+
+    def test_phase_one_prices_nothing(self, monkeypatch):
+        # >= rows with positive right-hand sides: the slack basis is primal
+        # infeasible, so a cold solve runs the zero-cost dual as phase 1
+        rng = np.random.default_rng(3)
+        lp = mixed_lp(rng, m=9, n=8)
+        can = lp_module._Canonical(lp)
+        sim = lp_module._Simplex(can, range(lp.num_cols, lp.num_cols + lp.num_rows))
+        calls = []
+        priced = ((lp_module._Kernel, "btran"), (lp_module._Simplex, "_reduced_costs"))
+        for cls, name in priced:
+            real = getattr(cls, name)
+
+            def counted(self, c, real=real, name=name):
+                calls.append(name)
+                return real(self, c)
+
+            monkeypatch.setattr(cls, name, counted)
+        assert sim.dual(np.zeros_like(can.c_min)) == "optimal"
+        assert sim.pivots > 0
+        assert calls == []
+
+
 def duplicated_equality_lp() -> LinearProgram:
     """max 2x + y  s.t.  x + y = 1 (written twice), x <= 0.5, x, y in [0, 1].
 
@@ -508,6 +592,27 @@ def test_ghost_pivot_masters_solve_cold(
     assert len(masters) == relax.rounds
     for lp in masters:
         assert solve_lp(lp).status == "optimal"
+
+
+def test_dual_pivot_judged_by_the_row_tolerance():
+    # cuts appended to max x0 on the box [0, 1] x [0, 0.5]: the second
+    # violates x0 = 1 by 2e-7, and only x1 (entry -5e-7) can repair it.
+    # The pivot row's tolerance (1e-7) admits that entry; the entering
+    # column's (1e-9 * 1000) would drop it and the warm start with it.
+    lp = LinearProgram.build(
+        c=[1.0, 0.0], A=np.zeros((0, 2)), senses=[], b=[], ub=[1.0, 0.5]
+    )
+    sol = solve_lp(lp)
+    cuts = LinearProgram.build(
+        c=lp.c, A=[[1.0, 1000.0], [1.0, -5e-7]], senses=[LE, LE],
+        b=[1000.0, 1.0 - 2e-7], ub=lp.ub,
+    )
+    warm = solve_lp(cuts, warm=sol.basis)
+    assert warm.warm and warm.status == "optimal" and warm.pivots == 1
+    assert warm.objective == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(warm.x, [1.0, 0.4], atol=1e-9)
+    assert verify_solution_exact(cuts, warm)["optimal"]
+    assert solve_lp(cuts).objective == pytest.approx(1.0, abs=1e-7)
 
 
 class TestDeterminism:
