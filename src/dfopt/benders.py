@@ -6,9 +6,12 @@ each epigraph variable to its tree's subproblem value:
 
 - Phase 1 (relaxation): plain constraint generation on the LP master.  Cut
   separation per tree uses the greedy primal/dual pair for the "leaf" and
-  "split" granularities and the subproblem LP for "product".  The product
-  each multiplier of a cut belongs to comes from ``formulations.row_product``,
-  beside ``capacity_rows``, the one place where the granularities are defined.
+  "split" granularities.  For "product" it uses the same pair when the
+  replayed dual certifies the sweep optimal (``product_certified_sweep``) and
+  the subproblem LP only when that check fails.  Each tree's sweep tables
+  are built once per phase.  The product each multiplier of a cut belongs to
+  comes from ``formulations.row_product``, beside ``capacity_rows``, the one
+  place where the granularities are defined.
 - Phase 2 (integer): best-bound branch and bound on x inside a single tree,
   adding closed-form cuts lazily whenever a node's LP solution is integral
   and some epigraph variable exceeds its tree's traversal revenue.
@@ -22,7 +25,7 @@ time, so runs are deterministic.
 Every re-solve starts from the basis of the LP it follows, which stays dual
 feasible, so ``solve_lp`` runs the dual simplex from it: each master from
 the previous round's master (new cuts append rows, whose slacks join the
-basis), each tree's product-oracle LP from its previous round, each B&B
+basis), each tree's product-oracle LP from its previous one, each B&B
 child from its parent's final basis, and a node's re-solve after lazy cuts
 from its own.  Only the monolithic root starts from a hand-built feasible
 basis (``_monolithic_start_basis``), placed by the row indices
@@ -63,9 +66,11 @@ from .subproblems import (
     integer_cut,
     leaf_dual_greedy,
     leaf_primal_greedy,
+    product_certified_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
+    sweep_table,
 )
 
 log = logging.getLogger("dfopt.benders")
@@ -186,29 +191,39 @@ def _master_state(catalog, forest, cardinality) -> MasterState:
     )
 
 
-def _separate(kind: Kind, catalog, forest, x_vals, bases=None):
+def _separate(kind: Kind, catalog, forest, x_vals, bases=None, tables=None):
     """Per-tree subproblem values and cut certificates at fractional x.
 
-    ``bases``, one entry per tree, carries each tree's product-oracle LP
-    basis from one call to the next; it is updated in place.
+    ``tables``, one ``sweep_table`` per tree, may be built once by the
+    caller.  ``bases``, one entry per tree, carries each tree's product-oracle
+    LP basis from one LP call to the next; it is updated in place.
     """
+    trees = forest.trees
     if bases is None:
-        bases = [None] * len(forest.trees)
+        bases = [None] * len(trees)
+    if tables is None:
+        tables = [sweep_table(kind, catalog, tree) for tree in trees]
     out = []
-    for t, tree in enumerate(forest.trees):
+    for t, tree in enumerate(trees):
+        table = tables[t]
         if kind is Kind.PRODUCT:
-            value, cert, sol = product_subproblem_lp(catalog, tree, x_vals, bases[t])
-            bases[t] = sol.basis
-            prov = FRACTIONAL_LP
+            found = product_certified_sweep(catalog, tree, x_vals, table=table)
+            if found is not None:
+                value, cert = found
+                prov = FRACTIONAL_GREEDY
+            else:
+                value, cert, sol = product_subproblem_lp(
+                    catalog, tree, x_vals, bases[t]
+                )
+                bases[t] = sol.basis
+                prov = FRACTIONAL_LP
         else:
             if kind is Kind.LEAF:
                 primal, dual = leaf_primal_greedy, leaf_dual_greedy
             else:
                 primal, dual = split_primal_greedy, split_dual_greedy
-            y, trace = primal(catalog, tree, x_vals)
-            value = sum(
-                catalog.leaf_revenue(tree, l) * w for l, w in y.items() if w != 0
-            )
+            y, trace = primal(catalog, tree, x_vals, table=table)
+            value = sum(table.revenue[l] * w for l, w in y.items() if w != 0)
             cert = dual(catalog, tree, trace)
             prov = FRACTIONAL_GREEDY
         out.append((float(value), cert, prov))
@@ -239,6 +254,7 @@ def relaxation_phase(
     bounds: list[float] = []
     master_basis = None
     oracle_bases = [None] * len(forest.trees)
+    tables = [sweep_table(kind, catalog, tree) for tree in forest.trees]
     while rounds < max_rounds:
         rounds += 1
         sol = solve_lp(state.master_lp(), warm=master_basis)
@@ -253,7 +269,7 @@ def relaxation_phase(
         thetas = sol.x[n:]
         added = 0
         for t, (value, cert, prov) in enumerate(
-            _separate(kind, catalog, forest, x_vals, oracle_bases)
+            _separate(kind, catalog, forest, x_vals, oracle_bases, tables)
         ):
             if float(thetas[t]) > value + CUT_TOL:
                 cut = cut_from_certificate(cert, forest.trees[t], t, n, prov)

@@ -54,7 +54,7 @@ all programs built by this package satisfy that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +62,7 @@ import numpy as np
 from .errors import SolverError, ValidationError
 
 LE, EQ, GE = "<=", "=", ">="
+_SENSES = frozenset((LE, EQ, GE))
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
@@ -77,7 +78,12 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max c'x subject to row constraints and variable bounds."""
+    """max c'x subject to row constraints and variable bounds.
+
+    ``build`` validates the program and marks it ``validated``, so
+    ``solve_lp`` does not check it again; one made any other way (the
+    constructor, ``with_bounds``) is checked each time it is solved.
+    """
 
     c: np.ndarray
     A: np.ndarray
@@ -85,6 +91,7 @@ class LinearProgram:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
+    validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, c, A, senses, b, lb=None, ub=None) -> "LinearProgram":
@@ -98,6 +105,7 @@ class LinearProgram:
         ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
         lp = cls(c=c, A=A, senses=tuple(senses), b=b, lb=lb, ub=ub)
         lp.validate()
+        object.__setattr__(lp, "validated", True)
         return lp
 
     @property
@@ -120,9 +128,9 @@ class LinearProgram:
             raise ValidationError("lower bounds must be finite")
         if np.any(self.lb > self.ub):
             raise ValidationError("lower bound exceeds upper bound")
-        for s in self.senses:
-            if s not in (LE, EQ, GE):
-                raise ValidationError(f"unknown row sense {s!r}")
+        if not _SENSES.issuperset(self.senses):
+            bad = next(s for s in self.senses if s not in _SENSES)
+            raise ValidationError(f"unknown row sense {bad!r}")
 
     def with_bounds(self, lb, ub) -> "LinearProgram":
         return LinearProgram(
@@ -774,7 +782,8 @@ def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
     fails numerically) falls back to the slack basis; ``LpSolution.warm``
     tells which one served.
     """
-    lp.validate()
+    if not lp.validated:
+        lp.validate()
     can = _Canonical(lp)
     if warm is not None:
         sol = _solve_warm(lp, can, warm)
@@ -793,7 +802,8 @@ def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:
     bases = [warm for warm in bases if warm is not None]
     if not bases:
         return solve_lp(lp)
-    lp.validate()
+    if not lp.validated:
+        lp.validate()
     can = _Canonical(lp)
     for warm in bases:
         sol = _solve_warm(lp, can, warm)

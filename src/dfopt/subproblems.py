@@ -14,12 +14,14 @@ turns the events, root-first, into a dual point of equal value: the
 certificate behind an optimality cut.  On the per-(split, leaf) and per-split
 rows the pair is exact (``leaf_*_greedy``, ``split_*_greedy``).
 
-The per-product rows defeat the sweep: a product row groups the leaves under
-several splits of one product, so weight parked on one branch uses up
-capacity that a later leaf under another split of the product needed.
-``product_subproblem_lp`` therefore solves those rows with the bundled
-simplex; ``product_greedy_sweep`` runs the same sweep on them only to show
-the shortfall.  For binary x all three granularities share the closed-form
+The per-product rows can defeat the sweep: a product row groups the leaves
+under several splits of one product, so weight parked on one branch uses up
+capacity that a later leaf under another split of the product needed
+(``product_greedy_sweep`` shows the shortfall).  The sweep is still optimal
+at most points, and its replayed dual proves it when it is feasible and as
+good: ``product_certified_sweep`` returns the pair only then, and
+``product_subproblem_lp`` solves the rows with the bundled simplex when that
+check fails.  For binary x all three granularities share the closed-form
 optimum of ``integer_cut``.
 
 Arithmetic is pure Python, so exact inputs (ints, Fractions) give exact
@@ -30,16 +32,22 @@ make traces deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import ContractViolation
 from .formulations import Kind, as_kind, capacity_rows, leaf_rows, row_product
-from .lp import LE, EQ, LinearProgram, LpSolution, WarmBasis, solve_lp
+from .lp import LE, EQ, OPT_TOL, LinearProgram, LpSolution, WarmBasis, solve_lp
 from .model import Number, ProductCatalog, PurchaseTree, as_values, traverse
 
 #: Capacities closer than this are treated as tied.
 TIE_TOL = 1e-12
+#: ``product_certified_sweep`` accepts a replayed dual whose leaf rows are
+#: violated by at most this and whose objective is within this of the sweep's
+#: value.  A leaf's dual row slack is the reduced cost of its weight in
+#: ``product_subproblem_lp``, which the simplex calls optimal at ``OPT_TOL``,
+#: so the sweep's dual is held to the LP's own bar.
+CERT_TOL = OPT_TOL
 
 EVENT_C = ("C",)
 
@@ -53,11 +61,14 @@ class EventTrace:
     ``s`` per split), and ``("C",)`` for the unit sum; ``f`` maps each event
     to the leaf being processed when it occurred.  Each row is recorded at
     most once, and a completed sweep ends with exactly one C event.
+    ``table`` is the ``SweepTable`` the sweep read; the dual replay reads it
+    too, so a trace replays only on its own tree.
     """
 
     kind: Kind
     events: tuple[tuple, ...]
     f: Mapping[tuple, int]
+    table: SweepTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -101,21 +112,55 @@ def leaf_order(catalog: ProductCatalog, tree: PurchaseTree) -> tuple[int, ...]:
     )
 
 
+@dataclass(frozen=True)
+class SweepTable:
+    """What the sweep and the replay read of one tree at one granularity.
+
+    ``order`` is ``leaf_order`` and ``revenue`` each leaf's revenue;
+    ``rows(l)`` is ``leaf_rows``, built the first time leaf l asks.  A caller
+    that separates the same tree many times builds the table once
+    (``sweep_table``) and passes it as ``table=``; without one, every call
+    builds its own.
+    """
+
+    kind: Kind
+    tree: PurchaseTree
+    order: tuple[int, ...]
+    revenue: Mapping[int, Number]
+    _rows: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def rows(self, leaf: int) -> list[tuple]:
+        rows = self._rows.get(leaf)
+        if rows is None:
+            rows = self._rows[leaf] = leaf_rows(self.kind, self.tree, leaf)
+        return rows
+
+
+def sweep_table(kind, catalog: ProductCatalog, tree: PurchaseTree) -> SweepTable:
+    """The tree's sweep table at granularity ``kind``."""
+    return SweepTable(
+        kind=as_kind(kind),
+        tree=tree,
+        order=leaf_order(catalog, tree),
+        revenue={l: catalog.leaf_revenue(tree, l) for l in tree.leaf_ids},
+    )
+
+
 # ---------------------------------------------------------------------------
 # One greedy sweep and one dual replay over the capacity rows
 # ---------------------------------------------------------------------------
 
 
-def _sweep(kind: Kind, catalog, tree, x) -> tuple[dict, EventTrace]:
+def _sweep(table: SweepTable, x) -> tuple[dict, EventTrace]:
     """The greedy sweep against the capacity rows of one granularity."""
     vals = as_values(x)
-    y: dict[int, Number] = {l: 0 for l in tree.leaf_ids}
+    y: dict[int, Number] = {l: 0 for l in table.tree.leaf_ids}
     used: tuple[dict, dict] = ({}, {})  # weight parked per row key: right, left
     events: list[tuple] = []
     f: dict[tuple, int] = {}
     assigned = 0
-    for l in leaf_order(catalog, tree):
-        rows = leaf_rows(kind, tree, l)
+    for l in table.order:
+        rows = table.rows(l)
         best = None
         for _, key, i, left in rows:
             q = (vals[i - 1] if left else 1 - vals[i - 1]) - used[left].get(key, 0)
@@ -135,69 +180,79 @@ def _sweep(kind: Kind, catalog, tree, x) -> tuple[dict, EventTrace]:
         if ev not in f:
             events.append(ev)
             f[ev] = l
-    return y, EventTrace(kind=kind, events=tuple(events), f=f)
+    return y, EventTrace(kind=table.kind, events=tuple(events), f=f, table=table)
 
 
-def _replay(kind: Kind, catalog, tree, trace: EventTrace) -> DualCertificate:
+def _replay(table: SweepTable, trace: EventTrace) -> DualCertificate:
     """The dual point matching a sweep, from its events.
 
     Gamma is the revenue of the C leaf.  Multipliers are set root-first: each
     event row gets the revenue of its leaf minus gamma and minus the
     multipliers already set on the rows that hold that leaf.
     """
-    if trace.kind != kind:
+    if trace.kind != table.kind:
         raise ContractViolation("trace kind mismatch")
     if EVENT_C not in trace.f:
         raise ContractViolation("trace has no C event")
-    gamma = catalog.leaf_revenue(tree, trace.f[EVENT_C])
+    revenue = table.revenue
+    gamma = revenue[trace.f[EVENT_C]]
     steps = []
     for ev in trace.events:
         if ev != EVENT_C:
-            rows = leaf_rows(kind, tree, trace.f[ev])
+            rows = table.rows(trace.f[ev])
             for s, key, _, left in rows:
                 if key == ev[1] and left == (ev[0] == "A"):
                     break
             else:
                 raise ContractViolation(f"event {ev} is not a row of its leaf")
-            steps.append((tree.depth[s], s, key, left, trace.f[ev], rows))
+            steps.append((table.tree.depth[s], s, key, left, trace.f[ev], rows))
     steps.sort(key=lambda step: step[:2])
     price: tuple[dict, dict] = ({}, {})  # multipliers per row key: beta, alpha
     for _, _, key, left, l, rows in steps:
         shallower = 0
         for _, k, _, lf in rows:
             shallower += price[lf].get(k, 0)
-        price[left][key] = catalog.leaf_revenue(tree, l) - gamma - shallower
+        price[left][key] = revenue[l] - gamma - shallower
     alpha = {key: v for key, v in price[True].items() if v != 0}
     beta = {key: v for key, v in price[False].items() if v != 0}
-    return DualCertificate(kind=kind, alpha=alpha, beta=beta, gamma=gamma)
+    return DualCertificate(kind=table.kind, alpha=alpha, beta=beta, gamma=gamma)
+
+
+def _table(kind, catalog, tree, table):
+    """``table``, checked against the call, or a new one when it is None."""
+    if table is None:
+        return sweep_table(kind, catalog, tree)
+    if table.kind != kind or table.tree is not tree:
+        raise ContractViolation("sweep table of another kind or tree")
+    return table
 
 
 def leaf_primal_greedy(
-    catalog: ProductCatalog, tree: PurchaseTree, x
+    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: SweepTable | None = None
 ) -> tuple[dict[int, Number], EventTrace]:
     """Greedy optimum of the per-(split, leaf) subproblem: weights and trace."""
-    return _sweep(Kind.LEAF, catalog, tree, x)
+    return _sweep(_table(Kind.LEAF, catalog, tree, table), x)
 
 
 def leaf_dual_greedy(
     catalog: ProductCatalog, tree: PurchaseTree, trace: EventTrace
 ) -> DualCertificate:
     """Dual point matching a per-(split, leaf) sweep; a multiplier is r - gamma."""
-    return _replay(Kind.LEAF, catalog, tree, trace)
+    return _replay(_table(Kind.LEAF, catalog, tree, trace.table), trace)
 
 
 def split_primal_greedy(
-    catalog: ProductCatalog, tree: PurchaseTree, x
+    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: SweepTable | None = None
 ) -> tuple[dict[int, Number], EventTrace]:
     """Greedy optimum of the per-split aggregated subproblem: weights and trace."""
-    return _sweep(Kind.SPLIT, catalog, tree, x)
+    return _sweep(_table(Kind.SPLIT, catalog, tree, table), x)
 
 
 def split_dual_greedy(
     catalog: ProductCatalog, tree: PurchaseTree, trace: EventTrace
 ) -> DualCertificate:
     """Dual point matching a per-split primal sweep."""
-    return _replay(Kind.SPLIT, catalog, tree, trace)
+    return _replay(_table(Kind.SPLIT, catalog, tree, trace.table), trace)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +291,39 @@ def integer_cut(
 
 
 # ---------------------------------------------------------------------------
-# Per-product granularity (LP only; the greedy sweep is not valid here)
+# Per-product granularity: the sweep when its dual certifies it, else the LP
 # ---------------------------------------------------------------------------
+
+
+def product_certified_sweep(
+    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: SweepTable | None = None
+) -> tuple[Number, DualCertificate] | None:
+    """The sweep's value and replayed dual on the per-product rows, if optimal.
+
+    The pair is returned only when the sweep ends on the unit-sum event, every
+    multiplier is nonnegative, no leaf's dual row is violated by more than
+    ``CERT_TOL`` and the dual objective at x is within ``CERT_TOL`` of the
+    sweep's value; a feasible dual as good as a feasible primal point proves
+    both optimal.  Otherwise None: ``product_subproblem_lp`` must decide.
+    """
+    table = _table(Kind.PRODUCT, catalog, tree, table)
+    y, trace = _sweep(table, x)
+    if EVENT_C not in trace.f:
+        return None
+    cert = _replay(table, trace)
+    price = (cert.beta, cert.alpha)
+    if any(v < 0 for side in price for v in side.values()):
+        return None
+    for l in tree.leaf_ids:
+        slack = cert.gamma - table.revenue[l]
+        for _, key, _, left in table.rows(l):
+            slack += price[left].get(key, 0)
+        if slack < -CERT_TOL:
+            return None
+    value = sum(table.revenue[l] * w for l, w in y.items() if w != 0)
+    if abs(cert.objective(tree, x) - value) > CERT_TOL:
+        return None
+    return value, cert
 
 
 def _product_subproblem_lp_data(catalog, tree, vals):
@@ -291,7 +377,7 @@ def product_greedy_sweep(
     Returns the leaf weights and their value; exists to demonstrate where
     per-product aggregation defeats the greedy argument.
     """
-    y, _ = _sweep(Kind.PRODUCT, catalog, tree, x)
+    y, _ = _sweep(sweep_table(Kind.PRODUCT, catalog, tree), x)
     value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items() if w != 0)
     return y, value
 

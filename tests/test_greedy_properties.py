@@ -10,6 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from dfopt.formulations import Kind, capacity_rows, leaf_rows  # noqa: E402
+from dfopt.instancegen import (  # noqa: E402
+    GeneratorConfig,
+    TreeShape,
+    generate_instance,
+)
 from dfopt.model import (  # noqa: E402
     Leaf,
     ProductCatalog,
@@ -20,6 +25,8 @@ from dfopt.model import (  # noqa: E402
 from dfopt.subproblems import (  # noqa: E402
     leaf_dual_greedy,
     leaf_primal_greedy,
+    product_certified_sweep,
+    product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
 )
@@ -78,6 +85,30 @@ def test_greedy_dual_certifies_primal(catalog, tree, x, kind):
     assert all(v >= -1e-9 for v in cert.row_slacks(catalog, tree).values())
     assert all(v >= 0 for v in cert.alpha.values())
     assert all(v >= 0 for v in cert.beta.values())
+
+
+def generated_tree(shape, seed):
+    tree_shape = TreeShape("t3", leaves=8) if shape == "t3" else TreeShape(shape, depth=3)
+    catalog, forest = generate_instance(
+        GeneratorConfig(n=N, num_trees=1, shape=tree_shape, seed=seed)
+    )
+    return catalog, forest.trees[0]
+
+
+@PROPERTY_SETTINGS
+@given(
+    shape=st.sampled_from(["t1", "t2", "t3"]),
+    seed=st.integers(0, 10_000),
+    x=levels,
+)
+def test_certified_product_sweep_is_the_lp_optimum(shape, seed, x):
+    catalog, tree = generated_tree(shape, seed)
+    found = product_certified_sweep(catalog, tree, x)
+    if found is not None:
+        value, cert = found
+        lp_value, _, _ = product_subproblem_lp(catalog, tree, x)
+        assert float(value) == pytest.approx(lp_value, abs=1e-9)
+        assert all(v >= -1e-9 for v in cert.row_slacks(catalog, tree).values())
 
 
 @PROPERTY_SETTINGS

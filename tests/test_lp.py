@@ -110,6 +110,30 @@ class TestBasics:
         with pytest.raises(ValidationError):
             LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[np.inf])
 
+    def test_unknown_sense_names_the_first_one(self):
+        with pytest.raises(ValidationError, match="unknown row sense '<'"):
+            LinearProgram.build(
+                c=[1.0], A=[[1.0], [1.0], [1.0]], senses=[LE, "<", "!"], b=[1, 1, 1]
+            )
+
+    def test_built_programs_are_validated_once(self, monkeypatch):
+        calls = []
+        real = LinearProgram.validate
+        monkeypatch.setattr(
+            LinearProgram, "validate", lambda lp: calls.append(lp) or real(lp)
+        )
+        lp = LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[2.0])
+        assert solve_lp(lp).objective == pytest.approx(2.0)
+        assert len(calls) == 1
+        # a program made another way is still checked when solved
+        bad = LinearProgram(
+            c=lp.c, A=lp.A, senses=("<",), b=lp.b, lb=lp.lb, ub=lp.ub
+        )
+        with pytest.raises(ValidationError, match="unknown row sense"):
+            solve_lp(bad)
+        with pytest.raises(ValidationError, match="lower bound exceeds"):
+            solve_lp(lp.with_bounds([1.0], [0.0]))
+
     def test_empty_rows(self):
         lp = LinearProgram.build(
             c=[3.0, -1.0],

@@ -5,24 +5,37 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dfopt import subproblems
+from dfopt.benders import FRACTIONAL_LP, _separate
 from dfopt.errors import ContractViolation
+from dfopt.formulations import Kind
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.lp import EQ, LE, LinearProgram, solve_lp
 from dfopt.model import traverse
 from dfopt.subproblems import (
     EVENT_C,
+    DualCertificate,
+    EventTrace,
     integer_cut,
     knapsack_view,
     leaf_dual_greedy,
     leaf_order,
     leaf_primal_greedy,
+    product_certified_sweep,
     product_greedy_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
 )
 
-from cases import greedy_gap_tree, single_leaf_tree, thm1_fragment, worked_example, y_value
+from cases import (
+    greedy_gap_tree,
+    single_leaf_tree,
+    single_tree_forest,
+    thm1_fragment,
+    worked_example,
+    y_value,
+)
 
 
 def random_tree_and_x(seed, n=8, leaves=8, fractional=True):
@@ -429,6 +442,98 @@ class TestProductSubproblem:
             assert float(cert.objective(tree, x)) == pytest.approx(value, abs=1e-7)
             slacks = cert.row_slacks(catalog, tree)
             assert all(float(v) >= -1e-7 for v in slacks.values())
+
+
+class TestProductCertifiedSweep:
+    def test_accepted_pairs_match_the_lp(self):
+        accepted = 0
+        for seed in range(150):  # t1, t2, t3 in turn
+            catalog, tree, x = random_tree_and_x(seed)
+            found = product_certified_sweep(catalog, tree, x)
+            if found is None:
+                continue
+            accepted += 1
+            value, cert = found
+            lp_value, _, _ = product_subproblem_lp(catalog, tree, x)
+            assert float(value) == pytest.approx(lp_value, abs=1e-9)
+            assert all(v >= -1e-9 for v in cert.row_slacks(catalog, tree).values())
+        assert accepted >= 100
+
+    def test_greedy_gap_is_refused_and_the_lp_decides(self):
+        catalog, tree = greedy_gap_tree()
+        x = (Fraction(1, 2),) * 3
+        assert product_certified_sweep(catalog, tree, x) is None
+        [(value, cert, prov)] = _separate(
+            Kind.PRODUCT, catalog, single_tree_forest(tree), x
+        )
+        assert value == pytest.approx(18.5, abs=1e-9)
+        assert prov == FRACTIONAL_LP
+        assert float(cert.objective(tree, x)) == pytest.approx(18.5, abs=1e-9)
+
+    def test_fraction_inputs_give_an_exact_certificate(self):
+        accepted = 0
+        for seed in range(60):
+            catalog, tree, x = random_tree_and_x(seed)
+            x = tuple(Fraction(round(v * 8), 8) for v in x)
+            found = product_certified_sweep(catalog, tree, x)
+            if found is None:
+                continue
+            accepted += 1
+            value, cert = found
+            assert isinstance(value, (int, Fraction))
+            assert cert.objective(tree, x) == value
+            assert all(v >= 0 for v in cert.row_slacks(catalog, tree).values())
+            lp_value, _, _ = product_subproblem_lp(catalog, tree, x)
+            assert float(value) == pytest.approx(lp_value, abs=1e-9)
+        assert accepted >= 30
+
+    def test_a_table_serves_only_its_kind_and_tree(self):
+        catalog, tree, x = random_tree_and_x(0)
+        _, other, _ = random_tree_and_x(3)
+        table = subproblems.sweep_table(Kind.PRODUCT, catalog, tree)
+        assert product_certified_sweep(catalog, tree, x, table=table) == (
+            product_certified_sweep(catalog, tree, x)
+        )
+        with pytest.raises(ContractViolation, match="another kind or tree"):
+            product_certified_sweep(catalog, other, x, table=table)
+        with pytest.raises(ContractViolation, match="another kind or tree"):
+            split_primal_greedy(catalog, tree, x, table=table)
+        # a trace carries its table, so it replays only on its own tree
+        _, trace = split_primal_greedy(catalog, tree, x)
+        with pytest.raises(ContractViolation, match="another kind or tree"):
+            split_dual_greedy(catalog, other, trace)
+        with pytest.raises(ContractViolation, match="another kind or tree"):
+            leaf_dual_greedy(catalog, tree, trace)
+
+    def test_a_sweep_without_the_unit_sum_event_is_refused(self, monkeypatch):
+        catalog, tree, x = random_tree_and_x(1)
+        real = subproblems._sweep
+
+        def short(table, x):
+            y, trace = real(table, x)
+            f = {ev: l for ev, l in trace.f.items() if ev != EVENT_C}
+            return y, EventTrace(trace.kind, trace.events[:-1], f, table)
+
+        monkeypatch.setattr(subproblems, "_sweep", short)
+        assert product_certified_sweep(catalog, tree, x) is None
+
+    def test_a_negative_multiplier_is_refused(self, monkeypatch):
+        # Lowering alpha_i and beta_i of the root's product by d and raising
+        # gamma by d leaves every leaf's dual row and the objective as they
+        # were, so only the sign check can refuse the shifted dual.
+        catalog, tree, x = random_tree_and_x(1)
+        value, cert = product_certified_sweep(catalog, tree, x)
+        i = tree.split_product(tree.root)
+        d = 1 + cert.alpha.get(i, 0) + cert.beta.get(i, 0)
+        alpha = {**cert.alpha, i: cert.alpha.get(i, 0) - d}
+        beta = {**cert.beta, i: cert.beta.get(i, 0) - d}
+        shifted = DualCertificate(cert.kind, alpha, beta, cert.gamma + d)
+        assert shifted.objective(tree, x) == pytest.approx(value, abs=1e-9)
+        assert shifted.row_slacks(catalog, tree) == pytest.approx(
+            cert.row_slacks(catalog, tree)
+        )
+        monkeypatch.setattr(subproblems, "_replay", lambda table, trace: shifted)
+        assert product_certified_sweep(catalog, tree, x) is None
 
 
 # ---------------------------------------------------------------------------
