@@ -63,6 +63,7 @@ from .model import (
 )
 from .subproblems import (
     DualCertificate,
+    cut_table,
     integer_cut,
     leaf_dual_greedy,
     leaf_primal_greedy,
@@ -419,10 +420,12 @@ def integer_phase(
     elif cardinality is not None and state.cardinality != cardinality:
         raise DomainError("cardinality differs from the relaxation state")
 
+    tables = [cut_table(kind, catalog, tree) for tree in forest.trees]
+
     def separate(x_bin, point):
         added = 0
         for t, tree in enumerate(forest.trees):
-            g_t, cert = integer_cut(kind, catalog, tree, x_bin)
+            g_t, cert = integer_cut(kind, catalog, tree, x_bin, table=tables[t])
             if float(point[n + t]) > float(g_t) + CUT_TOL:
                 cut = cut_from_certificate(cert, tree, t, n, INTEGER_CLOSED_FORM)
                 added += state.add_cut(cut)

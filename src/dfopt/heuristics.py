@@ -7,20 +7,29 @@ comparable with the exact solvers.
 
 Moves are scored incrementally on a walk state (``_Walks``) that holds every
 tree's current leaf and, for each product, the trees whose current
-root-to-leaf path tests it.  Flipping product i changes only those trees, so
-a flip is scored by walking each of them from the split that tests i down
-its other branch; a swap (i out, j in) is scored as "apply flip i, score flip
-j, undo".  An accepted move re-walks and re-indexes only the trees it
-changes.  A candidate's value is the sum over the trees in order,
-``total = 0; total += w_t * revenue_t``, that ``expected_revenue`` computes,
-so it equals ``expected_revenue`` of that assortment bit for bit, with the
-same type (int, float or Fraction), and every move accepted is the one a
-full rescan would accept.
+root-to-leaf path tests it.  Flipping product i changes only those trees:
+tree t's new contribution is the leaf reached down the other branch of the
+split k that tests i, cached as ``alt[t][k]`` when first asked for.  That walk
+reads the assortment only at the split's own product and at the splits below
+it, so a dependency index (product -> every ``(t, k)`` whose walk read it)
+drops exactly the entries a flip makes stale, including walks down branches
+no current path takes.  A flip is scored as ``value + delta``, delta summing
+``alt[t][k] - contrib[t]`` over the trees that test i; a move that cannot
+beat the best so far even with a summation error bound added (zero for ints
+and Fractions) is refused there, and any other move is scored by the exact
+sum over the trees in order, ``total = 0; total += w_t * revenue_t``, that
+``expected_revenue`` computes.  So a score equals ``expected_revenue`` of its
+assortment bit for bit, with the same type (int, float or Fraction), and every
+move accepted is the one a full rescan would accept.  A swap (i out, j in) is
+scored as "apply flip i, score flip j, undo"; an accepted move re-walks and
+re-indexes only the trees it changes.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,14 +56,6 @@ class HeuristicResult:
     seed: int | None
 
 
-def _leaf(nodes, x, nid) -> Leaf:
-    """The leaf reached by walking ``x`` down from node ``nid``."""
-    node = nodes[nid]
-    while not isinstance(node, Leaf):
-        node = nodes[node.left if x[node.product] else node.right]
-    return node
-
-
 def _total(contrib) -> Number:
     """``expected_revenue``'s sum: from int 0, tree by tree, left to right."""
     total = 0
@@ -63,13 +64,39 @@ def _total(contrib) -> Number:
     return total
 
 
+# ``_Walks.best_flip`` refuses a move when value + delta + margin <= best.
+# Let u = 2**-53 and M = sum|w_t| * max|r|; every term |c_t| is at most
+# |w_t| max|r| (1 + u), so each sum of T absolute terms is <= M (1 + u).
+# Recursive summation of n terms errs by at most gamma_{n-1} times the sum
+# of their absolute values (Higham 2002, Accuracy and Stability of Numerical
+# Algorithms, sec. 4.2), gamma_n = n u / (1 - n u).  An int term or int
+# partial sum that meets a float is rounded once more, so:
+#   - value and the candidate's exact total are each within gamma_T M (1 + u)
+#     of their real sums;
+#   - delta, at most T differences each rounded (and converted) at most
+#     twice, of absolute size <= 2 M (1 + u) in all, is within
+#     gamma_{T+2} 2 M (1 + u) of the real change;
+#   - the test's two additions err by at most 2 u (M + margin).
+# So the candidate's total exceeds value + delta by less than (4 T + 6) u M
+# times (1 + 2 T u) <= 1.001 for T < 2**40, and margin = 8 (T + 8) u M is
+# more than twice that.  With only ints and Fractions every step is exact,
+# and margin is 0.
+def _margin(revenues, weights) -> Number:
+    if all(isinstance(v, (int, Fraction)) for v in (*revenues, *weights)):
+        return 0
+    bound = float(sum(abs(w) for w in weights)) * float(max(abs(r) for r in revenues))
+    return 8 * (len(weights) + 8) * 2.0**-53 * bound
+
+
 class _Walks:
     """Every tree's path at one binary assortment, indexed by product.
 
     ``x[i]`` is 1 when product i is offered (``x[0]`` is unused);
     ``contrib[t]`` is tree t's leaf contribution; ``tested[i]`` maps each
     tree whose path tests product i to the split that tests it; ``value`` is
-    ``expected_revenue`` at ``x``.
+    ``expected_revenue`` at ``x``.  ``alt[t][k]`` caches the contribution
+    tree t makes when the product at split k flips, and ``deps[i]`` holds
+    every ``(t, k)`` whose cached walk read product i.
     """
 
     def __init__(self, catalog: ProductCatalog, forest: DecisionForest, members):
@@ -82,9 +109,12 @@ class _Walks:
         self.paths: list[list[int]] = [[] for _ in self.nodes]
         self.contrib: list[Number] = [0] * len(self.nodes)
         self.tested: list[dict[int, int]] = [{} for _ in self.x]
+        self.alt: list[dict[int, Number]] = [{} for _ in self.nodes]
+        self.deps: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
         for t, tree in enumerate(forest.trees):
             self._descend(t, tree.root)
         self.value = _total(self.contrib)
+        self.margin = _margin(catalog.revenues, forest.weights)
 
     def assortment(self) -> AssortmentVector:
         return AssortmentVector(self.x[1:])
@@ -100,9 +130,28 @@ class _Walks:
             node = nodes[k]
         self.contrib[t] = self.weights[t] * self.catalog.revenue_of(node.option)
 
+    def _alternative(self, t: int, k: int) -> Number:
+        """Tree t's contribution if the product at split k flipped, cached.
+
+        The walk reads x only at the split's own product, which picks the
+        branch, and at each split below it (no product repeats on a path),
+        so the entry stays exact until one of those products flips.
+        """
+        nodes, x, deps, key = self.nodes[t], self.x, self.deps, (t, k)
+        node = nodes[k]
+        deps[node.product].add(key)
+        node = nodes[node.right if x[node.product] else node.left]
+        while not isinstance(node, Leaf):
+            deps[node.product].add(key)
+            node = nodes[node.left if x[node.product] else node.right]
+        alt = self.alt[t][k] = self.weights[t] * self.catalog.revenue_of(node.option)
+        return alt
+
     def flip(self, i: int) -> None:
         """Offer product i if it is not offered, withdraw it otherwise."""
         self.x[i] ^= 1
+        for t, k in self.deps.pop(i, ()):
+            self.alt[t].pop(k, None)
         for t, k in list(self.tested[i].items()):
             path, nodes = self.paths[t], self.nodes[t]
             pos = path.index(k)
@@ -112,17 +161,35 @@ class _Walks:
             self._descend(t, k)
         self.value = _total(self.contrib)
 
-    def flipped_value(self, i: int) -> Number:
-        """Value after flipping product i; the state is left as it is."""
-        contrib = self.contrib[:]
-        x = self.x
-        revenue_of, weights = self.catalog.revenue_of, self.weights
-        for t, k in self.tested[i].items():
-            nodes = self.nodes[t]
-            split = nodes[k]
-            leaf = _leaf(nodes, x, split.right if x[i] else split.left)
-            contrib[t] = weights[t] * revenue_of(leaf.option)
-        return _total(contrib)
+    def best_flip(self, candidates, best: Number) -> tuple[Number, int] | None:
+        """The first candidate whose flip is worth the most above ``best``.
+
+        Returns ``(value, i)``, or None when no flip is worth more than
+        ``best``; the state is left as it is.  Only the trees that test i
+        change, so their cached alternatives give the change ``delta``; a
+        move whose ``value + delta`` cannot exceed the best so far even with
+        ``margin`` added is refused without the exact sum over all trees.
+        """
+        contrib, alt, tested = self.contrib, self.alt, self.tested
+        value, margin = self.value, self.margin
+        found = None
+        for i in candidates:
+            delta = 0
+            for t, k in tested[i].items():
+                a = alt[t].get(k)
+                if a is None:
+                    a = self._alternative(t, k)
+                delta += a - contrib[t]
+            if value + delta + margin <= best:
+                continue
+            cand = contrib[:]
+            for t, k in tested[i].items():
+                cand[t] = alt[t][k]
+            total = _total(cand)
+            if total > best:
+                best = total
+                found = (total, i)
+        return found
 
 
 def _result(catalog, forest, x, iterations, restarts, seed) -> HeuristicResult:
@@ -153,16 +220,10 @@ def local_search(
     walks = _Walks(catalog, forest, members)
     moves = 0
     while True:
-        best_flip = None
-        best_value = walks.value
-        for i in range(1, catalog.n + 1):
-            cand_value = walks.flipped_value(i)
-            if cand_value > best_value:
-                best_value = cand_value
-                best_flip = i
-        if best_flip is None:
+        found = walks.best_flip(range(1, catalog.n + 1), walks.value)
+        if found is None:
             break
-        walks.flip(best_flip)
+        walks.flip(found[1])
         moves += 1
     return _result(catalog, forest, walks.assortment(), moves, 0, None)
 
@@ -258,15 +319,13 @@ def divide_and_conquer(
             best_swap = None
             best_value = walks.value
             members = [i for i in range(1, n + 1) if walks.x[i]]
+            outside = [j for j in range(1, n + 1) if not walks.x[j]]
             for i in members:
                 walks.flip(i)
-                for j in range(1, n + 1):
-                    if j == i or walks.x[j]:
-                        continue
-                    cand_value = walks.flipped_value(j)
-                    if cand_value > best_value:
-                        best_value = cand_value
-                        best_swap = (i, j)
+                found = walks.best_flip(outside, best_value)
+                if found is not None:
+                    best_value, j = found
+                    best_swap = (i, j)
                 walks.flip(i)
             if best_swap is None:
                 break

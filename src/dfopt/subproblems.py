@@ -260,8 +260,40 @@ def split_dual_greedy(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class CutTable:
+    """What ``integer_cut`` reads of one tree at one granularity.
+
+    ``rows`` holds each row of ``capacity_rows`` as ``(key, left, other,
+    top)``: ``other`` holds the leaves behind the opposite branch and ``top``
+    is the largest revenue among the row's leaves.  A caller that cuts the
+    same tree many times builds the table once (``cut_table``) and passes it
+    as ``table=``; without one, every call builds its own.
+    """
+
+    kind: Kind
+    tree: PurchaseTree
+    rows: tuple[tuple, ...]
+
+
+def cut_table(kind, catalog: ProductCatalog, tree: PurchaseTree) -> CutTable:
+    """The tree's cut table at granularity ``kind``."""
+    kind = as_kind(kind)
+    revenue = {l: catalog.leaf_revenue(tree, l) for l in tree.leaf_ids}
+    rows = tuple(
+        (key, left, other, max(revenue[l] for l in leaves))
+        for key, _, left, leaves, other in capacity_rows(kind, tree)
+    )
+    return CutTable(kind=kind, tree=tree, rows=rows)
+
+
 def integer_cut(
-    kind: Kind, catalog: ProductCatalog, tree: PurchaseTree, x
+    kind: Kind,
+    catalog: ProductCatalog,
+    tree: PurchaseTree,
+    x,
+    *,
+    table: CutTable | None = None,
 ) -> tuple[Number, DualCertificate]:
     """Closed-form subproblem optimum and dual at a binary assortment.
 
@@ -273,6 +305,10 @@ def integer_cut(
     assortment.
     """
     kind = as_kind(kind)
+    if table is None:
+        table = cut_table(kind, catalog, tree)
+    elif table.kind != kind or table.tree is not tree:
+        raise ContractViolation("cut table of another kind or tree")
     vals = as_values(x)
     if any(v != 0 and v != 1 for v in vals):
         raise ContractViolation("integer_cut requires a binary assortment")
@@ -281,9 +317,9 @@ def integer_cut(
 
     alpha: dict = {}
     beta: dict = {}
-    for key, _, left, leaves, other in capacity_rows(kind, tree):
+    for key, left, other, top in table.rows:
         if leaf_star in other:
-            v = max(catalog.leaf_revenue(tree, l) for l in leaves) - r_star
+            v = top - r_star
             if v > 0:
                 (alpha if left else beta)[key] = v
     cert = DualCertificate(kind=kind, alpha=alpha, beta=beta, gamma=r_star)

@@ -1,8 +1,14 @@
 """Heuristics: local search, restarts, nested assortments, fixed-size swaps."""
 
+import math
 from fractions import Fraction
 
 import pytest
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the flip-sequence property needs it
+    given = None
 
 from dfopt import heuristics
 from dfopt.errors import DomainError
@@ -11,7 +17,10 @@ from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import (
     AssortmentVector,
     DecisionForest,
+    Leaf,
     ProductCatalog,
+    PurchaseTree,
+    Split,
     brute_force_optimal,
     expected_revenue,
 )
@@ -105,8 +114,6 @@ class TestLocalSearch:
 class TestLs10:
     def test_single_product_always_optimal(self):
         catalog = ProductCatalog(n=1, revenues=(4,))
-        from dfopt.model import Leaf, PurchaseTree, Split
-
         tree = PurchaseTree(
             {0: Split(1, 1, 2), 1: Leaf(1), 2: Leaf(0)}, root=0
         )
@@ -224,6 +231,9 @@ class TestDivideAndConquer:
 # ---------------------------------------------------------------------------
 
 
+NUMBERS = ["int", "int/float", "float", "Fraction"]
+
+
 def with_numbers(catalog, forest, numbers):
     """The instance with revenues and weights of another number type."""
     if numbers == "int/float":  # as generated
@@ -251,7 +261,13 @@ def assert_same(got, want):
     assert got.iterations == want.iterations
 
 
-@pytest.mark.parametrize("numbers", ["int", "int/float", "float", "Fraction"])
+def score(walks, j, best=-math.inf):
+    """The value of flipping j if it is above ``best``, else None."""
+    found = walks.best_flip([j], best)
+    return None if found is None else found[0]
+
+
+@pytest.mark.parametrize("numbers", NUMBERS)
 def test_move_scores_equal_expected_revenue(numbers):
     # the walk state's scores, not only the returned values, are the model's
     catalog, forest = with_numbers(*seeded_instance(6, num_trees=7), numbers)
@@ -262,41 +278,170 @@ def test_move_scores_equal_expected_revenue(numbers):
             x = list(walks.x[1:])
             x[j - 1] ^= 1
             want = expected_revenue(catalog, forest, x)
-            got = walks.flipped_value(j)
+            got = score(walks, j)
             assert (repr(got), type(got)) == (repr(want), type(want))
         walks.flip(i)
         want = expected_revenue(catalog, forest, walks.assortment())
         assert (repr(walks.value), type(walks.value)) == (repr(want), type(want))
 
 
-@pytest.mark.parametrize("numbers", ["int", "int/float", "float", "Fraction"])
+def generated(shape, seed, n=9, num_trees=5, leaves=8):
+    size = {"leaves": leaves} if shape == "t3" else {"depth": 3}
+    return generate_instance(
+        GeneratorConfig(
+            n=n, num_trees=num_trees, shape=TreeShape(shape, **size), seed=seed
+        )
+    )
+
+
+def assert_heuristics_match(catalog, forest, seed, cardinalities, monkeypatch):
+    """``ls``, ``ls10`` and ``dnc`` equal the full-rescan reference."""
+    assert_same(local_search(catalog, forest), reference.local_search(catalog, forest))
+    for b in cardinalities:
+        assert_same(
+            divide_and_conquer(catalog, forest, b, restarts=3, seed=seed),
+            reference.divide_and_conquer(catalog, forest, b, restarts=3, seed=seed),
+        )
+    got = ls10(catalog, forest, seed=seed, restarts=3, include_empty_start=True)
+    with monkeypatch.context() as m:
+        m.setattr(heuristics, "local_search", reference.local_search)
+        want = ls10(catalog, forest, seed=seed, restarts=3, include_empty_start=True)
+    assert_same(got, want)
+
+
+@pytest.mark.parametrize("numbers", NUMBERS)
 @pytest.mark.parametrize("shape", ["t1", "t2", "t3"])
 def test_matches_full_rescan(shape, numbers, monkeypatch):
-    size = {"leaves": 8} if shape == "t3" else {"depth": 3}
     for seed in range(4):
-        catalog, forest = with_numbers(
-            *generate_instance(
-                GeneratorConfig(
-                    n=9, num_trees=5, shape=TreeShape(shape, **size), seed=seed
-                )
-            ),
-            numbers,
-        )
+        catalog, forest = with_numbers(*generated(shape, seed), numbers)
         n = catalog.n
         start = AssortmentVector.from_set(n, {1, 4, 5, 8})
-        assert_same(local_search(catalog, forest), reference.local_search(catalog, forest))
         assert_same(
             local_search(catalog, forest, start),
             reference.local_search(catalog, forest, start),
         )
         assert_same(revenue_ordered(catalog, forest), reference.revenue_ordered(catalog, forest))
-        for b in (0, 1, 3, n):
-            assert_same(
-                divide_and_conquer(catalog, forest, b, restarts=3, seed=seed),
-                reference.divide_and_conquer(catalog, forest, b, restarts=3, seed=seed),
-            )
-        got = ls10(catalog, forest, seed=seed, restarts=3, include_empty_start=True)
-        with monkeypatch.context() as m:
-            m.setattr(heuristics, "local_search", reference.local_search)
-            want = ls10(catalog, forest, seed=seed, restarts=3, include_empty_start=True)
-        assert_same(got, want)
+        assert_heuristics_match(catalog, forest, seed, (0, 1, 3, n), monkeypatch)
+
+
+@pytest.mark.parametrize("numbers", NUMBERS)
+def test_matches_full_rescan_many_moves(numbers, monkeypatch):
+    # cached alternatives live across many moves and swaps at this size
+    catalog, forest = with_numbers(
+        *generated("t3", 11, n=30, num_trees=12, leaves=16), numbers
+    )
+    assert_heuristics_match(catalog, forest, 11, (6,), monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# cached alternatives and the refusal margin
+# ---------------------------------------------------------------------------
+
+
+def assert_scores_exact(walks, catalog, forest):
+    """Every product's score equals ``expected_revenue``, as a fresh state's.
+
+    A move worth ``want`` is refused against ``want`` itself and accepted
+    against anything just below it.
+    """
+    fresh = heuristics._Walks(catalog, forest, walks.assortment().support())
+    best = None
+    for j in range(1, catalog.n + 1):
+        x = list(walks.x[1:])
+        x[j - 1] ^= 1
+        want = expected_revenue(catalog, forest, x)
+        if want > (walks.value if best is None else best[0]):
+            best = (want, j)
+        if isinstance(want, float):
+            below = math.nextafter(want, -math.inf)
+        else:
+            below = want - Fraction(1, 10**9)
+        for state in (walks, fresh):
+            got = score(state, j)
+            assert (repr(got), type(got)) == (repr(want), type(want))
+            assert score(state, j, want) is None
+            got = score(state, j, below)
+            assert (repr(got), type(got)) == (repr(want), type(want))
+    assert walks.best_flip(range(1, catalog.n + 1), walks.value) == best
+
+
+def check_flip_sequence(catalog, forest, flips):
+    walks = heuristics._Walks(catalog, forest, ())
+    assert_scores_exact(walks, catalog, forest)
+    for i in flips:
+        walks.flip(i)
+        want = expected_revenue(catalog, forest, walks.assortment())
+        assert (repr(walks.value), type(walks.value)) == (repr(want), type(want))
+        assert_scores_exact(walks, catalog, forest)
+
+
+if given is not None:
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(
+        shape=st.sampled_from(["t1", "t2", "t3"]),
+        numbers=st.sampled_from(NUMBERS),
+        seed=st.integers(0, 10_000),
+        flips=st.lists(st.integers(1, 7), min_size=1, max_size=12),
+    )
+    def test_flip_sequences_keep_scores_exact(shape, numbers, seed, flips):
+        catalog, forest = with_numbers(*generated(shape, seed, n=7, num_trees=4), numbers)
+        check_flip_sequence(catalog, forest, flips)
+
+else:  # pragma: no cover
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_flip_sequences_keep_scores_exact():
+        pass
+
+
+def test_alternative_dropped_when_a_product_below_it_flips():
+    # at x = {1} the tree's path tests only product 1; the other branch of
+    # the root tests product 2, which no path tests, so flipping 2 re-walks
+    # no tree but changes what flipping 1 is worth: 0 from {1}, 5 from {1, 2}
+    catalog = ProductCatalog(n=2, revenues=(3, 5))
+    tree = PurchaseTree(
+        {0: Split(1, 1, 2), 1: Leaf(1), 2: Split(2, 3, 4), 3: Leaf(2), 4: Leaf(0)},
+        root=0,
+    )
+    forest = single_tree_forest(tree)
+    walks = heuristics._Walks(catalog, forest, {1})
+    assert score(walks, 1) == 0
+    walks.flip(2)
+    assert score(walks, 1) == 5
+    check_flip_sequence(catalog, forest, [1, 2, 1, 2])
+
+
+def ulp_instance():
+    """Trees worth 0.1/0.2/0.3/0.4 of revenue 1, where {1, 2} beats {2} by an ulp.
+
+    {1} is worth 0.1 + 0.2 = 0.30000000000000004, {2} 0.3 + 0.4 = 0.7 and
+    {1, 2} 0.1 + 0.2 + 0.4 = 0.7000000000000001.
+    """
+    buys_1 = PurchaseTree({0: Split(1, 1, 2), 1: Leaf(1), 2: Leaf(0)}, root=0)
+    buys_2 = PurchaseTree({0: Split(2, 1, 2), 1: Leaf(2), 2: Leaf(0)}, root=0)
+    buys_2_without_1 = PurchaseTree(
+        {0: Split(1, 1, 2), 1: Leaf(0), 2: Split(2, 3, 4), 3: Leaf(2), 4: Leaf(0)},
+        root=0,
+    )
+    return ProductCatalog(n=2, revenues=(1, 1)), DecisionForest(
+        (buys_1, buys_1, buys_2_without_1, buys_2), (0.1, 0.2, 0.3, 0.4)
+    )
+
+
+def test_one_ulp_gain_is_a_move(monkeypatch):
+    catalog, forest = ulp_instance()
+    res = local_search(catalog, forest)
+    assert res.assortment.support() == {1, 2}
+    assert repr(res.value) == "0.7000000000000001" and res.iterations == 2
+    assert_heuristics_match(catalog, forest, 0, (0, 1, 2), monkeypatch)
+
+
+@pytest.mark.parametrize("shape", ["t1", "t2", "t3"])
+def test_near_ties_match_full_rescan(shape, monkeypatch):
+    # equal revenues make many candidates tie exactly or differ by an ulp
+    for seed in range(4):
+        catalog, forest = generated(shape, seed, n=9, num_trees=4)
+        catalog = ProductCatalog(catalog.n, (1,) * catalog.n)
+        forest = DecisionForest(forest.trees, (0.1, 0.2, 0.3, 0.4))
+        assert_heuristics_match(catalog, forest, seed, (1, 3, 5), monkeypatch)

@@ -399,6 +399,20 @@ class TestIntegerCut:
         with pytest.raises(ContractViolation):
             integer_cut("split", catalog, tree, (0.5,) * catalog.n)
 
+    def test_a_table_serves_only_its_kind_and_tree(self):
+        catalog, tree, _ = random_tree_and_x(4, n=6, fractional=False)
+        _, other, _ = random_tree_and_x(5, n=6, fractional=False)
+        for kind in ("leaf", "split", "product"):
+            table = subproblems.cut_table(kind, catalog, tree)
+            for mask in range(1 << 6):
+                x = tuple((mask >> i) & 1 for i in range(6))
+                got = integer_cut(kind, catalog, tree, x, table=table)
+                assert repr(got) == repr(integer_cut(kind, catalog, tree, x))
+            with pytest.raises(ContractViolation, match="another kind or tree"):
+                integer_cut(kind, catalog, other, x, table=table)
+        with pytest.raises(ContractViolation, match="another kind or tree"):
+            integer_cut("split", catalog, tree, x, table=table)
+
 
 # ---------------------------------------------------------------------------
 # per-product subproblem
