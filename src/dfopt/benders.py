@@ -8,10 +8,11 @@ each epigraph variable to its tree's subproblem value:
   separation per tree uses the greedy primal/dual pair for the "leaf" and
   "split" granularities.  For "product" it uses the same pair when the
   replayed dual certifies the sweep optimal (``product_certified_sweep``) and
-  the subproblem LP only when that check fails.  Each tree's sweep tables
-  are built once per phase.  The product each multiplier of a cut belongs to
-  comes from ``formulations.row_product``, beside ``capacity_rows``, the one
-  place where the granularities are defined.
+  the subproblem LP only when that check fails.  Each phase builds one
+  ``subproblems.tree_table`` per tree for its oracles.  The product each
+  multiplier of a cut belongs to comes from ``formulations.row_product``,
+  beside ``capacity_rows``, the one place where the granularities are
+  defined.
 - Phase 2 (integer): best-bound branch and bound on x inside a single tree,
   adding closed-form cuts lazily whenever a node's LP solution is integral
   and some epigraph variable exceeds its tree's traversal revenue.
@@ -63,7 +64,6 @@ from .model import (
 )
 from .subproblems import (
     DualCertificate,
-    cut_table,
     integer_cut,
     leaf_dual_greedy,
     leaf_primal_greedy,
@@ -71,7 +71,7 @@ from .subproblems import (
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
-    sweep_table,
+    tree_table,
 )
 
 log = logging.getLogger("dfopt.benders")
@@ -195,7 +195,7 @@ def _master_state(catalog, forest, cardinality) -> MasterState:
 def _separate(kind: Kind, catalog, forest, x_vals, bases=None, tables=None):
     """Per-tree subproblem values and cut certificates at fractional x.
 
-    ``tables``, one ``sweep_table`` per tree, may be built once by the
+    ``tables``, one ``tree_table`` per tree, may be built once by the
     caller.  ``bases``, one entry per tree, carries each tree's product-oracle
     LP basis from one LP call to the next; it is updated in place.
     """
@@ -203,7 +203,11 @@ def _separate(kind: Kind, catalog, forest, x_vals, bases=None, tables=None):
     if bases is None:
         bases = [None] * len(trees)
     if tables is None:
-        tables = [sweep_table(kind, catalog, tree) for tree in trees]
+        tables = [tree_table(kind, catalog, tree) for tree in trees]
+    if kind is Kind.LEAF:
+        primal, dual = leaf_primal_greedy, leaf_dual_greedy
+    elif kind is Kind.SPLIT:
+        primal, dual = split_primal_greedy, split_dual_greedy
     out = []
     for t, tree in enumerate(trees):
         table = tables[t]
@@ -219,12 +223,8 @@ def _separate(kind: Kind, catalog, forest, x_vals, bases=None, tables=None):
                 bases[t] = sol.basis
                 prov = FRACTIONAL_LP
         else:
-            if kind is Kind.LEAF:
-                primal, dual = leaf_primal_greedy, leaf_dual_greedy
-            else:
-                primal, dual = split_primal_greedy, split_dual_greedy
             y, trace = primal(catalog, tree, x_vals, table=table)
-            value = sum(table.revenue[l] * w for l, w in y.items() if w != 0)
+            value = table.value(y)
             cert = dual(catalog, tree, trace)
             prov = FRACTIONAL_GREEDY
         out.append((float(value), cert, prov))
@@ -255,7 +255,7 @@ def relaxation_phase(
     bounds: list[float] = []
     master_basis = None
     oracle_bases = [None] * len(forest.trees)
-    tables = [sweep_table(kind, catalog, tree) for tree in forest.trees]
+    tables = [tree_table(kind, catalog, tree) for tree in forest.trees]
     while rounds < max_rounds:
         rounds += 1
         sol = solve_lp(state.master_lp(), warm=master_basis)
@@ -420,7 +420,7 @@ def integer_phase(
     elif cardinality is not None and state.cardinality != cardinality:
         raise DomainError("cardinality differs from the relaxation state")
 
-    tables = [cut_table(kind, catalog, tree) for tree in forest.trees]
+    tables = [tree_table(kind, catalog, tree) for tree in forest.trees]
 
     def separate(x_bin, point):
         added = 0

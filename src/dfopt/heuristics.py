@@ -28,7 +28,7 @@ re-indexes only the trees it changes.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,8 +52,6 @@ class HeuristicResult:
     assortment: AssortmentVector
     value: Number
     iterations: int
-    restarts: int
-    seed: int | None
 
 
 def _total(contrib) -> Number:
@@ -192,13 +190,9 @@ class _Walks:
         return found
 
 
-def _result(catalog, forest, x, iterations, restarts, seed) -> HeuristicResult:
+def _result(catalog, forest, x, iterations) -> HeuristicResult:
     return HeuristicResult(
-        assortment=x,
-        value=expected_revenue(catalog, forest, x),
-        iterations=iterations,
-        restarts=restarts,
-        seed=seed,
+        assortment=x, value=expected_revenue(catalog, forest, x), iterations=iterations
     )
 
 
@@ -225,7 +219,7 @@ def local_search(
             break
         walks.flip(found[1])
         moves += 1
-    return _result(catalog, forest, walks.assortment(), moves, 0, None)
+    return _result(catalog, forest, walks.assortment(), moves)
 
 
 def _check_restarts(restarts: int) -> None:
@@ -260,13 +254,7 @@ def ls10(
         total_moves += run.iterations
         if best is None or run.value > best.value:
             best = run
-    return HeuristicResult(
-        assortment=best.assortment,
-        value=best.value,
-        iterations=total_moves,
-        restarts=restarts,
-        seed=seed,
-    )
+    return replace(best, iterations=total_moves)
 
 
 def revenue_ordered(
@@ -289,7 +277,7 @@ def revenue_ordered(
             best_value = walks.value
             best_k = k
     x = AssortmentVector.from_set(n, ranked[:best_k])
-    return _result(catalog, forest, x, n, 0, None)
+    return _result(catalog, forest, x, n)
 
 
 def divide_and_conquer(
@@ -335,4 +323,4 @@ def divide_and_conquer(
         total_moves += moves
         if best is None or walks.value > best[1]:
             best = (walks.assortment(), walks.value)
-    return _result(catalog, forest, best[0], total_moves, restarts, seed)
+    return _result(catalog, forest, best[0], total_moves)

@@ -900,25 +900,3 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
         "x": point[: can.n_struct],
     }
 
-
-def lp_to_text(lp: LinearProgram) -> str:
-    """Plain-text debug dump.
-
-    Grammar: one line ``max: <coef>*x<j> ...``, then per row
-    ``r<i>: <coef>*x<j> ... <sense> <rhs>``, then per variable
-    ``x<j> in [<lb>, <ub>]``.  Zero coefficients are omitted.
-    """
-    parts = []
-    obj = " ".join(
-        f"{lp.c[j]:+g}*x{j}" for j in range(lp.num_cols) if lp.c[j] != 0
-    )
-    parts.append(f"max: {obj or '0'}")
-    for i in range(lp.num_rows):
-        terms = " ".join(
-            f"{lp.A[i, j]:+g}*x{j}" for j in range(lp.num_cols) if lp.A[i, j] != 0
-        )
-        parts.append(f"r{i}: {terms or '0'} {lp.senses[i]} {lp.b[i]:g}")
-    for j in range(lp.num_cols):
-        ub = "inf" if not np.isfinite(lp.ub[j]) else f"{lp.ub[j]:g}"
-        parts.append(f"x{j} in [{lp.lb[j]:g}, {ub}]")
-    return "\n".join(parts) + "\n"

@@ -232,7 +232,7 @@ class DecisionForest:
 class AssortmentVector:
     """Per-product inclusion levels in [0, 1]; binary vectors are assortments."""
 
-    __slots__ = ("values", "is_binary")
+    __slots__ = ("values",)
 
     def __init__(self, values: Sequence[Number]):
         vals = tuple(values)
@@ -240,7 +240,6 @@ class AssortmentVector:
             if not (0 <= v <= 1):
                 raise DomainError(f"x_{i} = {v} outside [0, 1]")
         self.values = vals
-        self.is_binary = all(v == 0 or v == 1 for v in vals)
 
     @classmethod
     def from_set(cls, n: int, included: Iterable[int]) -> "AssortmentVector":

@@ -22,7 +22,8 @@ at most points, and its replayed dual proves it when it is feasible and as
 good: ``product_certified_sweep`` returns the pair only then, and
 ``product_subproblem_lp`` solves the rows with the bundled simplex when that
 check fails.  For binary x all three granularities share the closed-form
-optimum of ``integer_cut``.
+optimum of ``integer_cut``.  The greedy oracles and ``integer_cut`` read one
+``TreeTable`` per tree and granularity, which a caller builds once per tree.
 
 Arithmetic is pure Python, so exact inputs (ints, Fractions) give exact
 outputs.  All functions are pure; the tie rules (the unit-sum event wins,
@@ -33,7 +34,8 @@ make traces deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Iterator, Mapping
 
 from .errors import ContractViolation
 from .formulations import Kind, as_kind, capacity_rows, leaf_rows, row_product
@@ -61,14 +63,14 @@ class EventTrace:
     ``s`` per split), and ``("C",)`` for the unit sum; ``f`` maps each event
     to the leaf being processed when it occurred.  Each row is recorded at
     most once, and a completed sweep ends with exactly one C event.
-    ``table`` is the ``SweepTable`` the sweep read; the dual replay reads it
+    ``table`` is the ``TreeTable`` the sweep read; the dual replay reads it
     too, so a trace replays only on its own tree.
     """
 
     kind: Kind
     events: tuple[tuple, ...]
     f: Mapping[tuple, int]
-    table: SweepTable | None = field(default=None, repr=False, compare=False)
+    table: TreeTable | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -97,12 +99,7 @@ class DualCertificate:
 
     def row_slacks(self, catalog: ProductCatalog, tree: PurchaseTree) -> dict[int, Number]:
         """Per-leaf slack of the dual rows (>= 0 iff the dual is feasible)."""
-        lhs = {l: self.gamma for l in tree.leaf_ids}
-        for key, _, left, leaves, _ in capacity_rows(self.kind, tree):
-            price = (self.alpha if left else self.beta).get(key, 0)
-            for l in leaves:
-                lhs[l] += price
-        return {l: lhs[l] - catalog.leaf_revenue(tree, l) for l in tree.leaf_ids}
+        return dict(tree_table(self.kind, catalog, tree).slacks(self))
 
 
 def leaf_order(catalog: ProductCatalog, tree: PurchaseTree) -> tuple[int, ...]:
@@ -113,14 +110,17 @@ def leaf_order(catalog: ProductCatalog, tree: PurchaseTree) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class SweepTable:
-    """What the sweep and the replay read of one tree at one granularity.
+class TreeTable:
+    """What the oracles read of one tree at one granularity.
 
-    ``order`` is ``leaf_order`` and ``revenue`` each leaf's revenue;
-    ``rows(l)`` is ``leaf_rows``, built the first time leaf l asks.  A caller
-    that separates the same tree many times builds the table once
-    (``sweep_table``) and passes it as ``table=``; without one, every call
-    builds its own.
+    ``order`` is ``leaf_order`` and ``revenue`` each leaf's revenue.  Two
+    parts are built on first use: ``rows(l)``, the ``leaf_rows`` of leaf l,
+    which the sweep, the replay and ``slacks`` read; and ``cuts``, each row of
+    ``capacity_rows`` as ``(key, left, other, top)`` for ``integer_cut``, where
+    ``other`` holds the leaves behind the opposite branch and ``top`` is the
+    largest revenue among the row's leaves.  A caller that separates the same
+    tree many times builds the table once (``tree_table``) and passes it as
+    ``table=``; without one, every call builds its own.
     """
 
     kind: Kind
@@ -135,10 +135,31 @@ class SweepTable:
             rows = self._rows[leaf] = leaf_rows(self.kind, self.tree, leaf)
         return rows
 
+    @cached_property
+    def cuts(self) -> tuple[tuple, ...]:
+        return tuple(
+            (key, left, other, max(self.revenue[l] for l in leaves))
+            for key, _, left, leaves, other in capacity_rows(self.kind, self.tree)
+        )
 
-def sweep_table(kind, catalog: ProductCatalog, tree: PurchaseTree) -> SweepTable:
-    """The tree's sweep table at granularity ``kind``."""
-    return SweepTable(
+    def slacks(self, cert: DualCertificate) -> Iterator[tuple[int, Number]]:
+        """``(leaf, slack)`` per leaf: gamma - revenue plus the prices of
+        ``rows(leaf)`` in order; all >= 0 iff ``cert`` is dual feasible."""
+        price = (cert.beta, cert.alpha)
+        for l in self.tree.leaf_ids:
+            slack = cert.gamma - self.revenue[l]
+            for _, key, _, left in self.rows(l):
+                slack += price[left].get(key, 0)
+            yield l, slack
+
+    def value(self, y: Mapping[int, Number]) -> Number:
+        """Revenue of the leaf weights y."""
+        return sum(self.revenue[l] * w for l, w in y.items() if w != 0)
+
+
+def tree_table(kind, catalog: ProductCatalog, tree: PurchaseTree) -> TreeTable:
+    """The tree's oracle table at granularity ``kind``."""
+    return TreeTable(
         kind=as_kind(kind),
         tree=tree,
         order=leaf_order(catalog, tree),
@@ -151,7 +172,7 @@ def sweep_table(kind, catalog: ProductCatalog, tree: PurchaseTree) -> SweepTable
 # ---------------------------------------------------------------------------
 
 
-def _sweep(table: SweepTable, x) -> tuple[dict, EventTrace]:
+def _sweep(table: TreeTable, x) -> tuple[dict, EventTrace]:
     """The greedy sweep against the capacity rows of one granularity."""
     vals = as_values(x)
     y: dict[int, Number] = {l: 0 for l in table.tree.leaf_ids}
@@ -183,7 +204,7 @@ def _sweep(table: SweepTable, x) -> tuple[dict, EventTrace]:
     return y, EventTrace(kind=table.kind, events=tuple(events), f=f, table=table)
 
 
-def _replay(table: SweepTable, trace: EventTrace) -> DualCertificate:
+def _replay(table: TreeTable, trace: EventTrace) -> DualCertificate:
     """The dual point matching a sweep, from its events.
 
     Gamma is the revenue of the C leaf.  Multipliers are set root-first: each
@@ -221,14 +242,14 @@ def _replay(table: SweepTable, trace: EventTrace) -> DualCertificate:
 def _table(kind, catalog, tree, table):
     """``table``, checked against the call, or a new one when it is None."""
     if table is None:
-        return sweep_table(kind, catalog, tree)
+        return tree_table(kind, catalog, tree)
     if table.kind != kind or table.tree is not tree:
-        raise ContractViolation("sweep table of another kind or tree")
+        raise ContractViolation("table of another kind or tree")
     return table
 
 
 def leaf_primal_greedy(
-    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: SweepTable | None = None
+    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: TreeTable | None = None
 ) -> tuple[dict[int, Number], EventTrace]:
     """Greedy optimum of the per-(split, leaf) subproblem: weights and trace."""
     return _sweep(_table(Kind.LEAF, catalog, tree, table), x)
@@ -242,7 +263,7 @@ def leaf_dual_greedy(
 
 
 def split_primal_greedy(
-    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: SweepTable | None = None
+    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: TreeTable | None = None
 ) -> tuple[dict[int, Number], EventTrace]:
     """Greedy optimum of the per-split aggregated subproblem: weights and trace."""
     return _sweep(_table(Kind.SPLIT, catalog, tree, table), x)
@@ -260,40 +281,13 @@ def split_dual_greedy(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CutTable:
-    """What ``integer_cut`` reads of one tree at one granularity.
-
-    ``rows`` holds each row of ``capacity_rows`` as ``(key, left, other,
-    top)``: ``other`` holds the leaves behind the opposite branch and ``top``
-    is the largest revenue among the row's leaves.  A caller that cuts the
-    same tree many times builds the table once (``cut_table``) and passes it
-    as ``table=``; without one, every call builds its own.
-    """
-
-    kind: Kind
-    tree: PurchaseTree
-    rows: tuple[tuple, ...]
-
-
-def cut_table(kind, catalog: ProductCatalog, tree: PurchaseTree) -> CutTable:
-    """The tree's cut table at granularity ``kind``."""
-    kind = as_kind(kind)
-    revenue = {l: catalog.leaf_revenue(tree, l) for l in tree.leaf_ids}
-    rows = tuple(
-        (key, left, other, max(revenue[l] for l in leaves))
-        for key, _, left, leaves, other in capacity_rows(kind, tree)
-    )
-    return CutTable(kind=kind, tree=tree, rows=rows)
-
-
 def integer_cut(
     kind: Kind,
     catalog: ProductCatalog,
     tree: PurchaseTree,
     x,
     *,
-    table: CutTable | None = None,
+    table: TreeTable | None = None,
 ) -> tuple[Number, DualCertificate]:
     """Closed-form subproblem optimum and dual at a binary assortment.
 
@@ -305,19 +299,16 @@ def integer_cut(
     assortment.
     """
     kind = as_kind(kind)
-    if table is None:
-        table = cut_table(kind, catalog, tree)
-    elif table.kind != kind or table.tree is not tree:
-        raise ContractViolation("cut table of another kind or tree")
+    table = _table(kind, catalog, tree, table)
     vals = as_values(x)
     if any(v != 0 and v != 1 for v in vals):
         raise ContractViolation("integer_cut requires a binary assortment")
     _, leaf_star = traverse(tree, vals)
-    r_star = catalog.leaf_revenue(tree, leaf_star)
+    r_star = table.revenue[leaf_star]
 
     alpha: dict = {}
     beta: dict = {}
-    for key, left, other, top in table.rows:
+    for key, left, other, top in table.cuts:
         if leaf_star in other:
             v = top - r_star
             if v > 0:
@@ -332,7 +323,7 @@ def integer_cut(
 
 
 def product_certified_sweep(
-    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: SweepTable | None = None
+    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: TreeTable | None = None
 ) -> tuple[Number, DualCertificate] | None:
     """The sweep's value and replayed dual on the per-product rows, if optimal.
 
@@ -347,16 +338,11 @@ def product_certified_sweep(
     if EVENT_C not in trace.f:
         return None
     cert = _replay(table, trace)
-    price = (cert.beta, cert.alpha)
-    if any(v < 0 for side in price for v in side.values()):
+    if any(v < 0 for side in (cert.alpha, cert.beta) for v in side.values()):
         return None
-    for l in tree.leaf_ids:
-        slack = cert.gamma - table.revenue[l]
-        for _, key, _, left in table.rows(l):
-            slack += price[left].get(key, 0)
-        if slack < -CERT_TOL:
-            return None
-    value = sum(table.revenue[l] * w for l, w in y.items() if w != 0)
+    if any(slack < -CERT_TOL for _, slack in table.slacks(cert)):
+        return None
+    value = table.value(y)
     if abs(cert.objective(tree, x) - value) > CERT_TOL:
         return None
     return value, cert
@@ -413,9 +399,9 @@ def product_greedy_sweep(
     Returns the leaf weights and their value; exists to demonstrate where
     per-product aggregation defeats the greedy argument.
     """
-    y, _ = _sweep(sweep_table(Kind.PRODUCT, catalog, tree), x)
-    value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items() if w != 0)
-    return y, value
+    table = tree_table(Kind.PRODUCT, catalog, tree)
+    y, _ = _sweep(table, x)
+    return y, table.value(y)
 
 
 # ---------------------------------------------------------------------------

@@ -17,13 +17,11 @@ def _value(catalog, forest, members):
     return expected_revenue(catalog, forest, AssortmentVector.from_set(catalog.n, members))
 
 
-def _result(catalog, members, value, iterations, restarts=0, seed=None):
+def _result(catalog, members, value, iterations):
     return HeuristicResult(
         assortment=AssortmentVector.from_set(catalog.n, members),
         value=value,
         iterations=iterations,
-        restarts=restarts,
-        seed=seed,
     )
 
 
@@ -87,4 +85,4 @@ def divide_and_conquer(catalog, forest, b, restarts=10, seed=0):
             total_moves += 1
         if best is None or value > best[1]:
             best = (members, value)
-    return _result(catalog, best[0], best[1], total_moves, restarts, seed)
+    return _result(catalog, best[0], best[1], total_moves)

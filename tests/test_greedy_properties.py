@@ -23,12 +23,17 @@ from dfopt.model import (  # noqa: E402
     traverse,
 )
 from dfopt.subproblems import (  # noqa: E402
+    CERT_TOL,
+    EVENT_C,
+    _replay,
+    _sweep,
     leaf_dual_greedy,
     leaf_primal_greedy,
     product_certified_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
+    tree_table,
 )
 
 N = 5
@@ -72,6 +77,9 @@ catalogs = st.lists(st.integers(0, 20), min_size=N, max_size=N).map(
 levels = st.lists(
     st.floats(0, 1, allow_nan=False, allow_infinity=False), min_size=N, max_size=N
 )
+fraction_levels = st.lists(
+    st.fractions(0, 1, max_denominator=12), min_size=N, max_size=N
+)
 
 
 @PROPERTY_SETTINGS
@@ -109,6 +117,44 @@ def test_certified_product_sweep_is_the_lp_optimum(shape, seed, x):
         lp_value, _, _ = product_subproblem_lp(catalog, tree, x)
         assert float(value) == pytest.approx(lp_value, abs=1e-9)
         assert all(v >= -1e-9 for v in cert.row_slacks(catalog, tree).values())
+
+
+def reference_slacks(catalog, tree, cert):
+    """Each leaf's dual row summed over the capacity rows that hold it."""
+    lhs = {l: cert.gamma for l in tree.leaf_ids}
+    for key, _, left, leaves, _ in capacity_rows(cert.kind, tree):
+        for l in leaves:
+            lhs[l] += (cert.alpha if left else cert.beta).get(key, 0)
+    return {l: lhs[l] - catalog.leaf_revenue(tree, l) for l in tree.leaf_ids}
+
+
+@PROPERTY_SETTINGS
+@given(
+    shape=st.sampled_from(["t1", "t2", "t3"]),
+    seed=st.integers(0, 10_000),
+    x=fraction_levels,
+)
+def test_product_sweep_is_certified_exactly_when_its_dual_checks(shape, seed, x):
+    catalog, tree = generated_tree(shape, seed)
+    for kind, (primal, dual) in PAIRS.items():
+        cert = dual(catalog, tree, primal(catalog, tree, x)[1])
+        assert cert.row_slacks(catalog, tree) == reference_slacks(catalog, tree, cert)
+    table = tree_table(Kind.PRODUCT, catalog, tree)
+    y, trace = _sweep(table, x)
+    found = product_certified_sweep(catalog, tree, x)
+    if EVENT_C not in trace.f:
+        assert found is None
+        return
+    cert = _replay(table, trace)
+    slacks = cert.row_slacks(catalog, tree)
+    assert slacks == reference_slacks(catalog, tree, cert)
+    value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items())
+    certified = (
+        all(v >= 0 for v in (*cert.alpha.values(), *cert.beta.values()))
+        and all(v >= -CERT_TOL for v in slacks.values())
+        and abs(cert.objective(tree, x) - value) <= CERT_TOL
+    )
+    assert found == ((value, cert) if certified else None)
 
 
 @PROPERTY_SETTINGS

@@ -21,7 +21,6 @@ from dfopt.lp import (
     LE,
     LinearProgram,
     WarmBasis,
-    lp_to_text,
     solve_lp,
     solve_lp_multi,
     solve_lp_with_basis,
@@ -649,11 +648,3 @@ class TestDeterminism:
         assert np.array_equal(a.x, b.x)
         assert a.basis == b.basis
 
-
-class TestExport:
-    def test_text_dump(self):
-        lp = LinearProgram.build(
-            c=[1.0, 0.0], A=[[1.0, 2.0]], senses=[LE], b=[3.0], ub=[1.0, np.inf]
-        )
-        text = lp_to_text(lp)
-        assert "max:" in text and "r0:" in text and "x1 in [0, inf]" in text

@@ -1,5 +1,6 @@
 """Greedy subproblem oracles: traces, duals, closed forms, LP agreement."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from dfopt.subproblems import (
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
+    tree_table,
 )
 
 from cases import (
@@ -399,21 +401,6 @@ class TestIntegerCut:
         with pytest.raises(ContractViolation):
             integer_cut("split", catalog, tree, (0.5,) * catalog.n)
 
-    def test_a_table_serves_only_its_kind_and_tree(self):
-        catalog, tree, _ = random_tree_and_x(4, n=6, fractional=False)
-        _, other, _ = random_tree_and_x(5, n=6, fractional=False)
-        for kind in ("leaf", "split", "product"):
-            table = subproblems.cut_table(kind, catalog, tree)
-            for mask in range(1 << 6):
-                x = tuple((mask >> i) & 1 for i in range(6))
-                got = integer_cut(kind, catalog, tree, x, table=table)
-                assert repr(got) == repr(integer_cut(kind, catalog, tree, x))
-            with pytest.raises(ContractViolation, match="another kind or tree"):
-                integer_cut(kind, catalog, other, x, table=table)
-        with pytest.raises(ContractViolation, match="another kind or tree"):
-            integer_cut("split", catalog, tree, x, table=table)
-
-
 # ---------------------------------------------------------------------------
 # per-product subproblem
 # ---------------------------------------------------------------------------
@@ -501,24 +488,6 @@ class TestProductCertifiedSweep:
             assert float(value) == pytest.approx(lp_value, abs=1e-9)
         assert accepted >= 30
 
-    def test_a_table_serves_only_its_kind_and_tree(self):
-        catalog, tree, x = random_tree_and_x(0)
-        _, other, _ = random_tree_and_x(3)
-        table = subproblems.sweep_table(Kind.PRODUCT, catalog, tree)
-        assert product_certified_sweep(catalog, tree, x, table=table) == (
-            product_certified_sweep(catalog, tree, x)
-        )
-        with pytest.raises(ContractViolation, match="another kind or tree"):
-            product_certified_sweep(catalog, other, x, table=table)
-        with pytest.raises(ContractViolation, match="another kind or tree"):
-            split_primal_greedy(catalog, tree, x, table=table)
-        # a trace carries its table, so it replays only on its own tree
-        _, trace = split_primal_greedy(catalog, tree, x)
-        with pytest.raises(ContractViolation, match="another kind or tree"):
-            split_dual_greedy(catalog, other, trace)
-        with pytest.raises(ContractViolation, match="another kind or tree"):
-            leaf_dual_greedy(catalog, tree, trace)
-
     def test_a_sweep_without_the_unit_sum_event_is_refused(self, monkeypatch):
         catalog, tree, x = random_tree_and_x(1)
         real = subproblems._sweep
@@ -548,6 +517,60 @@ class TestProductCertifiedSweep:
         )
         monkeypatch.setattr(subproblems, "_replay", lambda table, trace: shifted)
         assert product_certified_sweep(catalog, tree, x) is None
+
+
+# ---------------------------------------------------------------------------
+# one oracle table per tree and granularity
+# ---------------------------------------------------------------------------
+
+
+def _with_table(oracle):
+    return lambda catalog, tree, x, table: oracle(catalog, tree, x, table=table)
+
+
+def _replayed(primal, dual):
+    """A dual greedy, reading ``table`` through the trace it replays."""
+
+    def call(catalog, tree, x, table):
+        _, trace = primal(catalog, tree, x)
+        return dual(catalog, tree, dataclasses.replace(trace, table=table))
+
+    return call
+
+
+def _cut(kind):
+    return lambda catalog, tree, x, table: integer_cut(kind, catalog, tree, x, table=table)
+
+
+TABLE_ORACLES = {
+    "leaf_primal_greedy": (Kind.LEAF, _with_table(leaf_primal_greedy)),
+    "leaf_dual_greedy": (Kind.LEAF, _replayed(leaf_primal_greedy, leaf_dual_greedy)),
+    "split_primal_greedy": (Kind.SPLIT, _with_table(split_primal_greedy)),
+    "split_dual_greedy": (Kind.SPLIT, _replayed(split_primal_greedy, split_dual_greedy)),
+    "product_certified_sweep": (Kind.PRODUCT, _with_table(product_certified_sweep)),
+    **{f"integer_cut-{kind.value}": (kind, _cut(kind)) for kind in Kind},
+}
+
+
+@pytest.mark.parametrize("name", TABLE_ORACLES)
+def test_a_table_serves_only_its_kind_and_tree(name):
+    kind, oracle = TABLE_ORACLES[name]
+    catalog, tree, _ = random_tree_and_x(4, n=6)
+    _, other, _ = random_tree_and_x(5, n=6)
+    points = [tuple((mask >> i) & 1 for i in range(6)) for mask in range(1 << 6)]
+    if not name.startswith("integer_cut"):
+        for seed in range(8):
+            x = random_tree_and_x(seed, n=6)[2]
+            points += [x, tuple(Fraction(round(v * 8), 8) for v in x)]
+    table = tree_table(kind, catalog, tree)
+    for x in points:
+        assert repr(oracle(catalog, tree, x, table)) == repr(
+            oracle(catalog, tree, x, None)
+        )
+    other_kind = list(Kind)[(list(Kind).index(kind) + 1) % len(Kind)]
+    for wrong, at in ((tree_table(other_kind, catalog, tree), tree), (table, other)):
+        with pytest.raises(ContractViolation, match="^table of another kind or tree$"):
+            oracle(catalog, at, points[0], wrong)
 
 
 # ---------------------------------------------------------------------------
