@@ -59,7 +59,6 @@ from .model import (
     PurchaseTree,
     Split,
     brute_force_optimal,
-    choice_probability,
     expected_revenue,
     instance_from_json,
     instance_to_json,
@@ -70,7 +69,6 @@ from .subproblems import (
     DualCertificate,
     EventTrace,
     integer_cut,
-    knapsack_view,
     leaf_dual_greedy,
     leaf_order,
     leaf_primal_greedy,

@@ -135,13 +135,14 @@ class MasterState:
 
     ``master_lp`` puts the cardinality row first and the cuts after it in pool
     order, so a basis of an earlier master fits a later one: new cuts only
-    append rows.
+    append rows.  ``bound``, the relaxation's final master value, bounds B&B.
     """
 
     n: int
     theta_ub: tuple[float, ...]
     weights: tuple[float, ...] = ()
     cardinality: int | None = None
+    bound: float = float("inf")
     pool: list[BendersCut] = field(default_factory=list)
     _keys: set = field(default_factory=set)
 
@@ -278,6 +279,7 @@ def relaxation_phase(
                     added += 1
         log.info("round %d: bound %.6f, cuts added %d", rounds, obj, added)
         if added == 0:
+            state.bound = obj
             return RelaxationResult(
                 value=obj, x=x_vals, state=state, rounds=rounds, bounds=tuple(bounds)
             )
@@ -310,17 +312,18 @@ class BranchAndBoundResult:
 
 
 def _branch_and_bound(
-    catalog, forest, node_lp, budget: Budget | None, separate=None, root=None
+    catalog, forest, node_lp, budget: Budget | None, separate=None, root=None,
+    root_bound=float("inf"),
 ):
     """Best-bound search over fixings of the x block (the first n columns).
 
     A node solves ``node_lp()`` with its fixings applied to the bounds: the
     root from the start basis ``root`` when given (else cold), every other
-    node from its parent's final basis.  At an integral point,
-    ``separate(x_bin, point)`` may add cuts to the LPs ``node_lp`` builds and
-    return how many; the node is then re-solved from its own basis.  An
-    integral point without cuts competes for the incumbent with its model
-    value, never the LP's.
+    node from its parent's final basis.  The root's bound is ``root_bound``
+    until it is solved.  At an integral point, ``separate(x_bin, point)`` may
+    add cuts to the LPs ``node_lp`` builds and return how many; the node is
+    then re-solved from its own basis.  An integral point without cuts
+    competes for the incumbent with its model value, never the LP's.
     """
     n = catalog.n
     budget = budget or Budget()
@@ -328,7 +331,7 @@ def _branch_and_bound(
     counter = itertools.count()
     # entries (-bound, order, fixed0, fixed1, parent basis): best bound
     # first, ties by age
-    heap = [(-float("inf"), next(counter), frozenset(), frozenset(), None)]
+    heap = [(-root_bound, next(counter), frozenset(), frozenset(), None)]
     incumbent_x = None
     incumbent_val = -float("inf")
     nodes = 0
@@ -431,7 +434,9 @@ def integer_phase(
                 added += state.add_cut(cut)
         return added
 
-    return _branch_and_bound(catalog, forest, state.master_lp, budget, separate)
+    return _branch_and_bound(
+        catalog, forest, state.master_lp, budget, separate, root_bound=state.bound
+    )
 
 
 def _monolithic_start_basis(built: BuiltFormulation, forest) -> WarmBasis:

@@ -18,13 +18,11 @@ result emitted), 4 internal solver error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
 import logging
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -39,17 +37,6 @@ EXIT_BUDGET = 3
 EXIT_SOLVER = 4
 
 KINDS = tuple(formulations.Kind)
-
-
-def _pool_size() -> int:
-    value = os.environ.get("DFOPT_THREADS", "1")
-    try:
-        size = int(value)
-    except ValueError:
-        size = 0
-    if size < 1:
-        raise ConfigError(f"DFOPT_THREADS must be a positive integer, got {value!r}")
-    return size
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -143,14 +130,11 @@ def _monolithic(kind):
 def _benders(kind):
     def solve(catalog, forest, cardinality, budget, seed):
         relax, res = benders.solve_two_phase(kind, catalog, forest, cardinality, budget)
-        # a budget stop before B&B proved any bound still has phase 1's bound
-        bound = relax.value if res.upper_bound == math.inf else res.upper_bound
         return _bb_row(
             res,
-            bound=bound,
             z_lo=relax.value,
             z_lb=res.value,
-            z_ub=bound,
+            z_ub=res.upper_bound,
             rounds=relax.rounds,
             cuts=len(relax.state.pool),
         )
@@ -277,7 +261,8 @@ def _fmt(v) -> str:
     if v is None:
         return ""
     if isinstance(v, float):
-        return f"{v:.6f}"
+        # an unproven value or bound (an infinity) is an empty cell, like None
+        return f"{v:.6f}" if math.isfinite(v) else ""
     return str(v)
 
 
@@ -312,7 +297,10 @@ def _grid(spec) -> list[tuple]:
 
 
 def _run_cells(spec, worker):
-    """Evaluate ``worker`` per (cell, replication), optionally in a pool."""
+    """Run ``worker(cell, rep, seed)`` per (cell, replication), in grid order.
+
+    Returns ``(cell, rep, seed, result)`` tuples.
+    """
     try:
         reps = int(spec.get("replications", 1))
         master_seed = int(spec.get("seed", 0))
@@ -321,18 +309,12 @@ def _run_cells(spec, worker):
         raise ConfigError(f"malformed experiment grid: {exc}") from None
     if reps < 1:
         raise ConfigError("replications must be >= 1")
-    tasks = []
-    for cell in cells:
-        for rep in range(reps):
-            seed = _rep_seed(master_seed, *cell, rep)
-            tasks.append((cell, rep, seed))
-    pool = _pool_size()
-    if pool == 1:
-        results = [worker(cell, rep, seed) for cell, rep, seed in tasks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=pool) as ex:
-            results = list(ex.map(lambda t: worker(*t), tasks))
-    return [(t[0], t[1], t[2], r) for t, r in zip(tasks, results)]
+    return [
+        (cell, rep, seed, worker(cell, rep, seed))
+        for cell in cells
+        for rep in range(reps)
+        for seed in [_rep_seed(master_seed, *cell, rep)]
+    ]
 
 
 def _rows_with_means(results, metric_keys):
@@ -549,7 +531,7 @@ EXPERIMENTS = {
 #: than silently replaced by its default.
 SPEC_KEYS = frozenset({
     "experiment", "types", "n", "num_trees", "leaves", "replications", "seed",
-    "revenue_range", "rho", "budget_nodes", "budget_sec", "timings", "out",
+    "revenue_range", "rho", "budget_nodes", "budget_sec", "out",
 })
 
 
@@ -587,8 +569,7 @@ def cmd_experiment(args) -> int:
             f"unknown experiment {name!r} (choose from {sorted(EXPERIMENTS)})"
         )
     _check_spec(spec)
-    timings = bool(spec.get("timings", True)) and not args.no_timings
-    table, header, rows = EXPERIMENTS[name](spec, timings)
+    table, header, rows = EXPERIMENTS[name](spec, not args.no_timings)
     out_dir = Path(args.out or spec.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
     schema = f"{SCHEMA_PREFIX}.{table}.v1"

@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DomainError
 from .lp import EQ, LE, LinearProgram, LpSolution, solve_lp
 from .model import (
-    AssortmentVector,
     DecisionForest,
     ProductCatalog,
     PurchaseTree,
@@ -124,9 +123,6 @@ class BuiltFormulation:
     unit_rows: tuple[int, ...]  # per tree, the row index of its unit-sum row
     card_row: int | None  # row index of the cardinality row, if any
 
-    def x_of(self, solution: LpSolution) -> np.ndarray:
-        return solution.x[: self.n]
-
     def y_of(self, solution: LpSolution) -> dict[tuple[int, int], float]:
         return {key: float(solution.x[c]) for key, c in self.y_cols.items()}
 
@@ -201,7 +197,7 @@ def solve_relaxation(built: BuiltFormulation):
     sol = solve_lp(built.lp)
     if sol.status != "optimal":
         raise DomainError(f"relaxation is {sol.status}")
-    return float(sol.objective), built.x_of(sol), built.y_of(sol)
+    return float(sol.objective), sol.x[: built.n], built.y_of(sol)
 
 
 def solve_integer_monolithic(
@@ -237,21 +233,3 @@ def integrality_gap(
     gap = 100.0 * (z_lo - z_star) / z_star
     return max(gap, 0.0)
 
-
-def relaxation_value_at(
-    kind: Kind,
-    catalog: ProductCatalog,
-    forest: DecisionForest,
-    x: AssortmentVector,
-) -> float:
-    """Relaxation objective with the x block fixed (diagnostic helper)."""
-    built = build(kind, catalog, forest)
-    vals = [float(v) for v in x.values]
-    lb = built.lp.lb.copy()
-    ub = built.lp.ub.copy()
-    lb[: built.n] = vals
-    ub[: built.n] = vals
-    sol = solve_lp(built.lp.with_bounds(lb, ub))
-    if sol.status != "optimal":
-        raise DomainError(f"fixed-x relaxation is {sol.status}")
-    return float(sol.objective)

@@ -176,12 +176,6 @@ class LpSolution:
     refactorizations: int = 0
     warm: bool = False
 
-    def dual_objective(self, lp: LinearProgram) -> float:
-        """b'y plus reduced-cost terms for nonbasic variables at their bounds."""
-        val = float(np.dot(self.duals, lp.b))
-        val += float(np.dot(self.reduced_costs, self.x))
-        return val
-
 
 class _Canonical:
     """Internal minimization form: A z + s = b, all rows equalities via slacks.

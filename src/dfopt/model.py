@@ -321,26 +321,6 @@ def traverse(tree: PurchaseTree, x) -> tuple[int, int]:
         ) from None
 
 
-def choice_probability(
-    catalog: ProductCatalog, forest: DecisionForest, option: int, x
-) -> Number:
-    """Probability that a random customer picks ``option`` from assortment x."""
-    vals = as_values(x)
-    check_size(catalog, vals)
-    if option != NO_PURCHASE:
-        if not 1 <= option <= len(vals):
-            raise DomainError(f"option {option} out of range")
-        if vals[option - 1] != 1:
-            raise DomainError(f"option {option} is not offered")
-    _check_binary(vals)
-    total = 0
-    for tree, w in zip(forest.trees, forest.weights):
-        picked, _ = _walk(tree, vals)
-        if picked == option:
-            total += w
-    return total
-
-
 def expected_revenue(catalog: ProductCatalog, forest: DecisionForest, x) -> Number:
     """Expected per-customer revenue of a binary assortment.
 

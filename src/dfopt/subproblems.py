@@ -403,36 +403,3 @@ def product_greedy_sweep(
     y, _ = _sweep(table, x)
     return y, table.value(y)
 
-
-# ---------------------------------------------------------------------------
-# Knapsack view of the per-(split, leaf) subproblem
-# ---------------------------------------------------------------------------
-
-
-def knapsack_view(
-    catalog: ProductCatalog, tree: PurchaseTree, x
-) -> tuple[dict[int, Number], Number]:
-    """Leaf weights and the greedy optimum of the relaxed (<= 1) subproblem.
-
-    A leaf's weight is the tightest raw capacity along its path, capped at 1;
-    filling leaves by revenue until the budget is spent is the fractional
-    knapsack optimum because every leaf's profit-to-weight ratio is its
-    revenue.
-    """
-    vals = as_values(x)
-    w: dict[int, Number] = {}
-    for l in tree.leaf_ids:
-        cap = 1
-        for _, _, i, left in leaf_rows(Kind.LEAF, tree, l):
-            cap = min(cap, vals[i - 1] if left else 1 - vals[i - 1])
-        w[l] = cap
-    remaining = 1
-    value = 0
-    for l in leaf_order(catalog, tree):
-        if remaining <= 0:
-            break
-        take = min(w[l], remaining)
-        if take > 0:
-            value += take * catalog.leaf_revenue(tree, l)
-            remaining -= take
-    return w, value

@@ -420,14 +420,28 @@ class TestExperiment:
         before = self._run(tmp_path, name, "before", flag_first=True)
         assert self._run(tmp_path, name, "after", flag_first=False) == before
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-3", ""])
-    def test_bad_thread_count(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("DFOPT_THREADS", value)
+    def test_benders_without_nodes_reports_relaxation_bound(self, tmp_path):
+        # with no B&B node solved the integer phase has proven only phase 1's
+        # bound, and an unproven value is an empty cell, never "inf"
+        spec = {
+            "experiment": "benders",
+            "types": ["t3"],
+            "n": [8],
+            "num_trees": [3],
+            "leaves": [8],
+            "seed": 5,
+            "budget_nodes": 0,
+        }
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(dict(self.SMALL, experiment="tractability")))
-        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "o")]
-        assert main(argv) == EXIT_CONFIG
-        assert "DFOPT_THREADS" in capsys.readouterr().err
+        spec_path.write_text(json.dumps(spec))
+        argv = ["--no-timings", "experiment", "--spec", str(spec_path), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        rows = list(csv.DictReader(io.StringIO((tmp_path / "benders.csv").read_text())))
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row["rho0.2_z_b_ub"]) == float(row["rho0.2_z_b_lo"])
+            assert row["rho0.2_z_b_lb"] == ""
+            assert not {"inf", "-inf", "nan"} & set(row.values())
 
     def test_unknown_experiment(self, tmp_path):
         spec_path = tmp_path / "spec.json"

