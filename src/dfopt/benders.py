@@ -17,19 +17,18 @@ each epigraph variable to its tree's subproblem value:
   adding closed-form cuts lazily whenever a node's LP solution is integral
   and some epigraph variable exceeds its tree's traversal revenue.
 
-One branch-and-bound loop serves both exact searches: it branches on the x
-block of the cut master (with lazy cuts) or of the full monolithic LP.
-Subproblem oracle calls within a cut round are independent per tree; master
-solves and pool mutation are serialized, and nodes are processed one at a
-time, so runs are deterministic.
+One master LP (``MasterState.lp``) serves both phases: cuts are appended to
+it as rows, and B&B, which searches the monolithic LP the same way, changes
+only its bounds.  Nodes are processed one at a time, so runs are deterministic.
 
 Every re-solve starts from the basis of the LP it follows, which stays dual
 feasible, so ``solve_lp`` runs the dual simplex from it: each master from
 the previous round's master (new cuts append rows, whose slacks join the
-basis), each tree's product-oracle LP from its previous one, each B&B
-child from its parent's final basis, and a node's re-solve after lazy cuts
-from its own.  Only the monolithic root starts from a hand-built feasible
-basis (``_monolithic_start_basis``), placed by the row indices
+basis), each tree's product-oracle LP from its previous one, the integer
+root from the relaxation's final master basis, each B&B child from its
+parent's final basis, and a node's re-solve after lazy cuts from its own.
+The monolithic root starts from a hand-built feasible basis
+(``_monolithic_start_basis``), placed by the row indices
 ``formulations.build`` records (``unit_rows``, ``card_row``).
 """
 
@@ -38,6 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -131,66 +131,64 @@ def cut_from_certificate(
 
 @dataclass
 class MasterState:
-    """Mutable decomposition state: cut pool and master dimensions.
+    """Mutable decomposition state: the cut pool and the master LP over it.
 
-    ``master_lp`` puts the cardinality row first and the cuts after it in pool
-    order, so a basis of an earlier master fits a later one: new cuts only
-    append rows.  ``bound``, the relaxation's final master value, bounds B&B.
+    ``lp`` has one column per x level and one epigraph column per tree,
+    weighted by the tree's weight and bounded above by its best leaf revenue.
+    Its rows are the cardinality row first and then one row per pooled cut,
+    in pool order, so a basis of an earlier master fits a later one: new cuts
+    only append rows.  ``basis`` is the optimal basis of the relaxation's
+    last master solve, and ``bound``, that master's value, bounds B&B.
     """
 
     n: int
-    theta_ub: tuple[float, ...]
-    weights: tuple[float, ...] = ()
+    lp: LinearProgram
     cardinality: int | None = None
     bound: float = float("inf")
+    basis: WarmBasis | None = None
     pool: list[BendersCut] = field(default_factory=list)
     _keys: set = field(default_factory=set)
 
-    def add_cut(self, cut: BendersCut) -> bool:
-        key = cut.key()
-        if key in self._keys:
-            return False
-        self._keys.add(key)
-        self.pool.append(cut)
-        return True
-
-    def master_lp(self) -> LinearProgram:
-        n, k = self.n, len(self.theta_ub)
-        ncols = n + k
-        c = np.zeros(ncols)
-        c[n:] = np.asarray(self.weights, dtype=float)
-        rows = []
-        senses = []
-        rhs = []
-        if self.cardinality is not None:
-            row = np.zeros(ncols)
-            row[:n] = 1.0
-            rows.append(row)
-            senses.append(EQ)
-            rhs.append(float(self.cardinality))
-        for cut in self.pool:
-            row = np.zeros(ncols)
-            row[:n] = [-v for v in cut.coef]
-            row[n + cut.tree] = 1.0
-            rows.append(row)
-            senses.append(LE)
-            rhs.append(cut.const)
-        lb = np.zeros(ncols)
-        ub = np.concatenate([np.ones(n), np.asarray(self.theta_ub, dtype=float)])
-        A = np.array(rows) if rows else np.zeros((0, ncols))
-        return LinearProgram.build(c=c, A=A, senses=senses, b=rhs, lb=lb, ub=ub)
+    def add_cuts(self, cuts) -> int:
+        """Pool the cuts not pooled yet, appending their rows to ``lp`` in one
+        rebuild; returns how many."""
+        new = []
+        for cut in cuts:
+            key = cut.key()
+            if key not in self._keys:
+                self._keys.add(key)
+                new.append(cut)
+        if new:
+            lp, n = self.lp, self.n
+            rows = np.zeros((len(new), lp.num_cols))
+            for r, cut in enumerate(new):
+                rows[r, :n] = np.negative(cut.coef)
+                rows[r, n + cut.tree] = 1.0
+            A = np.vstack([lp.A, rows])
+            b = np.concatenate([lp.b, [cut.const for cut in new]])
+            senses = lp.senses + (LE,) * len(new)
+            self.lp = LinearProgram.build(lp.c, A, senses, b, lp.lb, lp.ub)
+            self.pool += new
+        return len(new)
 
 
 def _master_state(catalog, forest, cardinality) -> MasterState:
     check_cardinality(catalog.n, cardinality)
-    theta_ub = tuple(
+    n, k = catalog.n, len(forest.trees)
+    theta_ub = [
         max(float(catalog.leaf_revenue(tree, l)) for l in tree.leaf_ids)
         for tree in forest.trees
+    ]
+    card = cardinality is not None
+    lp = LinearProgram.build(
+        c=np.concatenate([np.zeros(n), [float(w) for w in forest.weights]]),
+        A=[np.concatenate([np.ones(n), np.zeros(k)])] if card else [],
+        senses=[EQ] if card else [],
+        b=[float(cardinality)] if card else [],
+        lb=np.zeros(n + k),
+        ub=np.concatenate([np.ones(n), theta_ub]),
     )
-    weights = tuple(float(w) for w in forest.weights)
-    return MasterState(
-        n=catalog.n, theta_ub=theta_ub, weights=weights, cardinality=cardinality
-    )
+    return MasterState(n=n, lp=lp, cardinality=cardinality)
 
 
 def _separate(kind: Kind, catalog, forest, x_vals, bases=None, tables=None):
@@ -254,29 +252,27 @@ def relaxation_phase(
     n = catalog.n
     rounds = 0
     bounds: list[float] = []
-    master_basis = None
     oracle_bases = [None] * len(forest.trees)
     tables = [tree_table(kind, catalog, tree) for tree in forest.trees]
     while rounds < max_rounds:
         rounds += 1
-        sol = solve_lp(state.master_lp(), warm=master_basis)
+        sol = solve_lp(state.lp, warm=state.basis)
         if sol.status != "optimal":
             raise DomainError(f"master LP is {sol.status}")
-        master_basis = sol.basis
+        state.basis = sol.basis
         obj = float(sol.objective)
         if bounds and obj > bounds[-1] + 1e-7:
             log.warning("master bound increased: %.12g -> %.12g", bounds[-1], obj)
         bounds.append(obj)
         x_vals = tuple(float(v) for v in sol.x[:n])
         thetas = sol.x[n:]
-        added = 0
-        for t, (value, cert, prov) in enumerate(
-            _separate(kind, catalog, forest, x_vals, oracle_bases, tables)
-        ):
-            if float(thetas[t]) > value + CUT_TOL:
-                cut = cut_from_certificate(cert, forest.trees[t], t, n, prov)
-                if state.add_cut(cut):
-                    added += 1
+        added = state.add_cuts(
+            cut_from_certificate(cert, forest.trees[t], t, n, prov)
+            for t, (value, cert, prov) in enumerate(
+                _separate(kind, catalog, forest, x_vals, oracle_bases, tables)
+            )
+            if float(thetas[t]) > value + CUT_TOL
+        )
         log.info("round %d: bound %.6f, cuts added %d", rounds, obj, added)
         if added == 0:
             state.bound = obj
@@ -296,8 +292,17 @@ def relaxation_phase(
 
 @dataclass(frozen=True)
 class Budget:
+    """B&B node and second limits: None, or finite and >= 0 (nodes integral)."""
+
     max_nodes: int | None = None
     max_seconds: float | None = None
+
+    def __post_init__(self):
+        for name, types in (("max_nodes", int), ("max_seconds", (int, float))):
+            v = getattr(self, name)
+            ok = isinstance(v, types) and not isinstance(v, bool) and 0 <= v < math.inf
+            if v is not None and not ok:
+                raise DomainError(f"budget {name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass
@@ -312,17 +317,17 @@ class BranchAndBoundResult:
 
 
 def _branch_and_bound(
-    catalog, forest, node_lp, budget: Budget | None, separate=None, root=None,
+    catalog, forest, master, budget: Budget | None, separate=None, root=None,
     root_bound=float("inf"),
 ):
     """Best-bound search over fixings of the x block (the first n columns).
 
-    A node solves ``node_lp()`` with its fixings applied to the bounds: the
+    A node solves ``master.lp`` with its fixings applied to the bounds: the
     root from the start basis ``root`` when given (else cold), every other
     node from its parent's final basis.  The root's bound is ``root_bound``
     until it is solved.  At an integral point, ``separate(x_bin, point)`` may
-    add cuts to the LPs ``node_lp`` builds and return how many; the node is
-    then re-solved from its own basis.  An integral point without cuts
+    append cuts to ``master.lp`` and return how many; the node is then
+    re-solved from its own basis.  An integral point without cuts
     competes for the incumbent with its model value, never the LP's.
     """
     n = catalog.n
@@ -348,14 +353,14 @@ def _branch_and_bound(
             continue
         nodes += 1
         while True:
-            lp = node_lp()
+            lp = master.lp
             lb, ub = lp.lb.copy(), lp.ub.copy()
             for i in fixed0:
                 ub[i - 1] = 0.0
             for i in fixed1:
                 lb[i - 1] = 1.0
             lp = lp.with_bounds(lb, ub)
-            if warm is None and root is not None:
+            if warm is None:  # the root; a None ``root`` is a cold start
                 sol = solve_lp_multi(lp, [root])
             else:
                 sol = solve_lp(lp, warm=warm)
@@ -364,8 +369,7 @@ def _branch_and_bound(
             warm = sol.basis
             obj = float(sol.objective)
             x_vals = tuple(float(v) for v in sol.x[:n])
-            frac = [abs(v - round(v)) for v in x_vals]
-            if max(frac, default=0.0) > INT_TOL:
+            if any(abs(v - round(v)) > INT_TOL for v in x_vals):
                 # most fractional first; ties fall to the smallest index via
                 # max's first-wins behavior on equal keys
                 j = max(range(n), key=lambda i: -abs(x_vals[i] - 0.5))
@@ -411,10 +415,10 @@ def integer_phase(
 ) -> BranchAndBoundResult:
     """Branch and bound on the cut master with lazy closed-form cuts.
 
-    Accepts the relaxation phase's state to reuse its pool; integral nodes are
-    certified by evaluating every tree's closed-form cut and re-solved until
-    no epigraph variable is violated.  Incumbent values are recomputed from
-    the model, never read off the LP.
+    Continues from the relaxation phase's state, its master and final basis;
+    integral nodes are certified by evaluating every tree's closed-form cut
+    and re-solved until no epigraph variable is violated.  Incumbent values
+    are recomputed from the model, never read off the LP.
     """
     kind = as_kind(kind)
     n = catalog.n
@@ -426,16 +430,15 @@ def integer_phase(
     tables = [tree_table(kind, catalog, tree) for tree in forest.trees]
 
     def separate(x_bin, point):
-        added = 0
+        cuts = []
         for t, tree in enumerate(forest.trees):
             g_t, cert = integer_cut(kind, catalog, tree, x_bin, table=tables[t])
             if float(point[n + t]) > float(g_t) + CUT_TOL:
-                cut = cut_from_certificate(cert, tree, t, n, INTEGER_CLOSED_FORM)
-                added += state.add_cut(cut)
-        return added
+                cuts.append(cut_from_certificate(cert, tree, t, n, INTEGER_CLOSED_FORM))
+        return state.add_cuts(cuts)
 
     return _branch_and_bound(
-        catalog, forest, state.master_lp, budget, separate, root_bound=state.bound
+        catalog, forest, state, budget, separate, state.basis, state.bound
     )
 
 
@@ -468,11 +471,7 @@ def branch_and_bound_monolithic(
 ) -> BranchAndBoundResult:
     """Solve a monolithic formulation to integrality by branching on x."""
     return _branch_and_bound(
-        catalog,
-        forest,
-        lambda: built.lp,
-        budget,
-        root=_monolithic_start_basis(built, forest),
+        catalog, forest, built, budget, root=_monolithic_start_basis(built, forest)
     )
 
 

@@ -67,6 +67,8 @@ def cmd_generate(args) -> int:
     configs = cfg_obj["configs"] if "configs" in cfg_obj else [cfg_obj]
     if not isinstance(configs, list) or not all(isinstance(e, dict) for e in configs):
         raise ConfigError("generator \"configs\" must be a list of JSON objects")
+    if not configs:
+        raise ConfigError("generator \"configs\" is empty")
     try:
         master_seed = int(cfg_obj.get("seed", 0))
     except (TypeError, ValueError) as exc:
@@ -329,7 +331,10 @@ def _rows_with_means(results, metric_keys):
         for key in metric_keys:
             mean_row[key] = _mean(cell_rows, key)
         rows.append(mean_row)
-    rows.sort(key=lambda r: [r[c] for c in CELL_COLUMNS] + [str(r["rep"])])
+    # replications in number order, the mean last
+    rows.sort(key=lambda r: [r[c] for c in CELL_COLUMNS] + [
+        math.inf if r["rep"] == "mean" else r["rep"]
+    ])
     return rows
 
 
@@ -541,19 +546,13 @@ def _check_spec(spec) -> None:
     def number(v, kind=(int, float)):
         return isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
 
-    for key, kind, what in (
-        ("budget_sec", (int, float), "a finite number"),
-        ("budget_nodes", int, "an integer"),
-    ):
-        v = spec.get(key)
-        if v is not None and not (number(v, kind) and v >= 0):
-            raise ConfigError(f"{key} must be {what} >= 0, got {v!r}")
+    _spec_budget(spec)  # benders.Budget refuses what no solver could run under
     rr = spec.get("revenue_range", [1, 100])
     if not (isinstance(rr, list) and len(rr) == 2 and all(number(v, int) for v in rr)):
         raise ConfigError(f"revenue_range must be two integers, got {rr!r}")
     rho = spec.get("rho", [0.2])
-    if not (isinstance(rho, list) and all(number(r) and r > 0 for r in rho)):
-        raise ConfigError(f"rho must be a list of finite numbers > 0, got {rho!r}")
+    if not (isinstance(rho, list) and all(number(r) and 0 < r <= 1 for r in rho)):
+        raise ConfigError(f"rho must be a list of numbers in (0, 1], got {rho!r}")
 
 
 def cmd_experiment(args) -> int:

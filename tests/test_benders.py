@@ -1,5 +1,6 @@
 """Two-phase decomposition: cuts, relaxation fixpoint, lazy-cut B&B."""
 
+import numpy as np
 import pytest
 
 from dfopt import benders, lp, subproblems
@@ -135,7 +136,7 @@ class TestRelaxationPhase:
 
         catalog, forest = seeded_instance(3)
         relax = relaxation_phase(Kind.SPLIT, catalog, forest)
-        master = relax.state.master_lp()
+        master = relax.state.lp
         from dfopt.lp import solve_lp
 
         sol = solve_lp(master)
@@ -226,6 +227,78 @@ class TestIntegerPhase:
                 _, leaf = traverse(tree, x)
                 g = float(catalog.leaf_revenue(tree, leaf))
                 assert cut.value_at(x) >= g - 1e-7
+
+
+def rebuilt_master(catalog, forest, state) -> lp.LinearProgram:
+    """The master the pool defines, built row by row: the cardinality row,
+    then one row per pooled cut in pool order."""
+    n, k = catalog.n, len(forest.trees)
+    c = np.zeros(n + k)
+    c[n:] = [float(w) for w in forest.weights]
+    rows, senses, rhs = [], [], []
+    if state.cardinality is not None:
+        row = np.zeros(n + k)
+        row[:n] = 1.0
+        rows.append(row)
+        senses.append(lp.EQ)
+        rhs.append(float(state.cardinality))
+    for cut in state.pool:
+        row = np.zeros(n + k)
+        row[:n] = [-v for v in cut.coef]
+        row[n + cut.tree] = 1.0
+        rows.append(row)
+        senses.append(lp.LE)
+        rhs.append(cut.const)
+    theta_ub = [
+        max(float(catalog.leaf_revenue(tree, l)) for l in tree.leaf_ids)
+        for tree in forest.trees
+    ]
+    A = np.array(rows) if rows else np.zeros((0, n + k))
+    return lp.LinearProgram.build(
+        c=c, A=A, senses=senses, b=rhs, lb=np.zeros(n + k),
+        ub=np.concatenate([np.ones(n), theta_ub]),
+    )
+
+
+def assert_same_lp(got, want):
+    assert got.senses == want.senses
+    for name in ("A", "b", "c", "lb", "ub"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "kind, seed, cardinality",
+    [(Kind.LEAF, 2, 3), (Kind.SPLIT, 2, 3), (Kind.PRODUCT, 1, None)],
+)
+def test_master_lp_matches_the_pool(kind, seed, cardinality):
+    # the appended master equals the one rebuilt from the pool, bit for bit,
+    # after the relaxation and again after lazy cuts
+    catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
+    relax = relaxation_phase(kind, catalog, forest, cardinality)
+    assert_same_lp(relax.state.lp, rebuilt_master(catalog, forest, relax.state))
+    res = integer_phase(kind, catalog, forest, state=relax.state)
+    assert res.optimal and res.cuts_added > 0
+    assert_same_lp(relax.state.lp, rebuilt_master(catalog, forest, relax.state))
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        {"max_seconds": float("nan")},
+        {"max_seconds": float("inf")},
+        {"max_seconds": -1.0},
+        {"max_seconds": "60"},
+        {"max_nodes": -1},
+        {"max_nodes": 2.5},
+        {"max_nodes": True},
+    ],
+    ids=["nan-sec", "inf-sec", "negative-sec", "text-sec", "negative-nodes",
+         "fractional-nodes", "bool-nodes"],
+)
+def test_budget_refuses_what_no_search_could_run_under(limits):
+    with pytest.raises(DomainError, match="budget max_"):
+        Budget(**limits)
 
 
 def _run_driver(driver, catalog, forest, budget=None):
@@ -343,11 +416,13 @@ class TestWarmStartsServe:
     ):
         catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
         relax = relaxation_phase(kind, catalog, forest, cardinality)
+        roots = record_solves(monkeypatch, benders, "solve_lp_multi")
         nodes = record_solves(monkeypatch, benders, "solve_lp")
         res = integer_phase(kind, catalog, forest, state=relax.state, budget=None)
-        assert len(nodes) >= res.nodes
-        assert nodes[0][0]["warm"] is None
-        assert all(kw["warm"] is not None and sol.warm for kw, sol in nodes[1:])
+        # the root continues from the relaxation's final master basis
+        assert len(roots) == 1 and roots[0][1].warm and roots[0][1].pivots == 0
+        assert len(roots) + len(nodes) >= res.nodes
+        assert all(kw["warm"] is not None and sol.warm for kw, sol in nodes)
 
     @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
     @pytest.mark.parametrize("kind", list(Kind))

@@ -106,10 +106,11 @@ class TestGenerate:
             {"n": 4, "num_trees": 1, "shape": "t1"},
             [{"n": 4, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}],
             {"configs": [5]},
+            {"configs": []},
         ],
         ids=[
             "missing-n", "text-n", "shape-not-object", "list-not-object",
-            "configs-entry-not-object",
+            "configs-entry-not-object", "empty-configs",
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, cfg):
@@ -259,6 +260,14 @@ class TestSolve:
         res = json.loads(out.read_text())
         assert res["assortment"] == [] and res["value"] == 0
 
+    @pytest.mark.parametrize(
+        "budget", [["--budget-sec", "nan"], ["--budget-sec", "-1"], ["--budget-nodes", "-1"]]
+    )
+    def test_invalid_budget_is_refused(self, seeded_instance_path, capsys, budget):
+        argv = ["solve", "--instance", str(seeded_instance_path), "--method", "benders:split"]
+        assert main(argv + budget) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: budget max_")
+
     @pytest.mark.parametrize("method", ["monolithic:leaf", "benders:split"])
     def test_budget_stop_emits_valid_json(self, seeded_instance_path, tmp_path, method):
         out = tmp_path / "res.json"
@@ -347,6 +356,15 @@ class TestExperiment:
             main(["--no-timings", "experiment", "--spec", str(spec_path), "--out", str(out_dir)])
             outs.append((out_dir / "integrality_gap.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_replications_in_number_order(self, tmp_path):
+        spec = dict(self.SPEC, types=["t3"], replications=12)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["--no-timings", "experiment", "--spec", str(spec_path), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        rows = csv.DictReader(io.StringIO((tmp_path / "integrality_gap.csv").read_text()))
+        assert [r["rep"] for r in rows] == [str(i) for i in range(12)] + ["mean"]
 
     def test_zero_revenue_grid_reports_error_rows(self, tmp_path):
         spec = dict(self.SPEC, revenue_range=[0, 0], types=["t3"], replications=1)
@@ -442,6 +460,17 @@ class TestExperiment:
             assert float(row["rho0.2_z_b_ub"]) == float(row["rho0.2_z_b_lo"])
             assert row["rho0.2_z_b_lb"] == ""
             assert not {"inf", "-inf", "nan"} & set(row.values())
+
+    def test_rho_above_one_is_refused_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        def run_cells(spec, worker):
+            raise AssertionError("a grid cell ran")
+
+        monkeypatch.setattr(cli, "_run_cells", run_cells)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(self.SPEC, experiment="benders", rho=[0.2, 1.5])))
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert "rho must be a list of numbers in (0, 1]" in capsys.readouterr().err
 
     def test_unknown_experiment(self, tmp_path):
         spec_path = tmp_path / "spec.json"
