@@ -15,12 +15,18 @@ probability simplex (normalized exponential draws) and revenues are uniform
 integers.
 
 Reproducibility: all randomness flows through one numpy PCG64 generator per
-instance; sampling without replacement uses an explicit partial Fisher-Yates
-pass so streams are identical across platforms.
+instance, and the draws are the contract.  Per tree: the split products (T1:
+a partial Fisher-Yates pass; T2: one per split in heap order; T3: per
+expansion, the leaf among the expandable ones left to right, then its
+product), then one option per leaf in ascending id; then the weights and the
+revenues.  A choice among k items is one ``rng.integers(0, k)`` draw.  A
+split's product is the rank-j product not on its ancestor splits, found by
+stepping over the sorted ancestors instead of listing the allowed products.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -38,6 +44,19 @@ from .model import (
 )
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{name} must be >= {least}, got {value}")
+
+
+def _json_integer(value):
+    """A JSON number with an integral value as an int; anything else as is."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
 @dataclass(frozen=True)
 class TreeShape:
     """Shape selector: kind in {"t1", "t2", "t3"} with depth or leaf count."""
@@ -48,11 +67,9 @@ class TreeShape:
 
     def __post_init__(self):
         if self.kind in ("t1", "t2"):
-            if self.depth is None or self.depth < 1:
-                raise ConfigError(f"{self.kind} needs depth >= 1")
+            _check_integer(f"{self.kind} depth", self.depth, 1)
         elif self.kind == "t3":
-            if self.leaves is None or self.leaves < 2:
-                raise ConfigError("t3 needs leaves >= 2")
+            _check_integer("t3 leaves", self.leaves, 2)
         else:
             raise ConfigError(f"unknown tree shape {self.kind!r}")
 
@@ -66,13 +83,14 @@ class GeneratorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n must be >= 1")
-        if self.num_trees < 1:
-            raise ConfigError("num_trees must be >= 1")
+        _check_integer("n", self.n, 1)
+        _check_integer("num_trees", self.num_trees, 1)
+        _check_integer("seed", self.seed, 0)
         lo, hi = self.revenue_range
-        if lo > hi or lo < 0:
-            raise ConfigError(f"empty or negative revenue range {self.revenue_range}")
+        _check_integer("revenue_range", lo, 0)
+        _check_integer("revenue_range", hi, 0)
+        if lo > hi:
+            raise ConfigError(f"empty revenue range {self.revenue_range}")
         if self.shape.kind in ("t1", "t2") and self.n < self.shape.depth:
             raise ConfigError(
                 f"{self.shape.kind} depth {self.shape.depth} needs n >= depth"
@@ -85,25 +103,21 @@ class GeneratorConfig:
             shape_obj = obj["shape"]
             shape = TreeShape(
                 kind=str(shape_obj["type"]).lower(),
-                depth=shape_obj.get("depth"),
-                leaves=shape_obj.get("leaves"),
+                depth=_json_integer(shape_obj.get("depth")),
+                leaves=_json_integer(shape_obj.get("leaves")),
             )
             rr = obj.get("revenue_range", [1, 100])
             return cls(
-                n=int(obj["n"]),
-                num_trees=int(obj["num_trees"]),
+                n=_json_integer(obj["n"]),
+                num_trees=_json_integer(obj["num_trees"]),
                 shape=shape,
-                revenue_range=(int(rr[0]), int(rr[1])),
-                seed=int(obj.get("seed", 0)),
+                revenue_range=(_json_integer(rr[0]), _json_integer(rr[1])),
+                seed=_json_integer(obj.get("seed", 0)),
             )
         except KeyError as exc:
             raise ConfigError(f"generator config is missing the key {exc}") from None
         except (AttributeError, IndexError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed generator config: {exc}") from None
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def sample_without_replacement(rng, pool: list[int], k: int) -> list[int]:
@@ -121,78 +135,81 @@ def _choice(rng, seq):
     return seq[int(rng.integers(0, len(seq)))]
 
 
+def _draw_product(rng, n: int, ancestors: tuple[int, ...]) -> int:
+    """``_choice`` among the products 1..n not in the sorted ``ancestors``."""
+    p = int(rng.integers(0, n - len(ancestors))) + 1
+    for a in ancestors:
+        if a > p:
+            break
+        p += 1
+    return p
+
+
+_PLACEHOLDER = Leaf(option=0)
+
+
 def assign_leaf_options(tree_nodes: dict[int, Node], root: int, rng) -> PurchaseTree:
     """Fill placeholder leaves with options consistent with their path.
 
     A leaf's candidate set is the products on splits the leaf lies left of,
     plus the no-purchase option; leaves with no left splits get option 0.
-    Leaves are visited in ascending node id so draws are reproducible.
+    Leaves are visited in ascending node id so draws are reproducible.  An
+    arena that is not a tree raises ``PurchaseTree``'s ``ValidationError``.
     """
-    tree = PurchaseTree(tree_nodes, root)
+    offered: dict[int, list[int]] = {}
+    stack, visits = [(root, [])], len(tree_nodes)  # a tree's walk visits each once
+    while stack:
+        nid, products = stack.pop()
+        visits -= 1
+        node = tree_nodes.get(nid) if visits >= 0 and isinstance(nid, int) else None
+        if isinstance(node, Split):
+            stack += [(node.left, products + [node.product]), (node.right, products)]
+        elif isinstance(node, Leaf) and node.option >= 0:
+            offered[nid] = products
+        else:  # not a tree of splits and leaves: raise the arena's own error
+            PurchaseTree(tree_nodes, root)
     filled = dict(tree_nodes)
-    for l in tree.leaf_ids:
-        offered = [tree.split_product(s) for s, left in tree.path[l] if left]
-        filled[l] = Leaf(_choice(rng, sorted(offered) + [0]))
+    for l in sorted(offered):
+        filled[l] = Leaf(_choice(rng, sorted(offered[l]) + [0]))
     return PurchaseTree(filled, root)
 
 
-def _balanced_arena(depth: int) -> tuple[dict[int, Node], int]:
-    """Perfect tree with heap ids: node k has children 2k, 2k+1; root 1."""
-    nodes: dict[int, Node] = {}
-    for k in range(1, 1 << depth):
-        nodes[k] = Split(product=-1, left=2 * k, right=2 * k + 1)
-    for k in range(1 << depth, 1 << (depth + 1)):
-        nodes[k] = Leaf(option=0)
-    return nodes, 1
-
-
 def _gen_balanced_tree(config: GeneratorConfig, rng, per_level: bool) -> PurchaseTree:
+    """Perfect tree with heap ids: node k has children 2k, 2k+1; root 1."""
     d = config.shape.depth
-    nodes, root = _balanced_arena(d)
+    nodes: dict[int, Node] = {}
     if per_level:
-        level_products = sample_without_replacement(
-            rng, list(range(1, config.n + 1)), d
-        )
-        for k in range(1, 1 << d):
-            level = k.bit_length()  # heap id k sits at depth bit_length(k)
-            nodes[k] = Split(level_products[level - 1], 2 * k, 2 * k + 1)
+        levels = sample_without_replacement(rng, list(range(1, config.n + 1)), d)
+        for k in range(1, 1 << d):  # heap id k sits at depth bit_length(k)
+            nodes[k] = Split(levels[k.bit_length() - 1], 2 * k, 2 * k + 1)
     else:
-        ancestors: dict[int, frozenset[int]] = {1: frozenset()}
-        for k in range(1, 1 << d):
-            anc = ancestors[k]
-            candidates = [p for p in range(1, config.n + 1) if p not in anc]
-            product = _choice(rng, candidates)
-            nodes[k] = Split(product, 2 * k, 2 * k + 1)
-            for child in (2 * k, 2 * k + 1):
-                if child < (1 << d):
-                    ancestors[child] = anc | {product}
-    return assign_leaf_options(nodes, root, rng)
+        for k in range(1, 1 << d):  # its ancestors are k >> 1, k >> 2, ..., 1
+            anc = tuple(sorted(nodes[k >> i].product for i in range(1, k.bit_length())))
+            nodes[k] = Split(_draw_product(rng, config.n, anc), 2 * k, 2 * k + 1)
+    nodes.update(dict.fromkeys(range(1 << d, 2 << d), _PLACEHOLDER))
+    return assign_leaf_options(nodes, 1, rng)
 
 
 def _gen_t3_tree(config: GeneratorConfig, rng) -> PurchaseTree:
-    target = config.shape.leaves
-    nodes: dict[int, Node] = {0: Leaf(option=0)}
-    ancestors: dict[int, frozenset[int]] = {0: frozenset()}
+    n, target = config.n, config.shape.leaves
+    nodes: dict[int, Node] = {0: _PLACEHOLDER}
+    ancestors: dict[int, tuple[int, ...]] = {0: ()}
     leaf_list: list[int] = [0]
-    next_id = 1
     while len(leaf_list) < target:
-        expandable = [l for l in leaf_list if len(ancestors[l]) < config.n]
-        if not expandable:
-            raise ConfigError(
-                f"cannot grow to {target} leaves with n={config.n} products"
-            )
-        leaf = _choice(rng, expandable)
-        candidates = [p for p in range(1, config.n + 1) if p not in ancestors[leaf]]
-        product = _choice(rng, candidates)
-        left_id, right_id = next_id, next_id + 1
-        next_id += 2
+        if n >= target - 1:  # an open leaf has depth < target - 1: all expandable
+            pos = int(rng.integers(0, len(leaf_list)))
+        else:
+            expandable = [l for l in leaf_list if len(ancestors[l]) < n]
+            if not expandable:
+                raise ConfigError(f"cannot grow to {target} leaves with n={n} products")
+            pos = leaf_list.index(_choice(rng, expandable))
+        leaf = leaf_list[pos]
+        anc = ancestors.pop(leaf)
+        product = _draw_product(rng, n, anc)
+        left_id, right_id = len(nodes), len(nodes) + 1  # ids are 0..len - 1
         nodes[leaf] = Split(product, left_id, right_id)
-        nodes[left_id] = Leaf(option=0)
-        nodes[right_id] = Leaf(option=0)
-        child_anc = ancestors[leaf] | {product}
-        ancestors[left_id] = child_anc
-        ancestors[right_id] = child_anc
-        pos = leaf_list.index(leaf)
+        nodes[left_id] = nodes[right_id] = _PLACEHOLDER
+        ancestors[left_id] = ancestors[right_id] = tuple(sorted(anc + (product,)))
         leaf_list[pos : pos + 1] = [left_id, right_id]
     return assign_leaf_options(nodes, 0, rng)
 
@@ -211,23 +228,17 @@ def gen_revenues(n: int, revenue_range: tuple[int, int], rng) -> tuple[int, ...]
     return tuple(int(v) for v in rng.integers(lo, hi + 1, size=n))
 
 
-def _gen_forest(config: GeneratorConfig, rng) -> DecisionForest:
-    trees = []
-    for _ in range(config.num_trees):
-        if config.shape.kind == "t1":
-            trees.append(_gen_balanced_tree(config, rng, per_level=True))
-        elif config.shape.kind == "t2":
-            trees.append(_gen_balanced_tree(config, rng, per_level=False))
-        else:
-            trees.append(_gen_t3_tree(config, rng))
-    weights = gen_lambda(config.num_trees, rng)
-    return DecisionForest(trees=tuple(trees), weights=weights)
-
-
 def generate_instance(config: GeneratorConfig) -> tuple[ProductCatalog, DecisionForest]:
     """Forest plus revenues from one seeded stream (trees, weights, revenues)."""
-    rng = _rng(config.seed)
-    forest = _gen_forest(config, rng)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    kind = config.shape.kind
+    trees = tuple(
+        _gen_t3_tree(config, rng)
+        if kind == "t3"
+        else _gen_balanced_tree(config, rng, per_level=kind == "t1")
+        for _ in range(config.num_trees)
+    )
+    forest = DecisionForest(trees=trees, weights=gen_lambda(config.num_trees, rng))
     revenues = gen_revenues(config.n, config.revenue_range, rng)
     return ProductCatalog(n=config.n, revenues=revenues), forest
 

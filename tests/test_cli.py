@@ -93,6 +93,17 @@ class TestGenerate:
         catalog, forest = instance_from_json(out.read_text())
         assert catalog.n == 5 and len(forest.trees) == 2
 
+    def test_integral_float_counts_accepted(self, tmp_path):
+        texts = []
+        for n, leaves in ((4, 4), (4.0, 4.0)):
+            cfg = {"n": n, "num_trees": 2, "shape": {"type": "t3", "leaves": leaves}}
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / "instance.json"
+            assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 0, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}))
@@ -107,10 +118,20 @@ class TestGenerate:
             [{"n": 4, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}],
             {"configs": [5]},
             {"configs": []},
+            {"n": 4, "num_trees": 1, "shape": {"type": "t1", "depth": 1}, "seed": -1},
+            {"n": 4, "num_trees": 1, "shape": {"type": "t1", "depth": 2.5}},
+            {"n": 2.7, "num_trees": 1, "shape": {"type": "t1", "depth": 1}},
+            {"n": 4, "num_trees": 1.5, "shape": {"type": "t1", "depth": 1}},
+            {"n": 4, "num_trees": 1, "shape": {"type": "t1", "depth": 1},
+             "revenue_range": [1.5, 3]},
+            {"n": True, "num_trees": 1, "shape": {"type": "t1", "depth": 1}},
+            {"n": 4, "num_trees": 1, "shape": {"type": "t3", "leaves": -4}},
         ],
         ids=[
             "missing-n", "text-n", "shape-not-object", "list-not-object",
-            "configs-entry-not-object", "empty-configs",
+            "configs-entry-not-object", "empty-configs", "negative-seed",
+            "fractional-depth", "fractional-n", "fractional-num-trees",
+            "fractional-revenue", "bool-n", "negative-leaves",
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, cfg):

@@ -1,15 +1,23 @@
 """Generators: shapes, consistency, determinism, reduction semantics."""
 
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dfopt.errors import ConfigError, DomainError
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # only the rank-draw property needs it
+    given = None
+
+from dfopt import instancegen
+from dfopt.errors import ConfigError, DomainError, ValidationError
 from dfopt.instancegen import (
     Cnf3Formula,
     GeneratorConfig,
     TreeShape,
+    assign_leaf_options,
     gen_lambda,
     generate_instance,
     gen_revenues,
@@ -20,6 +28,7 @@ from dfopt.instancegen import (
 from dfopt.model import (
     AssortmentVector,
     Leaf,
+    PurchaseTree,
     Split,
     brute_force_optimal,
     expected_revenue,
@@ -144,6 +153,111 @@ class TestT3:
     def test_small_n_guard(self):
         with pytest.raises(ConfigError):
             generate_instance(cfg("t3", n=2, leaves=16, num_trees=1, seed=0))
+
+
+#: SHA-256 over ``instance_to_json`` of t1, t2 and t3 forests at seeds 0 and 1,
+#: per (n, trees, leaves): the three benchmark sizes, the paper scale, and two
+#: small-n sizes at which t3 growth must skip leaves that already test every
+#: product.  The generators must keep these instances byte for byte.
+INSTANCE_DIGESTS = {
+    (12, 10, 8): "58c21929e62c2ab1ecf21600220b91ed36fc9069112ac57018c08417009de6af",
+    (20, 20, 8): "6b37671461e0b6d5aeb7a5e295421811bfeb0a5b90a17cee45468bd9d9326087",
+    (100, 25, 32): "853d7924d6dabe3fec9312d0585739d2a1353a9db55b30da60f844f79741e5b2",
+    (100, 100, 32): "cb91236c7fdd27caeb6650be8ad1987218e8a54b94cdde3e46b8b2d2eb894d4f",
+    (5, 3, 16): "40200f217942e534d04cb26e6f1a53f2b2898688d1d252e88ecc5012c4ee3f3a",
+    (6, 3, 32): "2b35bc1a70f5c7a4c6f73b2497561deddb802b5aee8c1602ee740eec8731b8d1",
+}
+
+
+@pytest.mark.parametrize("size", INSTANCE_DIGESTS, ids=lambda s: "/".join(map(str, s)))
+def test_generated_instances_pinned(size):
+    n, trees, leaves = size
+    digest = hashlib.sha256()
+    for kind in ("t1", "t2", "t3"):
+        for seed in (0, 1):
+            config = cfg(kind, seed, n, trees, (leaves - 1).bit_length(), leaves)
+            digest.update(instance_to_json(*generate_instance(config)).encode())
+    assert digest.hexdigest() == INSTANCE_DIGESTS[size]
+
+
+def test_one_tree_build_per_tree(monkeypatch):
+    built = []
+
+    class Counting(PurchaseTree):
+        def __init__(self, nodes, root):
+            built.append(root)
+            super().__init__(nodes, root)
+
+    monkeypatch.setattr(instancegen, "PurchaseTree", Counting)
+    for kind in ("t1", "t2", "t3"):
+        built.clear()
+        generate_instance(cfg(kind, seed=3, num_trees=5))
+        assert len(built) == 5
+
+
+class FixedRank:
+    """Stands in for the generator: every draw returns rank ``j``."""
+
+    def __init__(self, j):
+        self.j = j
+        self.bounds = []
+
+    def integers(self, lo, hi):
+        self.bounds.append((lo, hi))
+        return self.j
+
+
+if given is not None:
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 40))
+    def test_product_drawn_by_rank(data, n):
+        anc = data.draw(st.sets(st.integers(1, n), max_size=n - 1))
+        allowed = [p for p in range(1, n + 1) if p not in anc]
+        j = data.draw(st.integers(0, len(allowed) - 1))
+        rng = FixedRank(j)
+        assert instancegen._draw_product(rng, n, tuple(sorted(anc))) == allowed[j]
+        assert rng.bounds == [(0, len(allowed))]
+
+else:  # pragma: no cover
+
+    @pytest.mark.skip(reason="needs hypothesis")
+    def test_product_drawn_by_rank():
+        pass
+
+
+#: Arenas that are not purchase trees, each rooted at id 0.
+BAD_ARENAS = {
+    "missing-root": {1: Leaf(0)},
+    "missing-child": {0: Split(1, 1, 2), 1: Leaf(0)},
+    "cycle": {0: Split(1, 1, 2), 1: Split(2, 0, 3), 2: Leaf(0), 3: Leaf(0)},
+    "child-cycle": {0: Split(1, 1, 2), 1: Split(2, 3, 1), 2: Leaf(0), 3: Leaf(0)},
+    "two-parents": {0: Split(1, 1, 2), 1: Split(2, 3, 3), 2: Leaf(0), 3: Leaf(0)},
+    "repeated-product": {
+        0: Split(1, 1, 2), 1: Split(1, 3, 4), 2: Leaf(0), 3: Leaf(0), 4: Leaf(0),
+    },
+    "unreachable": {0: Split(1, 1, 2), 1: Leaf(0), 2: Leaf(0), 3: Leaf(0)},
+    "negative-option": {0: Split(1, 1, 2), 1: Leaf(-1), 2: Leaf(0)},
+    "unknown-node": {0: Split(1, 1, 2), 1: "leaf", 2: Leaf(0)},
+    "text-id": {0: Split(1, "a", 2), "a": Leaf(0), 2: Leaf(0)},
+    "product-zero": {0: Split(0, 1, 2), 1: Leaf(0), 2: Leaf(0)},
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARENAS)
+def test_bad_arena_raises_the_tree_error(name):
+    arena = BAD_ARENAS[name]
+    with pytest.raises(ValidationError) as want:
+        PurchaseTree(arena, 0)
+    with pytest.raises(ValidationError) as got:
+        assign_leaf_options(arena, 0, np.random.default_rng(0))
+    assert str(got.value) == str(want.value)
+
+
+def test_cannot_grow_is_a_config_error():
+    # a tree of depth n has at most 2**n leaves
+    with pytest.raises(ConfigError, match="cannot grow to 9 leaves with n=3"):
+        generate_instance(cfg("t3", n=3, leaves=9, num_trees=2, seed=4))
 
 
 class TestLeafOptions:
