@@ -27,9 +27,10 @@ the previous round's master (new cuts append rows, whose slacks join the
 basis), each tree's product-oracle LP from its previous one, the integer
 root from the relaxation's final master basis, each B&B child from its
 parent's final basis, and a node's re-solve after lazy cuts from its own.
-The monolithic root starts from a hand-built feasible basis
-(``_monolithic_start_basis``), placed by the row indices
-``formulations.build`` records (``unit_rows``, ``card_row``).
+The monolithic root starts from ``BuiltFormulation.start_basis``, the
+dual feasible basis at the point where every tree buys its best leaf
+(``formulations.best_leaf_basis``), and so does each tree's first
+product-oracle LP.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .model import (
     ProductCatalog,
     check_cardinality,
     expected_revenue,
-    traverse,
 )
 from .subproblems import (
     DualCertificate,
@@ -217,7 +217,7 @@ def _separate(kind: Kind, catalog, forest, x_vals, bases=None, tables=None):
                 prov = FRACTIONAL_GREEDY
             else:
                 value, cert, sol = product_subproblem_lp(
-                    catalog, tree, x_vals, bases[t]
+                    catalog, tree, x_vals, bases[t], table=table
                 )
                 bases[t] = sol.basis
                 prov = FRACTIONAL_LP
@@ -442,27 +442,6 @@ def integer_phase(
     )
 
 
-def _monolithic_start_basis(built: BuiltFormulation, forest) -> WarmBasis:
-    """Phase-1-free start basis for the root of the monolithic problem.
-
-    The binary point offering products 1..k (k the cardinality, 0 without
-    one) routes every tree to one leaf; those indicator columns cover the
-    unit-sum rows, slacks cover the capacity rows, and product 1 covers the
-    cardinality row, or at cardinality 0 its own slack does.  Products 2..k
-    sit at their upper bound.  The implied basic point is feasible by
-    construction.
-    """
-    k = built.cardinality or 0
-    x0 = tuple(1 if i < k else 0 for i in range(built.n))
-    basic = list(range(built.lp.num_cols, built.lp.num_cols + built.lp.num_rows))
-    for t, tree in enumerate(forest.trees):
-        _, leaf_star = traverse(tree, x0)
-        basic[built.unit_rows[t]] = built.y_cols[(t, leaf_star)]
-    if k:
-        basic[built.card_row] = 0
-    return WarmBasis(basic=tuple(basic), at_upper=tuple(range(1, k)))
-
-
 def branch_and_bound_monolithic(
     built: BuiltFormulation,
     catalog: ProductCatalog,
@@ -470,9 +449,7 @@ def branch_and_bound_monolithic(
     budget: Budget | None = None,
 ) -> BranchAndBoundResult:
     """Solve a monolithic formulation to integrality by branching on x."""
-    return _branch_and_bound(
-        catalog, forest, built, budget, root=_monolithic_start_basis(built, forest)
-    )
+    return _branch_and_bound(catalog, forest, built, budget, root=built.start_basis())
 
 
 def solve_two_phase(

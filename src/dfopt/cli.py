@@ -69,10 +69,7 @@ def cmd_generate(args) -> int:
         raise ConfigError("generator \"configs\" must be a list of JSON objects")
     if not configs:
         raise ConfigError("generator \"configs\" is empty")
-    try:
-        master_seed = int(cfg_obj.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed generator seed: {exc}") from None
+    master_seed = _count("seed", cfg_obj.get("seed", 0), 0)
     multi = len(configs) > 1
     for idx, entry in enumerate(configs):
         entry = dict(entry)
@@ -288,13 +285,26 @@ def _write_csv(path: Path, schema: str, header: list[str], rows: list[dict]) -> 
 CELL_COLUMNS = ("type", "n", "num_trees", "leaves")
 
 
+def _count(name: str, value, least) -> int:
+    """``value`` as an int, if it is an integer (an integral JSON float such as
+    4.0 counts) of at least ``least``; otherwise ``ConfigError``."""
+    value = instancegen._json_integer(value)
+    instancegen._check_integer(name, value, least)
+    return value
+
+
 def _grid(spec) -> list[tuple]:
     cells = []
     for type_name in spec.get("types", ["t3"]):
         for n in spec.get("n", [10]):
             for num_trees in spec.get("num_trees", [5]):
                 for leaves in spec.get("leaves", [8]):
-                    cells.append((str(type_name).lower(), int(n), int(num_trees), int(leaves)))
+                    cells.append((
+                        str(type_name).lower(),
+                        _count("n", n, 1),
+                        _count("num_trees", num_trees, 1),
+                        _count("leaves", leaves, 1),
+                    ))
     return cells
 
 
@@ -303,14 +313,13 @@ def _run_cells(spec, worker):
 
     Returns ``(cell, rep, seed, result)`` tuples.
     """
+    reps = _count("replications", spec.get("replications", 1), 1)
+    # any integer seeds the grid: _rep_seed reduces it modulo 2**63
+    master_seed = _count("seed", spec.get("seed", 0), -math.inf)
     try:
-        reps = int(spec.get("replications", 1))
-        master_seed = int(spec.get("seed", 0))
         cells = _grid(spec)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:  # a grid entry that is not a list
         raise ConfigError(f"malformed experiment grid: {exc}") from None
-    if reps < 1:
-        raise ConfigError("replications must be >= 1")
     return [
         (cell, rep, seed, worker(cell, rep, seed))
         for cell in cells

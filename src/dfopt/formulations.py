@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .lp import EQ, LE, LinearProgram, LpSolution, solve_lp
+from .lp import EQ, LE, LinearProgram, LpSolution, WarmBasis, solve_lp
 from .model import (
     DecisionForest,
     ProductCatalog,
@@ -126,6 +126,37 @@ class BuiltFormulation:
     def y_of(self, solution: LpSolution) -> dict[tuple[int, int], float]:
         return {key: float(solution.x[c]) for key, c in self.y_cols.items()}
 
+    def start_basis(self) -> WarmBasis:
+        return best_leaf_basis(self.lp, self.unit_rows, self.card_row, self.cardinality)
+
+
+def best_leaf_basis(
+    lp: LinearProgram,
+    unit_rows,
+    card_row: int | None = None,
+    cardinality: int | None = None,
+) -> WarmBasis:
+    """Start basis at the optimistic point: every tree buys its best leaf.
+
+    In each tree's unit-sum row (``unit_rows``, whose nonzeros are the tree's
+    leaf weights) the leaf with the largest objective coefficient is basic,
+    on ties the smallest leaf id; every capacity slack is basic.  With a
+    cardinality b >= 1, product 1 is basic in ``card_row`` and products 2..b
+    sit at their upper bound; at b = 0 the row keeps its slack.
+
+    The basis is dual feasible, so the dual simplex starts from it on the true
+    costs: capacity duals are 0, each unit row's dual is its best leaf's
+    coefficient, which no leaf's exceeds, and the x columns cost 0 and meet
+    only rows of dual 0, so their reduced costs are 0.
+    """
+    basic = list(range(lp.num_cols, lp.num_cols + lp.num_rows))
+    for row in unit_rows:
+        cols = lp.A[row].nonzero()[0]
+        basic[row] = int(cols[lp.c[cols].argmax()])  # first maximum on ties
+    if cardinality:
+        basic[card_row] = 0
+    return WarmBasis(basic=tuple(basic), at_upper=tuple(range(1, cardinality or 0)))
+
 
 def build(
     kind: Kind,
@@ -194,7 +225,7 @@ def build(
 
 def solve_relaxation(built: BuiltFormulation):
     """LP optimum of the relaxation: (value, x levels, leaf weights)."""
-    sol = solve_lp(built.lp)
+    sol = solve_lp(built.lp, warm=built.start_basis())
     if sol.status != "optimal":
         raise DomainError(f"relaxation is {sol.status}")
     return float(sol.objective), sol.x[: built.n], built.y_of(sol)

@@ -21,8 +21,12 @@ capacity that a later leaf under another split of the product needed
 at most points, and its replayed dual proves it when it is feasible and as
 good: ``product_certified_sweep`` returns the pair only then, and
 ``product_subproblem_lp`` solves the rows with the bundled simplex when that
-check fails.  For binary x all three granularities share the closed-form
-optimum of ``integer_cut``.  The greedy oracles and ``integer_cut`` read one
+check fails.  That LP is built once per tree, with only its right-hand sides
+set from x at each call.  Its dual simplex starts from the tree's previous
+basis, or on the first call from the basis where the tree buys its best leaf
+(``formulations.best_leaf_basis``); both are dual feasible at every x.  For
+binary x all three granularities share the closed-form optimum of
+``integer_cut``.  The greedy oracles and ``integer_cut`` read one
 ``TreeTable`` per tree and granularity, which a caller builds once per tree.
 
 Arithmetic is pure Python, so exact inputs (ints, Fractions) give exact
@@ -33,12 +37,21 @@ make traces deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterator, Mapping
 
+import numpy as np
+
 from .errors import ContractViolation
-from .formulations import Kind, as_kind, capacity_rows, leaf_rows, row_product
+from .formulations import (
+    Kind,
+    as_kind,
+    best_leaf_basis,
+    capacity_rows,
+    leaf_rows,
+    row_product,
+)
 from .lp import LE, EQ, OPT_TOL, LinearProgram, LpSolution, WarmBasis, solve_lp
 from .model import Number, ProductCatalog, PurchaseTree, as_values, traverse
 
@@ -113,14 +126,15 @@ def leaf_order(catalog: ProductCatalog, tree: PurchaseTree) -> tuple[int, ...]:
 class TreeTable:
     """What the oracles read of one tree at one granularity.
 
-    ``order`` is ``leaf_order`` and ``revenue`` each leaf's revenue.  Two
+    ``order`` is ``leaf_order`` and ``revenue`` each leaf's revenue.  Three
     parts are built on first use: ``rows(l)``, the ``leaf_rows`` of leaf l,
-    which the sweep, the replay and ``slacks`` read; and ``cuts``, each row of
+    which the sweep, the replay and ``slacks`` read; ``cuts``, each row of
     ``capacity_rows`` as ``(key, left, other, top)`` for ``integer_cut``, where
     ``other`` holds the leaves behind the opposite branch and ``top`` is the
-    largest revenue among the row's leaves.  A caller that separates the same
-    tree many times builds the table once (``tree_table``) and passes it as
-    ``table=``; without one, every call builds its own.
+    largest revenue among the row's leaves; and, at the per-product
+    granularity, ``product_lp`` for ``product_subproblem_lp``.  A caller that
+    separates the same tree many times builds the table once (``tree_table``)
+    and passes it as ``table=``; without one, every call builds its own.
     """
 
     kind: Kind
@@ -141,6 +155,30 @@ class TreeTable:
             (key, left, other, max(self.revenue[l] for l in leaves))
             for key, _, left, leaves, other in capacity_rows(self.kind, self.tree)
         )
+
+    @cached_property
+    def product_lp(self) -> tuple[LinearProgram, list[tuple], WarmBasis]:
+        """The tree's per-product subproblem LP, its rows and its start basis.
+
+        Columns are the leaf weights in ascending leaf id, maximizing
+        revenue; row 0 is the unit sum, then one row per ``capacity_rows``
+        entry, whose right-hand sides ``_at_levels`` sets from x (here all
+        levels are 0).  The start basis is ``best_leaf_basis``.
+        """
+        leaves = self.tree.leaf_ids
+        col = {l: j for j, l in enumerate(leaves)}
+        rows = capacity_rows(Kind.PRODUCT, self.tree)
+        A = np.zeros((len(rows) + 1, len(leaves)))
+        A[0] = 1.0
+        for r, (_, _, _, row_leaves, _) in enumerate(rows, 1):
+            A[r, [col[l] for l in row_leaves]] = 1.0
+        lp = LinearProgram.build(
+            c=[float(self.revenue[l]) for l in leaves],
+            A=A,
+            senses=[EQ] + [LE] * len(rows),
+            b=[1.0] + [0.0 if left else 1.0 for _, _, left, _, _ in rows],
+        )
+        return lp, rows, best_leaf_basis(lp, [0])
 
     def slacks(self, cert: DualCertificate) -> Iterator[tuple[int, Number]]:
         """``(leaf, slack)`` per leaf: gamma - revenue plus the prices of
@@ -348,35 +386,38 @@ def product_certified_sweep(
     return value, cert
 
 
-def _product_subproblem_lp_data(catalog, tree, vals):
-    leaves = tree.leaf_ids
-    col = {l: j for j, l in enumerate(leaves)}
-    c = [float(catalog.leaf_revenue(tree, l)) for l in leaves]
-    rows = capacity_rows(Kind.PRODUCT, tree)
-    A = [[1.0] * len(leaves)]
-    rhs = [1.0]
-    for _, i, left, row_leaves, _ in rows:
-        row = [0.0] * len(leaves)
-        for l in row_leaves:
-            row[col[l]] = 1.0
-        A.append(row)
-        rhs.append(float(vals[i - 1]) if left else 1.0 - float(vals[i - 1]))
-    lp = LinearProgram.build(c=c, A=A, senses=[EQ] + [LE] * len(rows), b=rhs)
-    return lp, rows, leaves
+def _product_subproblem_lp_data(catalog, tree, x):
+    """The tree's product LP at levels x, its ``capacity_rows`` and its leaves."""
+    lp, rows, _ = tree_table(Kind.PRODUCT, catalog, tree).product_lp
+    return _at_levels(lp, rows, as_values(x)), rows, tree.leaf_ids
+
+
+def _at_levels(lp: LinearProgram, rows, vals) -> LinearProgram:
+    """``lp`` with the right-hand sides of levels ``vals``, checked when solved."""
+    b = [1.0] + [float(vals[i - 1]) if left else 1.0 - float(vals[i - 1])
+                 for _, i, left, _, _ in rows]
+    return replace(lp, b=np.array(b))
 
 
 def product_subproblem_lp(
-    catalog: ProductCatalog, tree: PurchaseTree, x, warm: WarmBasis | None = None
+    catalog: ProductCatalog,
+    tree: PurchaseTree,
+    x,
+    warm: WarmBasis | None = None,
+    *,
+    table: TreeTable | None = None,
 ) -> tuple[float, DualCertificate, LpSolution]:
     """Per-product subproblem via the bundled simplex; duals become the cut.
 
-    x enters only the right-hand sides, so the basis of the same tree's LP at
-    other levels (``warm``, from the returned solution's ``basis``) stays dual
-    feasible and starts the dual simplex.
+    x enters only the right-hand sides, so the table's LP (``product_lp``)
+    serves every call, and any basis of it dual feasible at some levels stays
+    so at all: the dual simplex starts from ``warm``, the basis of the same
+    tree's LP at other levels (the returned solution's ``basis``), or without
+    one from the table's best-leaf basis.
     """
-    vals = as_values(x)
-    lp, rows, _ = _product_subproblem_lp_data(catalog, tree, vals)
-    sol = solve_lp(lp, warm=warm)
+    lp, rows, start = _table(Kind.PRODUCT, catalog, tree, table).product_lp
+    lp = _at_levels(lp, rows, as_values(x))
+    sol = solve_lp(lp, warm=start if warm is None else warm)
     if sol.status != "optimal":
         raise ContractViolation(f"product subproblem LP is {sol.status}")
     alpha: dict[int, float] = {}

@@ -6,7 +6,6 @@ import pytest
 from dfopt import benders, lp, subproblems
 from dfopt.benders import (
     Budget,
-    _monolithic_start_basis,
     branch_and_bound_monolithic,
     cut_from_certificate,
     integer_phase,
@@ -339,20 +338,66 @@ class TestNodeBudget:
             assert (res.value, res.x, res.nodes) == (ref.value, ref.x, ref.nodes)
 
 
+def record_duals(monkeypatch):
+    """Log, per dual simplex run, whether it ran on the true costs (a zero-cost
+    run is a phase 1)."""
+    runs = []
+    real = lp._Simplex.dual
+
+    def dual(sim, c):
+        runs.append(bool(c.any()))
+        return real(sim, c)
+
+    monkeypatch.setattr(lp._Simplex, "dual", dual)
+    return runs
+
+
+START_GRID = [
+    (seed, shape) for seed in range(4) for shape in ("t1", "t2", "t3")
+]
+
+
 class TestMonolithicStartBasis:
+    """Cold monolithic LPs start from ``BuiltFormulation.start_basis``."""
+
     @pytest.mark.parametrize("cardinality", [None, 0, 3])
     @pytest.mark.parametrize("kind", list(Kind))
-    def test_start_is_accepted(self, kind, cardinality):
+    def test_start_is_accepted(self, monkeypatch, kind, cardinality):
         # the root is the only node that does not start from its parent
-        for seed in range(4):
-            for shape in ("t1", "t2", "t3"):
-                catalog, forest = seeded_instance(seed, shape, n=12, num_trees=10)
-                built = build(kind, catalog, forest, cardinality)
-                start = _monolithic_start_basis(built, forest)
-                sim = lp._start(lp._Canonical(built.lp), start)
-                below, above = sim._bound_violation(sim._basic_values())
-                assert max(below.max(), above.max()) <= lp.FEAS_TOL
-                assert lp.solve_lp_multi(built.lp, [start]).warm
+        duals = record_duals(monkeypatch)
+        roots = record_solves(monkeypatch, benders, "solve_lp_multi")
+        for seed, shape in START_GRID:
+            catalog, forest = seeded_instance(seed, shape, n=12, num_trees=10)
+            built = build(kind, catalog, forest, cardinality)
+            can = lp._Canonical(built.lp)
+            sim = lp._start(can, built.start_basis())
+            assert sim._priced_out(sim._reduced_costs(can.c_min)).size == 0
+            roots.clear()
+            duals.clear()
+            branch_and_bound_monolithic(built, catalog, forest, Budget(max_nodes=1))
+            assert len(roots) == 1 and roots[0][1].warm
+            assert all(duals)  # no zero-cost dual: the root runs no phase 1
+
+    @pytest.mark.parametrize("cardinality", [None, 0, 3])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_relaxation_matches_the_slack_basis_solve(self, kind, cardinality):
+        for seed, shape in START_GRID:
+            catalog, forest = seeded_instance(seed, shape, n=12, num_trees=10)
+            built = build(kind, catalog, forest, cardinality)
+            z, _, _ = solve_relaxation(built)
+            cold = lp.solve_lp(built.lp)
+            assert not cold.warm
+            assert abs(z - cold.objective) <= 1e-9
+
+    def test_tied_best_leaves_start_from_the_smallest_id(self):
+        # leaves 20, 22 and 30 all offer product 5, the best revenue (100)
+        catalog, tree, _, _ = worked_example()
+        best = [l for l in tree.leaf_ids if catalog.leaf_revenue(tree, l) == 100]
+        assert best == [20, 22, 30]
+        built = build(Kind.SPLIT, catalog, single_tree_forest(tree))
+        assert built.start_basis().basic[built.unit_rows[0]] == built.y_cols[(0, 20)]
+        _, _, start = subproblems.tree_table(Kind.PRODUCT, catalog, tree).product_lp
+        assert tree.leaf_ids[start.basic[0]] == 20
 
 
 def record_solves(monkeypatch, module, name):
@@ -389,25 +434,28 @@ class TestWarmStartsServe:
     @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
     def test_product_oracle_after_first_call(self, monkeypatch, seed, cardinality):
         # The certified sweep separates most points, so a tree's product LP
-        # runs only where that check fails, from the tree's previous LP basis.
+        # runs only where that check fails: first from the tree's best-leaf
+        # basis, then from the tree's previous LP basis, never as a phase 1.
         catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
         solves = record_solves(monkeypatch, subproblems, "solve_lp")
+        duals = record_duals(monkeypatch)
         calls = []
         real = benders.product_subproblem_lp
 
-        def oracle(catalog, tree, x, warm=None):
-            value, cert, sol = real(catalog, tree, x, warm)
-            calls.append((tree, warm, sol))
+        def oracle(catalog, tree, x, warm=None, *, table=None):
+            before = len(duals)
+            value, cert, sol = real(catalog, tree, x, warm, table=table)
+            calls.append((tree, warm, sol, duals[before:]))
             return value, cert, sol
 
         monkeypatch.setattr(benders, "product_subproblem_lp", oracle)
         relax = relaxation_phase(Kind.PRODUCT, catalog, forest, cardinality)
-        assert len(solves) == len(calls) < len(forest.trees) * relax.rounds
-        seen = set()
-        for tree, warm, sol in calls:
-            assert (warm is None) == (id(tree) not in seen)
-            assert sol.warm == (warm is not None)
-            seen.add(id(tree))
+        assert 0 < len(solves) == len(calls) < len(forest.trees) * relax.rounds
+        last = {}
+        for tree, warm, sol, runs in calls:
+            assert warm is last.get(id(tree))
+            assert sol.warm and all(runs)
+            last[id(tree)] = sol.basis
 
     @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
     @pytest.mark.parametrize("kind", list(Kind))

@@ -104,6 +104,18 @@ class TestGenerate:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
 
+    def test_integral_float_top_seed_accepted(self, tmp_path):
+        texts = []
+        for seed in (4, 4.0):
+            cfg = {"configs": [{"n": 4, "num_trees": 2, "shape": {"type": "t3", "leaves": 4}}],
+                   "seed": seed}
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            out = tmp_path / "instance.json"
+            assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+            texts.append(out.read_text())
+        assert texts[0] == texts[1]
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 0, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}))
@@ -126,12 +138,17 @@ class TestGenerate:
              "revenue_range": [1.5, 3]},
             {"n": True, "num_trees": 1, "shape": {"type": "t1", "depth": 1}},
             {"n": 4, "num_trees": 1, "shape": {"type": "t3", "leaves": -4}},
+            {"configs": [{"n": 4, "num_trees": 1, "shape": {"type": "t3", "leaves": 4}}],
+             "seed": 2.5},
+            {"configs": [{"n": 4, "num_trees": 1, "shape": {"type": "t3", "leaves": 4}}],
+             "seed": "5"},
         ],
         ids=[
             "missing-n", "text-n", "shape-not-object", "list-not-object",
             "configs-entry-not-object", "empty-configs", "negative-seed",
             "fractional-depth", "fractional-n", "fractional-num-trees",
             "fractional-revenue", "bool-n", "negative-leaves",
+            "fractional-top-seed", "text-top-seed",
         ],
     )
     def test_malformed_config_exit_code(self, tmp_path, capsys, cfg):
@@ -378,6 +395,19 @@ class TestExperiment:
             outs.append((out_dir / "integrality_gap.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_integral_float_counts_accepted(self, tmp_path):
+        floats = dict(self.SPEC, n=[8.0], num_trees=[3.0], leaves=[8.0],
+                      replications=2.0, seed=5.0)
+        outs = []
+        for d, spec in (("ints", self.SPEC), ("floats", floats)):
+            spec_path = tmp_path / f"{d}.json"
+            spec_path.write_text(json.dumps(spec))
+            argv = ["--no-timings", "experiment", "--spec", str(spec_path),
+                    "--out", str(tmp_path / d)]
+            assert main(argv) == EXIT_OK
+            outs.append((tmp_path / d / "integrality_gap.csv").read_bytes())
+        assert outs[0] == outs[1]
+
     def test_replications_in_number_order(self, tmp_path):
         spec = dict(self.SPEC, types=["t3"], replications=12)
         spec_path = tmp_path / "spec.json"
@@ -508,6 +538,11 @@ class TestExperiment:
             {"revenue_range": "ab"},
             {"revenue_range": [1]},
             {"experiment": "benders", "rho": ["nan"]},
+            {"n": [6.7]},
+            {"num_trees": [2.5]},
+            {"leaves": [8.5]},
+            {"replications": 1.5},
+            {"seed": 5.5},
         ],
         ids=[
             "text-n",
@@ -517,6 +552,11 @@ class TestExperiment:
             "text-revenue-range",
             "short-revenue-range",
             "nan-rho",
+            "fractional-n",
+            "fractional-num-trees",
+            "fractional-leaves",
+            "fractional-replications",
+            "fractional-seed",
         ],
     )
     def test_malformed_spec_exit_code(self, tmp_path, capsys, edit):
