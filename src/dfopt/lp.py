@@ -1,4 +1,4 @@
-"""Dense bounded-variable primal and dual simplex.
+"""Dense bounded-variable dual simplex.
 
 Solves  max c'x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub.  Geared to the
 desk-scale problems this package builds (hundreds of rows/columns):
@@ -21,12 +21,12 @@ leaves or enters the basis) and refactorized periodically.
 ``solve_lp(lp, warm=None)`` is the one entry point, and every solve takes
 one path from a start basis.  The start is the slack basis, or a given
 start basis (``LpSolution.basis`` of an earlier solve) extended by the
-slacks of any rows appended after its own rows.  When the start is primal
-infeasible, the bounded dual simplex runs first: on the true costs when the
-start is dual feasible (the same rows and costs after a right-hand-side or
-bound change, or with rows appended), otherwise on zero costs, under which
-every basis is dual feasible, so that the dual serves as phase 1.  The
-primal simplex then reaches or confirms the optimum.
+slacks of any rows appended after its own rows.  The bounded dual simplex,
+the only simplex, runs from it once it is dual feasible: each nonbasic
+boxed column goes to the bound its reduced cost prefers, and only when a
+column with no upper bound still prices out does a dual phase 1 run.  With
+no dual feasible basis the program is unbounded, or infeasible when the
+dual simplex on zero costs finds no feasible point.
 
 A given start basis that does not fit the program, is singular, or fails
 numerically on the way falls back to the slack basis; ``LpSolution.warm``
@@ -35,12 +35,13 @@ decomposition: a master after its cuts are appended, a product-oracle LP at
 new levels x, and a branch-and-bound child after one bound change.
 ``solve_lp_multi`` tries several start bases in turn.
 
-Pivoting is deterministic: Dantzig pricing with smallest-index tie breaks,
-switching to Bland's rule after 3*(rows+cols) degenerate steps; the dual
-simplex prices the most infeasible row and, among tied ratios, takes the
-largest pivot.  Ratio tests ignore entries below ``max(ETA_TOL,
-1e-9 * max|entry|)``, so no pivot below that is ever committed, and neither
-method declares unboundedness or infeasibility before refactorizing.
+Pivoting is deterministic: the most infeasible row leaves and, among tied
+ratios, the largest pivot enters, switching to Bland's rule (smallest
+column indices) after 3*(rows+cols) degenerate steps.  The ratio test
+ignores pivot-row entries below ``max(ETA_TOL, 1e-9 * max|entry|)``, so no
+pivot below that is ever committed, and infeasibility is never declared
+before refactorizing.  A column that prices out on the final factorization
+starts the dual simplex again, at most ``RESTARTS`` times.
 Tolerances: primal feasibility 1e-7, reduced-cost optimality 1e-9.  A
 reported Optimal is re-verified against the original rows before return;
 numerical failures raise SolverError instead of returning a wrong status.
@@ -70,6 +71,7 @@ LEAVE_TOL = 1e-9  # dual simplex: a basic value this far outside its bounds leav
 ETA_TOL = 1e-7  # smallest pivot element ever committed
 DEGEN_TOL = 1e-12
 REFACTOR_EVERY = 64
+RESTARTS = 2  # dual simplex runs after the first whose optimum priced out
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -461,98 +463,47 @@ class _Simplex:
             self._factorize()
         return not update
 
-    # -- primal simplex ----------------------------------------------------
-
-    def run(self, c: np.ndarray) -> str:
-        """Primal simplex from a primal feasible basis."""
-        m, ncols = self.m, self.n + self.m
-        max_iter = 50 * (m + ncols) + 10_000
-        degen_limit = 3 * (m + ncols)
-        degen_count = 0
-        bland = False
-        x_b = self.x_b
-
-        for _ in range(max_iter):
-            d = self._reduced_costs(c)
-            eligible = self._priced_out(d)
-            if eligible.size == 0:
-                if self.since_refactor > 0:
-                    # confirm optimality against a freshly factorized basis
-                    x_b = self._refactor()
-                    continue
-                self.x_b = x_b
-                return OPTIMAL
-            if bland:
-                j = int(eligible[0])
-            else:
-                j = int(eligible[abs(d[eligible]).argmax()])
-
-            sigma = -1.0 if self.at_upper[j] else 1.0
-            w = self.kernel.ftran(self._column(j))
-            dec = sigma * w  # basic values move by -t * dec
-
-            if m:
-                ptol = _pivot_tol(w)
-                lbs_b = self.lb[self.basis]
-                ubs_b = self.ub[self.basis]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t_low = np.where(dec > ptol, (x_b - lbs_b) / dec, np.inf)
-                    t_up = np.where(
-                        (dec < -ptol) & np.isfinite(ubs_b),
-                        (x_b - ubs_b) / dec,
-                        np.inf,
-                    )
-                t_basic = np.maximum(np.minimum(t_low, t_up), 0.0)
-                min_basic = float(t_basic.min())
-            else:
-                min_basic = np.inf
-
-            t_flip = self.ub[j] - self.lb[j]
-            if not np.isfinite(min(t_flip, min_basic)):
-                if self.since_refactor > 0:
-                    x_b = self._refactor()
-                    continue
-                self.x_b = x_b
-                return UNBOUNDED
-
-            if t_flip <= min_basic + DEGEN_TOL:
-                # entering variable runs to its opposite bound: no pivot
-                self.at_upper[j] = not self.at_upper[j]
-                x_b = x_b - dec * t_flip
-                if t_flip <= DEGEN_TOL:
-                    degen_count += 1
-                    if degen_count > degen_limit:
-                        bland = True
-                else:
-                    degen_count = 0
-                continue
-
-            # leaving row: among tied minima prefer the numerically largest
-            # pivot element, then the smallest basic column index
-            cand = (t_basic <= min_basic + DEGEN_TOL).nonzero()[0]
-            piv_mag = np.abs(dec[cand])
-            best_mag = float(piv_mag.max())
-            stable = cand[piv_mag >= 0.5 * best_mag]
-            leave_pos = int(stable[self.basis[stable].argmin()])
-            t_star = float(t_basic[leave_pos])
-            leave_to_upper = bool(t_up[leave_pos] < t_low[leave_pos])
-
-            if t_star <= DEGEN_TOL:
-                degen_count += 1
-                if degen_count > degen_limit:
-                    bland = True
-            else:
-                degen_count = 0
-
-            x_b = x_b - dec * t_star
-            start = self.ub[j] if self.at_upper[j] else self.lb[j]
-            x_b[leave_pos] = start + sigma * t_star
-            if self._pivot(leave_pos, j, w, leave_to_upper):
-                x_b = self._basic_values()
-
-        raise SolverError("simplex iteration limit exceeded", {"pivots": self.pivots})
-
     # -- dual simplex ------------------------------------------------------
+
+    def place(self, c: np.ndarray) -> np.ndarray:
+        """Put each nonbasic boxed column at the bound its reduced cost prefers.
+
+        Only a column priced out by more than OPT_TOL moves, so a start
+        basis keeps its ``at_upper`` otherwise.  Returns the columns that
+        still price out: those with no upper bound.
+        """
+        out = self._priced_out(self._reduced_costs(c))
+        boxed = np.isfinite(self.ub[out])
+        if boxed.any():
+            self.at_upper[out[boxed]] ^= True
+            self.x_b = self._basic_values()
+        return out[~boxed]
+
+    def phase_one(self, c: np.ndarray) -> bool:
+        """Dual phase 1: reach a dual feasible basis; False when there is none.
+
+        The dual simplex solves the auxiliary problem of the subproblem
+        approach (Koberstein & Suhl 2007, Comput. Optim. Appl. 37(1)): the
+        same rows with b = 0, each column with no upper bound in [0, 1] and
+        every other column fixed at 0.  Its objective is the sum of the
+        reduced costs of the columns at 1, so at its optimum a column with
+        no upper bound prices out only when no basis is dual feasible.
+        Otherwise the basis is dual feasible once the boxed columns are
+        placed, which this does.
+        """
+        b, lb, ub = self.b, self.lb, self.ub
+        unbounded = np.isinf(ub)
+        self.b, self.lb, self.ub = np.zeros_like(b), np.zeros_like(lb), unbounded * 1.0
+        try:
+            self.x_b = self._basic_values()
+            self.place(c)
+            if self.dual(c) != OPTIMAL:
+                raise SolverError("dual phase 1 found no point at b = 0", {})
+        finally:
+            self.b, self.lb, self.ub = b, lb, ub
+        self.at_upper &= ~unbounded
+        self.x_b = self._basic_values()
+        return self.place(c).size == 0
 
     def dual(self, c: np.ndarray) -> str:
         """Bounded dual simplex from a dual feasible basis.
@@ -561,12 +512,8 @@ class _Simplex:
         bounds (on a fresh factorization), INFEASIBLE when a row shows that
         no point satisfies the bounds.  Raises SolverError when that row's
         proof does not hold up without the pivot tolerance.  Under zero
-        costs every basis is dual feasible, and OPTIMAL means primal
-        feasible: that is phase 1.  There every reduced cost and so every
-        ratio is 0, and the tie rule alone picks the entering column, so no
-        reduced cost is computed.
+        costs every basis is dual feasible, and OPTIMAL means primal feasible.
         """
-        zero_cost = not c.any()
         m, ncols = self.m, self.n + self.m
         max_iter = 50 * (m + ncols) + 10_000
         degen_limit = 3 * (m + ncols)
@@ -616,13 +563,10 @@ class _Simplex:
                 self.x_b = x_b
                 return INFEASIBLE
 
-            if zero_cost:
-                t_min, tied = 0.0, cand
-            else:
-                d = self._reduced_costs(c)
-                ratios = np.maximum(d[cand] / -a[cand], 0.0)
-                t_min = float(ratios.min())
-                tied = cand[ratios <= t_min + DEGEN_TOL]
+            d = self._reduced_costs(c)
+            ratios = np.maximum(d[cand] / -a[cand], 0.0)
+            t_min = float(ratios.min())
+            tied = cand[ratios <= t_min + DEGEN_TOL]
             if bland:
                 q = int(tied[0])
             else:
@@ -719,20 +663,25 @@ def _status_only(status: str, sim: _Simplex, warm: bool) -> LpSolution:
 def _solve(
     lp: LinearProgram, can: _Canonical, sim: _Simplex, warm: bool
 ) -> LpSolution:
-    """Optimize from the start basis ``sim`` holds.
+    """Optimize from the start basis ``sim`` holds, by the dual simplex.
 
-    A primal infeasible start goes through the dual simplex first, on the
-    true costs when the start is dual feasible and on zero costs otherwise.
+    A pass places the boxed columns, runs the dual phase 1 if a column with
+    no upper bound still prices out, and then the dual simplex on the true
+    costs.  A column that prices out on its final factorization starts
+    another pass.
     """
     c = can.c_min
-    below, above = sim._bound_violation(sim.x_b)
-    if max(below.max(initial=0.0), above.max(initial=0.0)) > FEAS_TOL:
-        dual_feasible = sim._priced_out(sim._reduced_costs(c)).size == 0
-        if sim.dual(c if dual_feasible else np.zeros_like(c)) == INFEASIBLE:
+    for _ in range(1 + RESTARTS):
+        if sim.place(c).size and not sim.phase_one(c):
+            infeasible = sim.dual(np.zeros_like(c)) == INFEASIBLE
+            return _status_only(INFEASIBLE if infeasible else UNBOUNDED, sim, warm)
+        if sim.dual(c) == INFEASIBLE:
             return _status_only(INFEASIBLE, sim, warm)
-    if sim.run(c) == UNBOUNDED:
-        return _status_only(UNBOUNDED, sim, warm)
-    return _extract(lp, can, sim, warm)
+        if sim._priced_out(sim._reduced_costs(c)).size == 0:
+            return _extract(lp, can, sim, warm)
+    raise SolverError(
+        "reduced costs still price out after the dual simplex", {"pivots": sim.pivots}
+    )
 
 
 def _start(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":

@@ -338,17 +338,17 @@ class TestNodeBudget:
             assert (res.value, res.x, res.nodes) == (ref.value, ref.x, ref.nodes)
 
 
-def record_duals(monkeypatch):
-    """Log, per dual simplex run, whether it ran on the true costs (a zero-cost
-    run is a phase 1)."""
+def record_phase_ones(monkeypatch):
+    """Log each dual phase 1 (``_Simplex.phase_one``) and whether it found a
+    dual feasible basis."""
     runs = []
-    real = lp._Simplex.dual
+    real = lp._Simplex.phase_one
 
-    def dual(sim, c):
-        runs.append(bool(c.any()))
-        return real(sim, c)
+    def phase_one(sim, c):
+        runs.append(real(sim, c))
+        return runs[-1]
 
-    monkeypatch.setattr(lp._Simplex, "dual", dual)
+    monkeypatch.setattr(lp._Simplex, "phase_one", phase_one)
     return runs
 
 
@@ -364,7 +364,7 @@ class TestMonolithicStartBasis:
     @pytest.mark.parametrize("kind", list(Kind))
     def test_start_is_accepted(self, monkeypatch, kind, cardinality):
         # the root is the only node that does not start from its parent
-        duals = record_duals(monkeypatch)
+        phase_ones = record_phase_ones(monkeypatch)
         roots = record_solves(monkeypatch, benders, "solve_lp_multi")
         for seed, shape in START_GRID:
             catalog, forest = seeded_instance(seed, shape, n=12, num_trees=10)
@@ -373,10 +373,9 @@ class TestMonolithicStartBasis:
             sim = lp._start(can, built.start_basis())
             assert sim._priced_out(sim._reduced_costs(can.c_min)).size == 0
             roots.clear()
-            duals.clear()
             branch_and_bound_monolithic(built, catalog, forest, Budget(max_nodes=1))
             assert len(roots) == 1 and roots[0][1].warm
-            assert all(duals)  # no zero-cost dual: the root runs no phase 1
+            assert phase_ones == []  # the root runs no phase 1
 
     @pytest.mark.parametrize("cardinality", [None, 0, 3])
     @pytest.mark.parametrize("kind", list(Kind))
@@ -431,6 +430,22 @@ class TestWarmStartsServe:
         relax = relaxation_phase(kind, catalog, forest, cardinality)
         assert [sol.warm for _, sol in masters] == [False] + [True] * (relax.rounds - 1)
 
+    @pytest.mark.parametrize("cardinality", [None, 0, 3])
+    @pytest.mark.parametrize("kind", list(Kind))
+    def test_round_one_master_starts_dual_feasible(self, monkeypatch, kind, cardinality):
+        # x and theta are boxed: placed at the bounds their reduced costs
+        # prefer, they make the slack basis dual feasible, so the cold
+        # round-1 master runs no phase 1, nor does any later solve
+        catalog, forest = seeded_instance(1, "t1", n=10, num_trees=6)
+        can = lp._Canonical(benders._master_state(catalog, forest, cardinality).lp)
+        sim = lp._Simplex(can, range(can.n_struct, len(can.lb)))
+        assert sim.place(can.c_min).size == 0
+        assert sim._priced_out(sim._reduced_costs(can.c_min)).size == 0
+        phase_ones = record_phase_ones(monkeypatch)
+        masters = record_solves(monkeypatch, benders, "solve_lp")
+        relaxation_phase(kind, catalog, forest, cardinality)
+        assert not masters[0][1].warm and phase_ones == []
+
     @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
     def test_product_oracle_after_first_call(self, monkeypatch, seed, cardinality):
         # The certified sweep separates most points, so a tree's product LP
@@ -438,14 +453,14 @@ class TestWarmStartsServe:
         # basis, then from the tree's previous LP basis, never as a phase 1.
         catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
         solves = record_solves(monkeypatch, subproblems, "solve_lp")
-        duals = record_duals(monkeypatch)
+        phase_ones = record_phase_ones(monkeypatch)
         calls = []
         real = benders.product_subproblem_lp
 
         def oracle(catalog, tree, x, warm=None, *, table=None):
-            before = len(duals)
+            before = len(phase_ones)
             value, cert, sol = real(catalog, tree, x, warm, table=table)
-            calls.append((tree, warm, sol, duals[before:]))
+            calls.append((tree, warm, sol, phase_ones[before:]))
             return value, cert, sol
 
         monkeypatch.setattr(benders, "product_subproblem_lp", oracle)
@@ -454,7 +469,7 @@ class TestWarmStartsServe:
         last = {}
         for tree, warm, sol, runs in calls:
             assert warm is last.get(id(tree))
-            assert sol.warm and all(runs)
+            assert sol.warm and runs == []
             last[id(tree)] = sol.basis
 
     @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)

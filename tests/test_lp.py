@@ -391,7 +391,8 @@ class TestDualSimplex:
     @pytest.mark.parametrize("case", WARM_CASES)
     @pytest.mark.parametrize("seed", range(12))
     def test_dual_alone_reaches_the_optimum(self, seed, case):
-        # the primal simplex that runs after the dual must find nothing to do
+        # one dual simplex run from the dual feasible start reaches the
+        # optimum: the reduced-cost check that follows it finds nothing
         rng = np.random.default_rng(seed)
         lp = mixed_lp(rng)
         changed = perturbed(lp, solve_lp(lp), rng, case)
@@ -405,8 +406,9 @@ class TestDualSimplex:
             assert changed.c @ x == pytest.approx(cold.objective, abs=1e-9)
 
     def test_start_neither_primal_nor_dual_feasible_is_served(self):
-        # new costs and right-hand sides: the old basis fits neither
-        # simplex, so the zero-cost dual runs from it as phase 1
+        # new costs and right-hand sides: the old basis is neither primal nor
+        # dual feasible, and placing its boxed columns (or the dual phase 1,
+        # when a slack prices out) makes it dual feasible
         neither = 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
@@ -521,27 +523,6 @@ class TestKernel:
                 if isinstance(value, np.ndarray):
                     assert value.size < m * m, name
 
-    def test_phase_one_prices_nothing(self, monkeypatch):
-        # >= rows with positive right-hand sides: the slack basis is primal
-        # infeasible, so a cold solve runs the zero-cost dual as phase 1
-        rng = np.random.default_rng(3)
-        lp = mixed_lp(rng, m=9, n=8)
-        can = lp_module._Canonical(lp)
-        sim = lp_module._Simplex(can, range(lp.num_cols, lp.num_cols + lp.num_rows))
-        calls = []
-        priced = ((lp_module._Kernel, "btran"), (lp_module._Simplex, "_reduced_costs"))
-        for cls, name in priced:
-            real = getattr(cls, name)
-
-            def counted(self, c, real=real, name=name):
-                calls.append(name)
-                return real(self, c)
-
-            monkeypatch.setattr(cls, name, counted)
-        assert sim.dual(np.zeros_like(can.c_min)) == "optimal"
-        assert sim.pivots > 0
-        assert calls == []
-
 
 def duplicated_equality_lp() -> LinearProgram:
     """max 2x + y  s.t.  x + y = 1 (written twice), x <= 0.5, x, y in [0, 1].
@@ -636,7 +617,70 @@ def test_dual_pivot_judged_by_the_row_tolerance():
     assert warm.objective == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(warm.x, [1.0, 0.4], atol=1e-9)
     assert verify_solution_exact(cuts, warm)["optimal"]
-    assert solve_lp(cuts).objective == pytest.approx(1.0, abs=1e-7)
+    cold = solve_lp(cuts)
+    assert cold.objective == pytest.approx(1.0, abs=1e-7)
+    assert cold.x[0] <= 1.0 + lp_module.LEAVE_TOL
+
+
+def linprog_status(lp: LinearProgram) -> str:
+    """``lp``'s status by scipy's HiGHS, in ``solve_lp``'s terms."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    le, ge = np.array(lp.senses) == LE, np.array(lp.senses) == GE
+    A_ub = np.vstack([lp.A[le], -lp.A[ge]])
+    b_ub = np.concatenate([lp.b[le], -lp.b[ge]])
+    eq = ~(le | ge)
+    res = linprog(
+        -lp.c, A_ub=A_ub if len(A_ub) else None, b_ub=b_ub if len(b_ub) else None,
+        A_eq=lp.A[eq] if eq.any() else None, b_eq=lp.b[eq] if eq.any() else None,
+        bounds=[(l, None if np.isinf(u) else u) for l, u in zip(lp.lb, lp.ub)],
+        method="highs",
+    )
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+
+
+class TestDualPhaseOne:
+    """Cold solves from a slack basis where a column with no upper bound
+    prices out, so only the dual phase 1 can make the start dual feasible."""
+
+    def solve(self, monkeypatch, lp):
+        runs = []
+        real = lp_module._Simplex.phase_one
+
+        def phase_one(sim, c):
+            runs.append(real(sim, c))
+            return runs[-1]
+
+        monkeypatch.setattr(lp_module._Simplex, "phase_one", phase_one)
+        sol = solve_lp(lp)
+        assert sol.status == linprog_status(lp)
+        return sol, runs
+
+    def test_priced_out_column_with_a_finite_optimum(self, monkeypatch):
+        # max x0 + 2 x1  s.t.  x0 + x1 <= 4, x1 - x0 <= 1, x >= 0
+        lp = LinearProgram.build(
+            c=[1.0, 2.0], A=[[1.0, 1.0], [-1.0, 1.0]], senses=[LE, LE], b=[4.0, 1.0]
+        )
+        sol, runs = self.solve(monkeypatch, lp)
+        assert runs == [True] and sol.status == "optimal"
+        assert sol.objective == pytest.approx(6.5, abs=1e-12)
+        assert np.allclose(sol.x, [1.5, 2.5], atol=1e-12)
+        assert_kkt(lp, sol)
+
+    def test_unbounded(self, monkeypatch):
+        # max x0 + x1  s.t.  x0 - x1 <= 1: x0 = x1 + 1 runs off to infinity
+        lp = LinearProgram.build(c=[1.0, 1.0], A=[[1.0, -1.0]], senses=[LE], b=[1.0])
+        sol, runs = self.solve(monkeypatch, lp)
+        assert runs == [False] and sol.status == "unbounded"
+
+    def test_infeasible_from_a_dual_infeasible_start(self, monkeypatch):
+        # x0 - x1 <= 1 and >= 2 meet nowhere, while the direction (1, 1)
+        # improves max x0 + x1 on both rows: no basis is dual feasible, and
+        # the zero-cost dual simplex proves the rows infeasible
+        lp = LinearProgram.build(
+            c=[1.0, 1.0], A=[[1.0, -1.0], [1.0, -1.0]], senses=[LE, GE], b=[1.0, 2.0]
+        )
+        sol, runs = self.solve(monkeypatch, lp)
+        assert runs == [False] and sol.status == "infeasible"
 
 
 class TestDeterminism:
