@@ -16,7 +16,13 @@ columns, a square block of order k <= min(rows, cols).  A basic slack
 covers its own row, so the slack block stays implicit.  This fits the cut
 masters, which have far more rows than basic structural columns.  The dense
 kernel inverse is updated at every pivot (rank-1, or bordered when a slack
-leaves or enters the basis) and refactorized periodically.
+leaves or enters the basis) and refactorized periodically.  A pivot also
+updates what the next one reads: the bounds of each basic position, each
+column's entering direction, and the reduced costs, which move by the pivot
+row (d <- d - (d_q / alpha_q) alpha) and are recomputed at every
+factorization.  The row part of the internal form is built once per
+constraint matrix and shared by the programs ``with_bounds`` and
+``with_rhs`` derive from it (branch-and-bound nodes, product-oracle LPs).
 
 ``solve_lp(lp, warm=None)`` is the one entry point, and every solve takes
 one path from a start basis.  The start is the slack basis, or a given
@@ -49,14 +55,16 @@ numerical failures raise SolverError instead of returning a wrong status.
 ``verify_solution_exact`` refactorizes a returned basis in exact rational
 arithmetic, for regression fixtures whose optima are known exactly.
 
-Every variable must have a finite lower bound (upper bounds may be +inf);
-all programs built by this package satisfy that.
+Costs, coefficients, right-hand sides and lower bounds must be finite;
+an upper bound may be +inf but not NaN.  ``validate`` raises
+ValidationError otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -83,8 +91,10 @@ class LinearProgram:
     """max c'x subject to row constraints and variable bounds.
 
     ``build`` validates the program and marks it ``validated``, so
-    ``solve_lp`` does not check it again; one made any other way (the
-    constructor, ``with_bounds``) is checked each time it is solved.
+    ``solve_lp`` does not check it again; ``with_bounds`` and ``with_rhs``
+    of a validated program check only what they change.  One made any other
+    way (the constructor, ``dataclasses.replace``) is checked each time it is
+    solved.
     """
 
     c: np.ndarray
@@ -120,29 +130,62 @@ class LinearProgram:
 
     def validate(self) -> None:
         m, n = self.A.shape
-        if len(self.c) != n or len(self.b) != m or len(self.senses) != m:
+        if np.shape(self.c) != (n,) or len(self.senses) != m:
             raise ValidationError("inconsistent LP dimensions")
-        if len(self.lb) != n or len(self.ub) != n:
-            raise ValidationError("inconsistent bound dimensions")
-        if not np.all(np.isfinite(self.b)):
-            raise ValidationError("right-hand sides must be finite")
-        if not np.all(np.isfinite(self.lb)):
-            raise ValidationError("lower bounds must be finite")
-        if np.any(self.lb > self.ub):
-            raise ValidationError("lower bound exceeds upper bound")
+        if not (np.isfinite(self.c).all() and np.isfinite(self.A).all()):
+            raise ValidationError("costs and row coefficients must be finite")
+        _check_rhs(self.b, m)
+        _check_bounds(self.lb, self.ub, n)
         if not _SENSES.issuperset(self.senses):
             bad = next(s for s in self.senses if s not in _SENSES)
             raise ValidationError(f"unknown row sense {bad!r}")
 
+    @cached_property
+    def _form(self) -> tuple:
+        """What ``_Canonical`` takes of c, A and the senses, shared by the
+        programs ``with_bounds`` and ``with_rhs`` derive from this one."""
+        sign = np.array([-1.0 if s == GE else 1.0 for s in self.senses])
+        A = self.A * sign[:, None] if GE in self.senses else self.A
+        slack_ub = np.array([0.0 if s == EQ else np.inf for s in self.senses])
+        c_min = np.concatenate([-self.c, np.zeros(len(sign))])
+        return sign, A, np.ascontiguousarray(A.T), slack_ub, c_min
+
+    def _derive(self, **changes) -> "LinearProgram":
+        lp = replace(self, **changes)
+        lp.__dict__["_form"] = self._form
+        object.__setattr__(lp, "validated", self.validated)
+        return lp
+
     def with_bounds(self, lb, ub) -> "LinearProgram":
-        return LinearProgram(
-            c=self.c,
-            A=self.A,
-            senses=self.senses,
-            b=self.b,
-            lb=np.asarray(lb, dtype=float),
-            ub=np.asarray(ub, dtype=float),
-        )
+        lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
+        if self.validated:
+            _check_bounds(lb, ub, self.num_cols)
+        return self._derive(lb=lb, ub=ub)
+
+    def with_rhs(self, b) -> "LinearProgram":
+        b = np.asarray(b, dtype=float)
+        if self.validated:
+            _check_rhs(b, self.num_rows)
+        return self._derive(b=b)
+
+
+def _check_rhs(b: np.ndarray, m: int) -> None:
+    if np.shape(b) != (m,):
+        raise ValidationError("inconsistent LP dimensions")
+    if not np.isfinite(b).all():
+        raise ValidationError("right-hand sides must be finite")
+
+
+def _check_bounds(lb: np.ndarray, ub: np.ndarray, n: int) -> None:
+    """Lower bounds finite, upper bounds finite or +inf, and lb <= ub."""
+    if np.shape(lb) != (n,) or np.shape(ub) != (n,):
+        raise ValidationError("inconsistent bound dimensions")
+    if not np.isfinite(lb).all():
+        raise ValidationError("lower bounds must be finite")
+    if np.isnan(ub).any():
+        raise ValidationError("upper bounds must not be NaN")
+    if (lb > ub).any():
+        raise ValidationError("lower bound exceeds upper bound")
 
 
 @dataclass(frozen=True)
@@ -187,22 +230,18 @@ class _Canonical:
     its transpose ``AT``); a slack column is the unit vector of its row.
     Inequality slacks range over [0, inf), equality slacks are fixed at 0,
     and every slack costs 0 in ``c_min``.  ``row_sign`` maps internal duals
-    back to the original row orientation.
+    back to the original row orientation.  All but b and the bounds come
+    from ``LinearProgram._form``, once per constraint matrix.
     """
 
     def __init__(self, lp: LinearProgram):
         m, n = lp.A.shape
-        self.lp = lp
         self.n_struct = n
         self.num_rows = m
-        self.row_sign = np.array([-1.0 if s == GE else 1.0 for s in lp.senses])
-        self.A = lp.A * self.row_sign[:, None]
-        self.AT = np.ascontiguousarray(self.A.T)
+        self.row_sign, self.A, self.AT, slack_ub, self.c_min = lp._form
         self.b = lp.b * self.row_sign
-        slack_ub = np.array([0.0 if s == EQ else np.inf for s in lp.senses])
         self.lb = np.concatenate([lp.lb, np.zeros(m)])
         self.ub = np.concatenate([lp.ub, slack_ub])
-        self.c_min = np.concatenate([-lp.c, np.zeros(m)])
 
 
 def _pivot_tol(v: np.ndarray) -> float:
@@ -363,7 +402,11 @@ class _Simplex:
 
     Nonbasic columns sit at their lower bound except those in ``at_upper``;
     ``x_b`` holds the basic values.  The basis is reached only through its
-    ``kernel``: ftran, btran and one row of B^-1.
+    ``kernel``: ftran, btran and one row of B^-1.  Kept up to date at every
+    pivot: ``lb_b`` and ``ub_b``, the bounds of each basic position; ``dir``,
+    the way each column may enter (+1 at its lower bound, -1 at its upper,
+    0 when basic or fixed); and ``d``, the reduced costs for the costs ``c``,
+    computed at every factorization and updated by the pivot row between.
 
     The loops here and in the kernel call ndarray methods (``dot``,
     ``nonzero``, ``argmax``) rather than ``@`` and the numpy functions: on
@@ -372,9 +415,7 @@ class _Simplex:
 
     def __init__(self, can: _Canonical, basis, at_upper=()):
         self.A = can.A
-        self.b = can.b
-        self.lb = can.lb
-        self.ub = can.ub
+        self.c = can.c_min
         self.m, self.n = can.A.shape
         self.pivots = 0
         self.refactorizations = 0
@@ -383,14 +424,23 @@ class _Simplex:
         self.is_basic = np.zeros(ncols, dtype=bool)
         self.is_basic[self.basis] = True
         self.at_upper = np.zeros(ncols, dtype=bool)
-        self.at_upper[list(at_upper)] = True
+        self.at_upper[np.asarray(at_upper, dtype=int)] = True
+        self._set_bounds(can.b, can.lb, can.ub)
         rows = (~self.is_basic[self.n :]).nonzero()[0]
         self.kernel = _Kernel(can.A, can.AT, self.basis, rows)
         self._refactor()
 
     # -- state helpers ----------------------------------------------------
 
-    def _factorize(self):
+    def _set_bounds(self, b, lb, ub):
+        """Take b and the bounds, and the basic bounds and directions with them."""
+        self.b, self.lb, self.ub = b, lb, ub
+        self.lb_b, self.ub_b = lb[self.basis], ub[self.basis]
+        self.dir = np.where(self.at_upper, -1.0, 1.0)
+        self.dir[self.is_basic | (lb == ub)] = 0.0
+
+    def _refactor(self):
+        """Factorize the basis afresh, and recompute ``x_b`` and ``d``."""
         try:
             self.kernel.factorize()
         except np.linalg.LinAlgError as exc:
@@ -400,12 +450,8 @@ class _Simplex:
             ) from exc
         self.refactorizations += 1
         self.since_refactor = 0
-
-    def _refactor(self) -> np.ndarray:
-        """Factorize the basis afresh; returns the recomputed basic values."""
-        self._factorize()
         self.x_b = self._basic_values()
-        return self.x_b
+        self.d = self._reduced_costs(self.c)
 
     def _column(self, j: int) -> np.ndarray:
         """Column j of [A | I]."""
@@ -429,25 +475,21 @@ class _Simplex:
         d[self.is_basic] = 0.0
         return d
 
-    def _movable(self) -> np.ndarray:
-        """Nonbasic columns that may enter: fixed columns never do."""
-        return ~self.is_basic & (self.lb != self.ub)
+    def _price(self, c: np.ndarray) -> np.ndarray:
+        """The reduced costs for c: the maintained ``d`` when c is ``self.c``."""
+        if c is not self.c:
+            self.c, self.d = c, self._reduced_costs(c)
+        return self.d
 
     def _priced_out(self, d: np.ndarray) -> np.ndarray:
         """Columns whose reduced cost says they should enter (dual infeasible)."""
-        movable = self._movable()
-        viol_low = movable & ~self.at_upper & (d < -OPT_TOL)
-        viol_up = movable & self.at_upper & (d > OPT_TOL)
-        return (viol_low | viol_up).nonzero()[0]
+        return (self.dir * d < -OPT_TOL).nonzero()[0]
 
-    def _bound_violation(self, x_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """How far each basic value lies below its lower / above its upper bound."""
-        return self.lb[self.basis] - x_b, x_b - self.ub[self.basis]
-
-    def _pivot(self, pos: int, j: int, w: np.ndarray, leave_to_upper: bool) -> bool:
+    def _pivot(self, pos: int, j: int, w: np.ndarray, leave_to_upper: bool):
         """Column ``j`` (with ``w = B^-1 A_j``) replaces the basic column at ``pos``.
 
-        Returns True when the kernel was refactorized instead of updated.
+        The caller updates ``x_b`` and ``d``; every REFACTOR_EVERY pivots the
+        kernel is refactorized instead of updated, and they are recomputed.
         """
         leaving = int(self.basis[pos])
         self.basis[pos] = j
@@ -455,13 +497,16 @@ class _Simplex:
         self.is_basic[j] = True
         self.at_upper[leaving] = leave_to_upper
         self.at_upper[j] = False
+        self.lb_b[pos], self.ub_b[pos] = self.lb[j], self.ub[j]
+        self.dir[j] = 0.0
+        if self.lb[leaving] != self.ub[leaving]:
+            self.dir[leaving] = -1.0 if leave_to_upper else 1.0
         self.pivots += 1
         self.since_refactor += 1
         update = self.since_refactor < REFACTOR_EVERY
         self.kernel.replace(pos, j, w, update)
         if not update:
-            self._factorize()
-        return not update
+            self._refactor()
 
     # -- dual simplex ------------------------------------------------------
 
@@ -472,10 +517,12 @@ class _Simplex:
         basis keeps its ``at_upper`` otherwise.  Returns the columns that
         still price out: those with no upper bound.
         """
-        out = self._priced_out(self._reduced_costs(c))
+        out = self._priced_out(self._price(c))
         boxed = np.isfinite(self.ub[out])
         if boxed.any():
-            self.at_upper[out[boxed]] ^= True
+            flip = out[boxed]
+            self.at_upper[flip] ^= True
+            self.dir[flip] *= -1.0
             self.x_b = self._basic_values()
         return out[~boxed]
 
@@ -493,15 +540,15 @@ class _Simplex:
         """
         b, lb, ub = self.b, self.lb, self.ub
         unbounded = np.isinf(ub)
-        self.b, self.lb, self.ub = np.zeros_like(b), np.zeros_like(lb), unbounded * 1.0
+        self._set_bounds(np.zeros_like(b), np.zeros_like(lb), unbounded * 1.0)
         try:
             self.x_b = self._basic_values()
             self.place(c)
             if self.dual(c) != OPTIMAL:
                 raise SolverError("dual phase 1 found no point at b = 0", {})
         finally:
-            self.b, self.lb, self.ub = b, lb, ub
-        self.at_upper &= ~unbounded
+            self.at_upper &= ~unbounded
+            self._set_bounds(b, lb, ub)
         self.x_b = self._basic_values()
         return self.place(c).size == 0
 
@@ -519,51 +566,47 @@ class _Simplex:
         degen_limit = 3 * (m + ncols)
         degen_count = 0
         bland = False
-        x_b = self.x_b
+        self._price(c)
+        if m == 0:
+            return OPTIMAL
 
         for _ in range(max_iter):
-            below, above = self._bound_violation(x_b)
-            infeas = np.maximum(below, above)
-            rows = (infeas > LEAVE_TOL).nonzero()[0]
-            if rows.size == 0:
+            x_b, d = self.x_b, self.d
+            infeas = np.maximum(self.lb_b - x_b, x_b - self.ub_b)
+            r = int(infeas.argmax())
+            if infeas[r] <= LEAVE_TOL:
                 if self.since_refactor > 0:
-                    x_b = self._refactor()
+                    self._refactor()
                     continue
-                self.x_b = x_b
                 return OPTIMAL
             if bland:
+                rows = (infeas > LEAVE_TOL).nonzero()[0]
                 r = int(rows[self.basis[rows].argmin()])
-            else:
-                r = int(rows[infeas[rows].argmax()])
-            to_upper = bool(above[r] > LEAVE_TOL)
+            to_upper = bool(x_b[r] - self.ub_b[r] > LEAVE_TOL)
 
             # the leaving value must rise (fall when above its upper bound):
             # at-lower columns with a < 0 and at-upper columns with a > 0 can
             # move it there
             alpha = self.kernel.row(r)
             a = -alpha if to_upper else alpha
-            movable = self._movable()
             ptol = _pivot_tol(alpha)
-            cand = (movable & np.where(self.at_upper, a > ptol, a < -ptol)).nonzero()[0]
+            moves = self.dir * a
+            cand = (moves < -ptol).nonzero()[0]
             if cand.size == 0:
                 if self.since_refactor > 0:
-                    x_b = self._refactor()
+                    self._refactor()
                     continue
                 # every column that could move the row, however small its
                 # entry, over its whole range: not enough means infeasible
-                helps = movable & np.where(
-                    self.at_upper, a > DEGEN_TOL, a < -DEGEN_TOL
-                )
+                helps = moves < -DEGEN_TOL
                 span = self.ub[helps] - self.lb[helps]
                 room = float(np.sum(np.abs(a[helps]) * span))
                 if room >= infeas[r] - LEAVE_TOL:
                     raise SolverError(
                         "dual ratio test found no pivot", {"row": r}
                     )
-                self.x_b = x_b
                 return INFEASIBLE
 
-            d = self._reduced_costs(c)
             ratios = np.maximum(d[cand] / -a[cand], 0.0)
             t_min = float(ratios.min())
             tied = cand[ratios <= t_min + DEGEN_TOL]
@@ -578,7 +621,7 @@ class _Simplex:
             if abs(w[r]) < ptol:
                 if self.since_refactor == 0:
                     raise SolverError("dual pivot below tolerance", {"row": r})
-                x_b = self._refactor()
+                self._refactor()
                 continue
 
             if t_min <= DEGEN_TOL:
@@ -589,13 +632,15 @@ class _Simplex:
                 degen_count = 0
 
             # primal step: the entering column moves until row r meets its bound
-            bound = self.ub[self.basis[r]] if to_upper else self.lb[self.basis[r]]
+            bound = self.ub_b[r] if to_upper else self.lb_b[r]
             step = (x_b[r] - bound) / w[r]
             start = self.ub[q] if self.at_upper[q] else self.lb[q]
-            x_b = x_b - step * w
+            x_b -= step * w
             x_b[r] = start + step
-            if self._pivot(r, q, w, to_upper):
-                x_b = self._basic_values()
+            # dual step: the reduced costs move by the pivot row
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
+            self._pivot(r, q, w, to_upper)
 
         raise SolverError(
             "dual simplex iteration limit exceeded", {"pivots": self.pivots}
@@ -604,7 +649,7 @@ class _Simplex:
 
 def _full_point(sim: _Simplex) -> np.ndarray:
     vals = sim._nonbasic_values()
-    vals[sim.basis] = sim._basic_values()
+    vals[sim.basis] = sim.x_b
     return vals
 
 
@@ -633,6 +678,8 @@ def _extract(
         )
     if (x < lp.lb - FEAS_TOL).any() or (x > lp.ub + FEAS_TOL).any():
         raise SolverError("optimal point violates variable bounds", {})
+    if not np.isfinite(obj):
+        raise SolverError("optimal point is not finite", {})
 
     basis = WarmBasis(
         basic=tuple(sim.basis.tolist()),
@@ -677,7 +724,7 @@ def _solve(
             return _status_only(INFEASIBLE if infeasible else UNBOUNDED, sim, warm)
         if sim.dual(c) == INFEASIBLE:
             return _status_only(INFEASIBLE, sim, warm)
-        if sim._priced_out(sim._reduced_costs(c)).size == 0:
+        if sim._priced_out(sim.d).size == 0:
             return _extract(lp, can, sim, warm)
     raise SolverError(
         "reduced costs still price out after the dual simplex", {"pivots": sim.pivots}
@@ -690,17 +737,17 @@ def _start(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":
     None when the basis does not fit the program or is singular.
     """
     m, ncols = can.num_rows, len(can.lb)
-    basic = list(warm.basic) + list(range(can.n_struct + len(warm.basic), ncols))
-    if (
-        len(basic) != m
-        or len(set(basic)) != m
-        or any(not 0 <= j < ncols for j in basic)
-        or any(not 0 <= j < ncols for j in warm.at_upper)
-        or any(not np.isfinite(can.ub[j]) for j in warm.at_upper)
-    ):
+    given = np.asarray(warm.basic, dtype=int)
+    basic = np.concatenate((given, np.arange(can.n_struct + len(given), ncols)))
+    at_upper = np.asarray(warm.at_upper, dtype=int)
+    if len(basic) != m or any(((v < 0) | (v >= ncols)).any() for v in (basic, at_upper)):
+        return None
+    if np.bincount(basic, minlength=ncols).max(initial=0) > 1:
+        return None
+    if not np.isfinite(can.ub[at_upper]).all():
         return None
     try:
-        return _Simplex(can, basic, warm.at_upper)
+        return _Simplex(can, basic, at_upper)
     except SolverError:
         return None
 

@@ -37,7 +37,7 @@ make traces deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
 
@@ -128,10 +128,11 @@ class TreeTable:
 
     ``order`` is ``leaf_order`` and ``revenue`` each leaf's revenue.  Three
     parts are built on first use: ``rows(l)``, the ``leaf_rows`` of leaf l,
-    which the sweep, the replay and ``slacks`` read; ``cuts``, each row of
-    ``capacity_rows`` as ``(key, left, other, top)`` for ``integer_cut``, where
-    ``other`` holds the leaves behind the opposite branch and ``top`` is the
-    largest revenue among the row's leaves; and, at the per-product
+    which the sweep, the replay and ``slacks`` read; ``cuts[l]``, for
+    ``integer_cut``, each row of ``capacity_rows`` whose opposite branch holds
+    leaf l and one of whose leaves earns more than l, as ``(key, left,
+    excess)`` in row order, where ``excess`` is the largest revenue among
+    the row's leaves minus l's; and, at the per-product
     granularity, ``product_lp`` for ``product_subproblem_lp``.  A caller that
     separates the same tree many times builds the table once (``tree_table``)
     and passes it as ``table=``; without one, every call builds its own.
@@ -150,11 +151,14 @@ class TreeTable:
         return rows
 
     @cached_property
-    def cuts(self) -> tuple[tuple, ...]:
-        return tuple(
-            (key, left, other, max(self.revenue[l] for l in leaves))
-            for key, _, left, leaves, other in capacity_rows(self.kind, self.tree)
-        )
+    def cuts(self) -> dict[int, list[tuple]]:
+        cuts: dict[int, list[tuple]] = {l: [] for l in self.tree.leaf_ids}
+        for key, _, left, leaves, other in capacity_rows(self.kind, self.tree):
+            top = max(self.revenue[l] for l in leaves)
+            for l in other:
+                if top - self.revenue[l] > 0:
+                    cuts[l].append((key, left, top - self.revenue[l]))
+        return cuts
 
     @cached_property
     def product_lp(self) -> tuple[LinearProgram, list[tuple], WarmBasis]:
@@ -346,11 +350,8 @@ def integer_cut(
 
     alpha: dict = {}
     beta: dict = {}
-    for key, left, other, top in table.cuts:
-        if leaf_star in other:
-            v = top - r_star
-            if v > 0:
-                (alpha if left else beta)[key] = v
+    for key, left, v in table.cuts[leaf_star]:
+        (alpha if left else beta)[key] = v
     cert = DualCertificate(kind=kind, alpha=alpha, beta=beta, gamma=r_star)
     return r_star, cert
 
@@ -393,10 +394,10 @@ def _product_subproblem_lp_data(catalog, tree, x):
 
 
 def _at_levels(lp: LinearProgram, rows, vals) -> LinearProgram:
-    """``lp`` with the right-hand sides of levels ``vals``, checked when solved."""
+    """``lp`` with the right-hand sides of levels ``vals``, sharing its rows."""
     b = [1.0] + [float(vals[i - 1]) if left else 1.0 - float(vals[i - 1])
                  for _, i, left, _, _ in rows]
-    return replace(lp, b=np.array(b))
+    return lp.with_rhs(b)
 
 
 def product_subproblem_lp(

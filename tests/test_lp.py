@@ -11,7 +11,7 @@ try:
 except ImportError:  # the property test is skipped; the seeded cases still run
     given = None
 
-from dfopt import benders
+from dfopt import benders, formulations
 from dfopt import lp as lp_module
 from dfopt.errors import ValidationError
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
@@ -108,6 +108,35 @@ class TestBasics:
     def test_validation(self):
         with pytest.raises(ValidationError):
             LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[np.inf])
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("A", np.nan), ("A", np.inf), ("ub", np.nan), ("c", np.nan), ("c", np.inf)],
+    )
+    def test_non_finite_data_is_refused(self, name, value):
+        # unchecked, solve_lp took a NaN in A for optimal at x = [1, 1], a
+        # NaN upper bound for unbounded, and a NaN or inf cost for optimal
+        # with a NaN or inf objective
+        data = dict(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.5], ub=[1.0, 1.0])
+        data = {key: np.array(v, dtype=float) for key, v in data.items()}
+        data[name].flat[-1] = value
+        with pytest.raises(ValidationError):
+            LinearProgram.build(senses=[LE], **data)
+        with pytest.raises(ValidationError):
+            solve_lp(LinearProgram(senses=(LE,), lb=np.zeros(2), **data))
+        if name == "ub":  # with_bounds checks its bounds by the same rules
+            lp = LinearProgram.build(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[LE], b=[1.5])
+            with pytest.raises(ValidationError, match="NaN"):
+                lp.with_bounds(lp.lb, data["ub"])
+
+    @pytest.mark.parametrize(
+        "name, value", [("lb", 0.0), ("ub", 1.0), ("b", 1.0), ("lb", [[0.0]])]
+    )
+    def test_misshapen_vectors_are_refused(self, name, value):
+        # a scalar used to raise a bare TypeError, and a 2-D bound passed
+        data = dict(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0])
+        with pytest.raises(ValidationError, match="dimensions"):
+            LinearProgram.build(**{**data, name: value})
 
     def test_unknown_sense_names_the_first_one(self):
         with pytest.raises(ValidationError, match="unknown row sense '<'"):
@@ -420,7 +449,8 @@ class TestDualSimplex:
             )
             can = lp_module._Canonical(changed)
             sim = lp_module._start(can, sol.basis)
-            below, above = sim._bound_violation(sim._basic_values())
+            x_b = sim._basic_values()
+            below, above = can.lb[sim.basis] - x_b, x_b - can.ub[sim.basis]
             if (
                 max(below.max(), above.max()) > lp_module.FEAS_TOL
                 and sim._priced_out(sim._reduced_costs(can.c_min)).size
@@ -522,6 +552,75 @@ class TestKernel:
             for name, value in vars(state).items():
                 if isinstance(value, np.ndarray):
                     assert value.size < m * m, name
+
+
+class TestMaintainedState:
+    """``_Simplex`` keeps the basic bounds, the entering directions and the
+    reduced costs up to date; after every pivot they match a fresh
+    recomputation, and right after a refactorization the reduced costs are
+    the fresh ones."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        seen = {"pivots": 0, "refactored": 0}
+
+        def check(sim, exact):
+            d = sim._reduced_costs(sim.c)
+            if exact:
+                assert np.array_equal(sim.d, d)
+            else:
+                assert np.allclose(sim.d, d, rtol=0, atol=1e-9)
+            assert np.array_equal(sim.lb_b, sim.lb[sim.basis])
+            assert np.array_equal(sim.ub_b, sim.ub[sim.basis])
+            direction = np.where(sim.at_upper, -1.0, 1.0)
+            direction[sim.is_basic | (sim.lb == sim.ub)] = 0.0
+            assert np.array_equal(sim.dir, direction)
+
+        real_pivot, real_refactor = lp_module._Simplex._pivot, lp_module._Simplex._refactor
+
+        def pivot(sim, *args):
+            real_pivot(sim, *args)
+            seen["pivots"] += 1
+            seen["refactored"] += sim.since_refactor == 0
+            check(sim, exact=False)
+
+        def refactor(sim):
+            real_refactor(sim)
+            check(sim, exact=True)
+
+        monkeypatch.setattr(lp_module._Simplex, "_pivot", pivot)
+        monkeypatch.setattr(lp_module._Simplex, "_refactor", refactor)
+        return seen
+
+    def test_random_boxed_programs(self, checked):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            m, n = 40, 60
+            A = rng.normal(size=(m, n))
+            b = A @ rng.uniform(0.1, 0.9, size=n) + rng.uniform(0.05, 1.0, size=m)
+            senses = [GE if i % 4 == 0 else LE for i in range(m)]
+            sign = np.where(np.array(senses) == GE, -1.0, 1.0)
+            lp = LinearProgram.build(
+                c=rng.normal(size=n), A=A * sign[:, None], senses=senses,
+                b=b * sign, ub=np.ones(n),
+            )
+            sol = solve_lp(lp)
+            assert sol.status == "optimal"
+            for case in WARM_CASES:
+                solve_lp(perturbed(lp, sol, rng, case), warm=sol.basis)
+        # some solve ran past REFACTOR_EVERY pivots, so the update continued
+        # from a refactorization
+        assert checked["refactored"] >= 2 and checked["pivots"] > 200
+
+    def test_desk_branch_and_bound_nodes(self, checked):
+        catalog, forest = generate_instance(
+            GeneratorConfig(n=12, num_trees=10, shape=TreeShape("t3", leaves=8), seed=1)
+        )
+        for kind in ("leaf", "split"):
+            built = formulations.build(kind, catalog, forest, 3)
+            res = formulations.solve_integer_monolithic(built, catalog, forest)
+            assert res.nodes > 1
+        assert checked["refactored"] >= 1
 
 
 def duplicated_equality_lp() -> LinearProgram:
