@@ -236,7 +236,7 @@ def _shape_for(type_name: str, leaves: int) -> instancegen.TreeShape:
     raise ConfigError(f"unknown instance type {type_name!r}")
 
 
-def _instance_for(type_name, n, num_trees, leaves, seed, revenue_range=(1, 100)):
+def _instance_for(type_name, n, num_trees, leaves, seed, revenue_range):
     config = instancegen.GeneratorConfig(
         n=n,
         num_trees=num_trees,
@@ -309,9 +309,11 @@ def _grid(spec) -> list[tuple]:
 
 
 def _run_cells(spec, worker):
-    """Run ``worker(cell, rep, seed)`` per (cell, replication), in grid order.
+    """Run ``worker(catalog, forest, seed)`` per (cell, replication), in grid order.
 
-    Returns ``(cell, rep, seed, result)`` tuples.
+    Each replication's instance is drawn from its cell and seed, with the
+    revenues in the spec's ``revenue_range``.  Returns ``(cell, rep, seed,
+    result)`` tuples.
     """
     reps = _count("replications", spec.get("replications", 1), 1)
     # any integer seeds the grid: _rep_seed reduces it modulo 2**63
@@ -320,12 +322,14 @@ def _run_cells(spec, worker):
         cells = _grid(spec)
     except TypeError as exc:  # a grid entry that is not a list
         raise ConfigError(f"malformed experiment grid: {exc}") from None
-    return [
-        (cell, rep, seed, worker(cell, rep, seed))
-        for cell in cells
-        for rep in range(reps)
-        for seed in [_rep_seed(master_seed, *cell, rep)]
-    ]
+    revenue_range = spec.get("revenue_range", [1, 100])
+    results = []
+    for cell in cells:
+        for rep in range(reps):
+            seed = _rep_seed(master_seed, *cell, rep)
+            catalog, forest = _instance_for(*cell, seed, revenue_range)
+            results.append((cell, rep, seed, worker(catalog, forest, seed)))
+    return results
 
 
 def _rows_with_means(results, metric_keys):
@@ -354,13 +358,7 @@ def _spec_budget(spec) -> benders.Budget:
 
 
 def _experiment_integrality(spec, timings):
-    revenue_range = spec.get("revenue_range", [1, 100])
-
-    def worker(cell, rep, seed):
-        type_name, n, num_trees, leaves = cell
-        catalog, forest = _instance_for(
-            type_name, n, num_trees, leaves, seed, revenue_range
-        )
+    def worker(catalog, forest, seed):
         row = {}
         try:
             _, z_star = model.brute_force_optimal(catalog, forest)
@@ -392,8 +390,7 @@ def _experiment_integrality(spec, timings):
 def _experiment_tractability(spec, timings):
     budget = _spec_budget(spec)
 
-    def worker(cell, rep, seed):
-        catalog, forest = _instance_for(*cell, seed)
+    def worker(catalog, forest, seed):
         row = {"status": "ok"}
         for kind in KINDS:
             method = f"monolithic:{kind.value}"
@@ -420,12 +417,10 @@ def _experiment_benders(spec, timings):
     budget = _spec_budget(spec)
     rhos = [float(r) for r in spec.get("rho", [0.2])]
 
-    def worker(cell, rep, seed):
-        type_name, n, num_trees, leaves = cell
-        catalog, forest = _instance_for(type_name, n, num_trees, leaves, seed)
+    def worker(catalog, forest, seed):
         rows = {}
         for rho in rhos:
-            b = max(1, round(rho * n))
+            b = max(1, round(rho * catalog.n))
             tag = f"rho{rho:g}"
             # the two phases are timed apart, which solve_one cannot do
             t0 = time.monotonic()
@@ -509,8 +504,7 @@ def _experiment_heuristics(spec, timings):
     methods = {kind.value: f"monolithic:{kind.value}" for kind in KINDS}
     methods.update(ls="ls", ls10="ls10", roa="roa")
 
-    def worker(cell, rep, seed):
-        catalog, forest = _instance_for(*cell, seed)
+    def worker(catalog, forest, seed):
         results = {
             name: solve_one(catalog, forest, method, budget=budget, seed=seed)
             for name, method in methods.items()
@@ -610,8 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("generate", help="generate instance JSON", parents=[after])
-    p_gen.add_argument("--config", help="generator config JSON file")
-    p_gen.add_argument("--cnf", help="DIMACS 3-CNF file to reduce instead")
+    source = p_gen.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="generator config JSON file")
+    source.add_argument("--cnf", help="DIMACS 3-CNF file to reduce instead")
     p_gen.add_argument("--out", help="output path (default stdout)")
     p_gen.set_defaults(func=cmd_generate)
 

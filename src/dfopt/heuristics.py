@@ -27,6 +27,7 @@ re-indexes only the trees it changes.
 
 from __future__ import annotations
 
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -222,9 +223,12 @@ def local_search(
     return _result(catalog, forest, walks.assortment(), moves)
 
 
-def _check_restarts(restarts: int) -> None:
+def _check_runs(restarts: int, seed: int) -> None:
+    """Refuse what the random starts could not be drawn with."""
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def ls10(
@@ -240,7 +244,7 @@ def ls10(
     assortment, which makes the result dominate a plain empty-start search
     pointwise (used by controlled comparisons).
     """
-    _check_restarts(restarts)
+    _check_runs(restarts, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     n = catalog.n
     best = None
@@ -295,7 +299,7 @@ def divide_and_conquer(
     """
     n = catalog.n
     check_cardinality(n, b)
-    _check_restarts(restarts)
+    _check_runs(restarts, seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     best = None
     total_moves = 0

@@ -20,14 +20,18 @@ leaves or enters the basis) and refactorized periodically.  A pivot also
 updates what the next one reads: the bounds of each basic position, each
 column's entering direction, and the reduced costs, which move by the pivot
 row (d <- d - (d_q / alpha_q) alpha) and are recomputed at every
-factorization.  The row part of the internal form is built once per
-constraint matrix and shared by the programs ``with_bounds`` and
-``with_rhs`` derive from it (branch-and-bound nodes, product-oracle LPs).
+factorization.  The row part of the internal form
+(``LinearProgram._form``) is built once per constraint matrix and shared by
+the programs ``with_bounds`` and ``with_rhs`` derive from it
+(branch-and-bound nodes, product-oracle LPs); a solve holds no other copy
+of the program.
 
 ``solve_lp(lp, warm=None)`` is the one entry point, and every solve takes
-one path from a start basis.  The start is the slack basis, or a given
-start basis (``LpSolution.basis`` of an earlier solve) extended by the
-slacks of any rows appended after its own rows.  The bounded dual simplex,
+one path from a start basis.  The start is a given start basis
+(``LpSolution.basis`` of an earlier solve) extended by the slacks of any
+rows appended after its own rows, or the slack basis, which is the empty
+start extended the same way.  An optimal solution carries the point, its
+objective, the row duals and the final basis.  The bounded dual simplex,
 the only simplex, runs from it once it is dual feasible: each nonbasic
 boxed column goes to the bound its reduced cost prefers, and only when a
 column with no upper bound still prices out does a dual phase 1 run.  With
@@ -142,8 +146,20 @@ class LinearProgram:
 
     @cached_property
     def _form(self) -> tuple:
-        """What ``_Canonical`` takes of c, A and the senses, shared by the
-        programs ``with_bounds`` and ``with_rhs`` derive from this one."""
+        """The internal form's row part: (row_sign, A, AT, slack_ub, c_min).
+
+        Internally every row is an equality through its slack, A z + s = b,
+        with >= rows negated to <= first; ``row_sign`` also maps internal
+        duals back to the rows as given.  Columns are the structural
+        variables, then row i's slack at n + i, the unit vector of its row,
+        so only the signed structural ``A`` (with its transpose ``AT``) is
+        stored.  A slack ranges over [0, ``slack_ub``]: [0, inf) on an
+        inequality row, [0, 0] on an equality row.  ``c_min`` holds the
+        costs to minimize, 0 for every slack.  Built once per constraint
+        matrix and shared by the programs ``with_bounds`` and ``with_rhs``
+        derive from this one; ``_Simplex`` signs b and extends the bounds
+        per solve.
+        """
         sign = np.array([-1.0 if s == GE else 1.0 for s in self.senses])
         A = self.A * sign[:, None] if GE in self.senses else self.A
         slack_ub = np.array([0.0 if s == EQ else np.inf for s in self.senses])
@@ -215,33 +231,10 @@ class LpSolution:
     objective: float | None = None
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     basis: WarmBasis | None = None
     pivots: int = 0
     refactorizations: int = 0
     warm: bool = False
-
-
-class _Canonical:
-    """Internal minimization form: A z + s = b, all rows equalities via slacks.
-
-    Columns: structural variables first, then row i's slack at n + i (>= rows
-    are negated to <= first).  Only the structural part ``A`` is stored (with
-    its transpose ``AT``); a slack column is the unit vector of its row.
-    Inequality slacks range over [0, inf), equality slacks are fixed at 0,
-    and every slack costs 0 in ``c_min``.  ``row_sign`` maps internal duals
-    back to the original row orientation.  All but b and the bounds come
-    from ``LinearProgram._form``, once per constraint matrix.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        m, n = lp.A.shape
-        self.n_struct = n
-        self.num_rows = m
-        self.row_sign, self.A, self.AT, slack_ub, self.c_min = lp._form
-        self.b = lp.b * self.row_sign
-        self.lb = np.concatenate([lp.lb, np.zeros(m)])
-        self.ub = np.concatenate([lp.ub, slack_ub])
 
 
 def _pivot_tol(v: np.ndarray) -> float:
@@ -398,8 +391,10 @@ class _Kernel:
 
 
 class _Simplex:
-    """Simplex state of ``can`` at a start basis, factorized on construction.
+    """Simplex state of ``lp`` at a start basis, factorized on construction.
 
+    ``basis`` lists the basic columns of the first rows; the slacks of the
+    rows after them fill the rest, so ``()`` gives the slack basis.
     Nonbasic columns sit at their lower bound except those in ``at_upper``;
     ``x_b`` holds the basic values.  The basis is reached only through its
     ``kernel``: ftran, btran and one row of B^-1.  Kept up to date at every
@@ -413,21 +408,31 @@ class _Simplex:
     arrays of a few dozen entries each saves a microsecond or more per call.
     """
 
-    def __init__(self, can: _Canonical, basis, at_upper=()):
-        self.A = can.A
-        self.c = can.c_min
-        self.m, self.n = can.A.shape
+    def __init__(self, lp: LinearProgram, basis=(), at_upper=()):
+        """Raises SolverError when the start does not fit ``lp`` or is singular."""
+        row_sign, self.A, AT, slack_ub, self.c = lp._form
+        self.m, self.n = m, n = self.A.shape
+        ncols = n + m
+        given = np.asarray(basis, dtype=int)
+        self.basis = np.concatenate((given, np.arange(n + len(given), ncols)))
+        at_upper = np.asarray(at_upper, dtype=int)
+        ub = np.concatenate((lp.ub, slack_ub))
+        if (
+            len(self.basis) != m
+            or any(((v < 0) | (v >= ncols)).any() for v in (self.basis, at_upper))
+            or np.bincount(self.basis, minlength=ncols).max(initial=0) > 1
+            or not np.isfinite(ub[at_upper]).all()
+        ):
+            raise SolverError("start basis does not fit the program", {})
         self.pivots = 0
         self.refactorizations = 0
-        self.basis = np.array(basis, dtype=int)
-        ncols = self.n + self.m
         self.is_basic = np.zeros(ncols, dtype=bool)
         self.is_basic[self.basis] = True
         self.at_upper = np.zeros(ncols, dtype=bool)
-        self.at_upper[np.asarray(at_upper, dtype=int)] = True
-        self._set_bounds(can.b, can.lb, can.ub)
-        rows = (~self.is_basic[self.n :]).nonzero()[0]
-        self.kernel = _Kernel(can.A, can.AT, self.basis, rows)
+        self.at_upper[at_upper] = True
+        self._set_bounds(lp.b * row_sign, np.concatenate((lp.lb, np.zeros(m))), ub)
+        rows = (~self.is_basic[n:]).nonzero()[0]
+        self.kernel = _Kernel(self.A, AT, self.basis, rows)
         self._refactor()
 
     # -- state helpers ----------------------------------------------------
@@ -647,28 +652,22 @@ class _Simplex:
         )
 
 
-def _full_point(sim: _Simplex) -> np.ndarray:
-    vals = sim._nonbasic_values()
-    vals[sim.basis] = sim.x_b
-    return vals
-
-
-def _extract(
-    lp: LinearProgram, can: _Canonical, sim: _Simplex, warm: bool
-) -> LpSolution:
-    x = _full_point(sim)[: can.n_struct].copy()
-    y_min = np.zeros(can.num_rows)
-    y_min[sim.kernel.rows] = sim.kernel.btran(can.c_min)
-    duals = -(y_min * can.row_sign)
-    reduced = lp.c - duals @ lp.A
+def _extract(lp: LinearProgram, sim: _Simplex, warm: bool) -> LpSolution:
+    row_sign, _, _, slack_ub, c_min = lp._form
+    point = sim._nonbasic_values()
+    point[sim.basis] = sim.x_b
+    x = point[: sim.n].copy()
+    y_min = np.zeros(sim.m)
+    y_min[sim.kernel.rows] = sim.kernel.btran(c_min)
+    duals = -(y_min * row_sign)
 
     obj = float(lp.c @ x)
 
     # never report a wrong Optimal: re-verify the original rows and bounds
     # (a row's signed residual is <= 0 when it holds; an equality's is 0)
     resid = lp.A @ x - lp.b
-    signed = resid * can.row_sign
-    equality = can.ub[can.n_struct :] == 0.0
+    signed = resid * row_sign
+    equality = slack_ub == 0.0
     bad = ((signed > FEAS_TOL) | (equality & (signed < -FEAS_TOL))).nonzero()[0]
     if bad.size:
         i = int(bad[0])
@@ -690,7 +689,6 @@ def _extract(
         objective=obj,
         x=x,
         duals=duals,
-        reduced_costs=reduced,
         basis=basis,
         pivots=sim.pivots,
         refactorizations=sim.refactorizations,
@@ -698,71 +696,46 @@ def _extract(
     )
 
 
-def _status_only(status: str, sim: _Simplex, warm: bool) -> LpSolution:
-    return LpSolution(
-        status=status,
-        pivots=sim.pivots,
-        refactorizations=sim.refactorizations,
-        warm=warm,
-    )
-
-
-def _solve(
-    lp: LinearProgram, can: _Canonical, sim: _Simplex, warm: bool
-) -> LpSolution:
-    """Optimize from the start basis ``sim`` holds, by the dual simplex.
+def _solve_from(lp: LinearProgram, warm: WarmBasis | None) -> LpSolution | None:
+    """Optimize ``lp`` by the dual simplex from ``warm``, or from the slack
+    basis when ``warm`` is None.
 
     A pass places the boxed columns, runs the dual phase 1 if a column with
     no upper bound still prices out, and then the dual simplex on the true
     costs.  A column that prices out on its final factorization starts
-    another pass.
+    another pass.  A given start that does not fit the program, is singular
+    or fails numerically gives None, which sends the caller to the slack
+    basis; from the slack basis the SolverError is raised.
     """
-    c = can.c_min
-    for _ in range(1 + RESTARTS):
-        if sim.place(c).size and not sim.phase_one(c):
-            infeasible = sim.dual(np.zeros_like(c)) == INFEASIBLE
-            return _status_only(INFEASIBLE if infeasible else UNBOUNDED, sim, warm)
-        if sim.dual(c) == INFEASIBLE:
-            return _status_only(INFEASIBLE, sim, warm)
-        if sim._priced_out(sim.d).size == 0:
-            return _extract(lp, can, sim, warm)
-    raise SolverError(
-        "reduced costs still price out after the dual simplex", {"pivots": sim.pivots}
+    start = () if warm is None else (warm.basic, warm.at_upper)
+    try:
+        sim = _Simplex(lp, *start)
+        c = sim.c
+        for _ in range(1 + RESTARTS):
+            if sim.place(c).size and not sim.phase_one(c):
+                infeasible = sim.dual(np.zeros_like(c)) == INFEASIBLE
+                status = INFEASIBLE if infeasible else UNBOUNDED
+                break
+            if sim.dual(c) == INFEASIBLE:
+                status = INFEASIBLE
+                break
+            if sim._priced_out(sim.d).size == 0:
+                return _extract(lp, sim, warm is not None)
+        else:
+            raise SolverError(
+                "reduced costs still price out after the dual simplex",
+                {"pivots": sim.pivots},
+            )
+    except SolverError:
+        if warm is None:
+            raise
+        return None
+    return LpSolution(
+        status=status,
+        pivots=sim.pivots,
+        refactorizations=sim.refactorizations,
+        warm=warm is not None,
     )
-
-
-def _start(can: _Canonical, warm: WarmBasis) -> "_Simplex | None":
-    """Factorize ``warm``, extended by the slacks of the rows after its own.
-
-    None when the basis does not fit the program or is singular.
-    """
-    m, ncols = can.num_rows, len(can.lb)
-    given = np.asarray(warm.basic, dtype=int)
-    basic = np.concatenate((given, np.arange(can.n_struct + len(given), ncols)))
-    at_upper = np.asarray(warm.at_upper, dtype=int)
-    if len(basic) != m or any(((v < 0) | (v >= ncols)).any() for v in (basic, at_upper)):
-        return None
-    if np.bincount(basic, minlength=ncols).max(initial=0) > 1:
-        return None
-    if not np.isfinite(can.ub[at_upper]).all():
-        return None
-    try:
-        return _Simplex(can, basic, at_upper)
-    except SolverError:
-        return None
-
-
-def _solve_warm(
-    lp: LinearProgram, can: _Canonical, warm: WarmBasis
-) -> "LpSolution | None":
-    """Solve from ``warm``; None sends the caller to the slack basis."""
-    sim = _start(can, warm)
-    if sim is None:
-        return None
-    try:
-        return _solve(lp, can, sim, True)
-    except SolverError:
-        return None
 
 
 def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
@@ -774,13 +747,11 @@ def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
     """
     if not lp.validated:
         lp.validate()
-    can = _Canonical(lp)
     if warm is not None:
-        sol = _solve_warm(lp, can, warm)
+        sol = _solve_from(lp, warm)
         if sol is not None:
             return sol
-    slacks = range(can.n_struct, len(can.lb))
-    return _solve(lp, can, _Simplex(can, slacks), False)
+    return _solve_from(lp, None)
 
 
 def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:
@@ -789,14 +760,10 @@ def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:
     The cold fallback goes through ``solve_lp``, so a caller watching that
     name sees which calls the start bases did not serve.
     """
-    bases = [warm for warm in bases if warm is not None]
-    if not bases:
-        return solve_lp(lp)
     if not lp.validated:
         lp.validate()
-    can = _Canonical(lp)
     for warm in bases:
-        sol = _solve_warm(lp, can, warm)
+        sol = None if warm is None else _solve_from(lp, warm)
         if sol is not None:
             return sol
     return solve_lp(lp)
@@ -839,16 +806,19 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
     """
     if sol.status != OPTIMAL or sol.basis is None:
         raise SolverError("exact verification needs an optimal basis", {})
-    can = _Canonical(lp)
-    m = can.num_rows
-    ncols = len(can.lb)
+    row_sign, A_min, _, slack_ub, c_min = lp._form
+    m, n = A_min.shape
+    ncols = n + m
     A = [
-        [Fraction(v) for v in can.A[i]] + [Fraction(int(i == s)) for s in range(m)]
+        [Fraction(v) for v in A_min[i]] + [Fraction(int(i == s)) for s in range(m)]
         for i in range(m)
     ]
-    b = [Fraction(v) for v in can.b]
-    lbs = [Fraction(v) if np.isfinite(v) else None for v in can.lb]
-    ubs = [Fraction(v) if np.isfinite(v) else None for v in can.ub]
+    b = [Fraction(v) for v in lp.b * row_sign]
+    lbs = [Fraction(v) for v in np.concatenate((lp.lb, np.zeros(m)))]
+    ubs = [
+        Fraction(v) if np.isfinite(v) else None
+        for v in np.concatenate((lp.ub, slack_ub))
+    ]
     basic = list(sol.basis.basic)
     at_upper = set(sol.basis.at_upper)
 
@@ -856,7 +826,7 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
     for j in range(ncols):
         if j in basic:
             continue
-        xn[j] = ubs[j] if j in at_upper else (lbs[j] if lbs[j] is not None else Fraction(0))
+        xn[j] = ubs[j] if j in at_upper else lbs[j]
     rhs = [b[i] - sum(A[i][j] * xn[j] for j in range(ncols) if xn[j] != 0) for i in range(m)]
     B = [[A[i][basic[k]] for k in range(m)] for i in range(m)]
     xb = _rational_solve(B, rhs)
@@ -867,12 +837,12 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
 
     feasible = True
     for j in range(ncols):
-        if lbs[j] is not None and point[j] < lbs[j]:
+        if point[j] < lbs[j]:
             feasible = False
         if ubs[j] is not None and point[j] > ubs[j]:
             feasible = False
 
-    c_min = [Fraction(v) for v in can.c_min]
+    c_min = [Fraction(v) for v in c_min]
     Bt = [[A[i][basic[k]] for i in range(m)] for k in range(m)]
     y = _rational_solve(Bt, [c_min[j] for j in basic])
     optimal = True
@@ -882,11 +852,11 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
         dj = c_min[j] - sum(y[i] * A[i][j] for i in range(m))
         if dj > 0 if j in at_upper else dj < 0:
             optimal = False
-    objective = sum(Fraction(lp.c[j]) * point[j] for j in range(can.n_struct))
+    objective = sum(Fraction(lp.c[j]) * point[j] for j in range(n))
     return {
         "objective": objective,
         "feasible": feasible,
         "optimal": feasible and optimal,
-        "x": point[: can.n_struct],
+        "x": point[:n],
     }
 

@@ -12,7 +12,7 @@ from dfopt.benders import (
     relaxation_phase,
     solve_two_phase,
 )
-from dfopt.errors import DomainError, IterationLimitError
+from dfopt.errors import DomainError, IterationLimitError, SolverError
 from dfopt.formulations import Kind, build, solve_relaxation
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import (
@@ -152,6 +152,21 @@ class TestRelaxationPhase:
         z_mono, _, _ = solve_relaxation(built)
         assert relax.value == pytest.approx(z_mono, abs=1e-6)
         assert sum(relax.x) == pytest.approx(3.0, abs=1e-7)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverError,
+        reason="the dual simplex reaches its iteration limit on a master LP",
+    )
+    def test_paper_scale_leaf(self):
+        # t3, n = 100, 20 trees, 32 leaves: the relaxation must equal the
+        # monolithic `leaf` LP of the same instance, whose optimum HiGHS
+        # (scipy.optimize.linprog, method="highs") gives as below
+        catalog, forest = generate_instance(
+            GeneratorConfig(n=100, num_trees=20, shape=TreeShape("t3", leaves=32), seed=1)
+        )
+        relax = relaxation_phase(Kind.LEAF, catalog, forest)
+        assert relax.value == pytest.approx(90.21445977049366, abs=1e-6)
 
 
 class TestIntegerPhase:
@@ -369,9 +384,9 @@ class TestMonolithicStartBasis:
         for seed, shape in START_GRID:
             catalog, forest = seeded_instance(seed, shape, n=12, num_trees=10)
             built = build(kind, catalog, forest, cardinality)
-            can = lp._Canonical(built.lp)
-            sim = lp._start(can, built.start_basis())
-            assert sim._priced_out(sim._reduced_costs(can.c_min)).size == 0
+            start = built.start_basis()
+            sim = lp._Simplex(built.lp, start.basic, start.at_upper)
+            assert sim._priced_out(sim._reduced_costs(sim.c)).size == 0
             roots.clear()
             branch_and_bound_monolithic(built, catalog, forest, Budget(max_nodes=1))
             assert len(roots) == 1 and roots[0][1].warm
@@ -437,10 +452,9 @@ class TestWarmStartsServe:
         # prefer, they make the slack basis dual feasible, so the cold
         # round-1 master runs no phase 1, nor does any later solve
         catalog, forest = seeded_instance(1, "t1", n=10, num_trees=6)
-        can = lp._Canonical(benders._master_state(catalog, forest, cardinality).lp)
-        sim = lp._Simplex(can, range(can.n_struct, len(can.lb)))
-        assert sim.place(can.c_min).size == 0
-        assert sim._priced_out(sim._reduced_costs(can.c_min)).size == 0
+        sim = lp._Simplex(benders._master_state(catalog, forest, cardinality).lp)
+        assert sim.place(sim.c).size == 0
+        assert sim._priced_out(sim._reduced_costs(sim.c)).size == 0
         phase_ones = record_phase_ones(monkeypatch)
         masters = record_solves(monkeypatch, benders, "solve_lp")
         relaxation_phase(kind, catalog, forest, cardinality)

@@ -116,6 +116,22 @@ class TestGenerate:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("sources", [(), ("--config", "--cnf")], ids=["neither", "both"])
+    def test_exactly_one_source(self, tmp_path, capsys, sources):
+        files = {"--config": tmp_path / "cfg.json", "--cnf": tmp_path / "f.cnf"}
+        files["--config"].write_text(
+            json.dumps({"n": 4, "num_trees": 1, "shape": {"type": "t3", "leaves": 4}})
+        )
+        files["--cnf"].write_text("p cnf 4 2\n1 -2 3 0\n-1 2 4 0\n")
+        out = tmp_path / "inst.json"
+        argv = ["generate", "--out", str(out)]
+        for flag in sources:
+            argv += [flag, str(files[flag])]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_CONFIG
+        assert "--config" in capsys.readouterr().err and not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"n": 0, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}))
@@ -289,6 +305,15 @@ class TestSolve:
         assert main(argv + ["--cardinality", cardinality]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"cardinality {cardinality} out of range 0..8" in err
+
+    @pytest.mark.parametrize(
+        "method, options",
+        [("ls10", ["--seed", "-1"]), ("dnc", ["--cardinality", "2", "--seed", "-3"])],
+    )
+    def test_negative_seed_is_refused(self, seeded_instance_path, capsys, method, options):
+        argv = ["solve", "--instance", str(seeded_instance_path), "--method", method]
+        assert main(argv + options) == EXIT_CONFIG
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["benders:split", "monolithic:split", "dnc"])
     def test_zero_cardinality_offers_nothing(self, seeded_instance_path, tmp_path, method):
@@ -483,6 +508,27 @@ class TestExperiment:
             for key, v in row.items():
                 if key.startswith("gbar_"):
                     assert float(v) >= -1e-9, key
+
+    @pytest.mark.parametrize("name", ["tractability", "benders", "heuristics"])
+    def test_every_table_draws_revenues_from_the_spec(self, tmp_path, monkeypatch, name):
+        # every revenue is 5, so no assortment earns more than 5
+        catalogs = []
+        solve_one = cli.solve_one
+
+        def recorded(catalog, *args, **kwargs):
+            catalogs.append(catalog)
+            return solve_one(catalog, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_one", recorded)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(self.SMALL, experiment=name, revenue_range=[5, 5])))
+        argv = ["--no-timings", "experiment", "--spec", str(spec_path), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert catalogs and all(set(c.revenues) == {5} for c in catalogs)
+        rows = csv.DictReader(io.StringIO((tmp_path / f"{name}.csv").read_text()))
+        values = [float(v) for row in rows for key, v in row.items() if "z_" in key and v]
+        assert all(v <= 5 + 1e-9 for v in values)
+        assert values or name == "tractability"
 
     @pytest.mark.parametrize("name", ["integrality_gap", "benders"])
     def test_no_timings_in_either_position(self, tmp_path, name):

@@ -144,6 +144,12 @@ class TestLs10:
         with pytest.raises(DomainError, match="restarts must be >= 1"):
             ls10(catalog, forest, seed=0, restarts=restarts)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "1", None, True])
+    def test_bad_seed(self, seed):
+        catalog, forest = seeded_instance(5)
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            ls10(catalog, forest, seed=seed)
+
 
 class TestRevenueOrdered:
     def test_single_product(self):
@@ -204,6 +210,12 @@ class TestDivideAndConquer:
         catalog, forest = seeded_instance(2)
         with pytest.raises(DomainError, match="restarts must be >= 1"):
             divide_and_conquer(catalog, forest, b=3, restarts=restarts)
+
+    @pytest.mark.parametrize("seed", [-3, 2.0, None, False])
+    def test_bad_seed(self, seed):
+        catalog, forest = seeded_instance(2)
+        with pytest.raises(DomainError, match="seed must be an integer >= 0"):
+            divide_and_conquer(catalog, forest, b=3, seed=seed)
 
     def test_zero_cardinality_is_the_empty_assortment(self):
         catalog, forest = seeded_instance(2)

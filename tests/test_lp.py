@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -230,8 +231,9 @@ class TestVertexOracle:
 def assert_kkt(lp, sol):
     # strong duality with bound terms: b'y plus the reduced costs of the
     # variables at their bounds
+    reduced_costs = lp.c - sol.duals @ lp.A
     assert sol.objective == pytest.approx(
-        sol.duals @ lp.b + sol.reduced_costs @ sol.x, abs=1e-6 * (1 + abs(sol.objective))
+        sol.duals @ lp.b + reduced_costs @ sol.x, abs=1e-6 * (1 + abs(sol.objective))
     )
     # complementary slackness on rows
     resid = lp.b - lp.A @ sol.x
@@ -243,7 +245,7 @@ def assert_kkt(lp, sol):
             assert sol.duals[i] <= 1e-9
     # reduced-cost signs at bounds (maximization)
     for j in range(lp.num_cols):
-        rc = sol.reduced_costs[j]
+        rc = reduced_costs[j]
         at_lb = abs(sol.x[j] - lp.lb[j]) < 1e-9
         at_ub = np.isfinite(lp.ub[j]) and abs(sol.x[j] - lp.ub[j]) < 1e-9
         if not at_lb and not at_ub:
@@ -328,19 +330,24 @@ class TestWarmStart:
         assert sol.objective == pytest.approx(solve_lp(lp).objective, abs=1e-10)
 
     def test_no_candidate_canonicalizes_once(self, monkeypatch):
+        # the row form is built once per program, however many solves read it
         built = []
+        real = LinearProgram._form.func
 
-        class Counting(lp_module._Canonical):
-            def __init__(self, lp):
-                built.append(lp)
-                super().__init__(lp)
+        def counting(lp):
+            built.append(lp)
+            return real(lp)
 
-        monkeypatch.setattr(lp_module, "_Canonical", Counting)
+        form = cached_property(counting)
+        form.__set_name__(LinearProgram, "_form")
+        monkeypatch.setattr(LinearProgram, "_form", form)
         lp = random_le_lp(np.random.default_rng(9))
         sol = solve_lp_multi(lp, [None])
-        assert len(built) == 1
+        assert built == [lp]
         assert sol.status == "optimal"
         assert sol.objective == solve_lp(lp).objective
+        assert solve_lp_multi(lp, [None, sol.basis]).warm
+        assert built == [lp]
 
 
 def mixed_lp(rng, m=6, n=8) -> LinearProgram:
@@ -426,13 +433,16 @@ class TestDualSimplex:
         lp = mixed_lp(rng)
         changed = perturbed(lp, solve_lp(lp), rng, case)
         cold = solve_lp(changed)
-        can = lp_module._Canonical(changed)
-        sim = lp_module._start(can, solve_lp(lp).basis)
-        assert sim.dual(can.c_min) == cold.status
+        start = solve_lp(lp).basis
+        sim = lp_module._Simplex(changed, start.basic, start.at_upper)
+        assert sim.dual(sim.c) == cold.status
         if cold.status == "optimal":
-            assert sim._priced_out(sim._reduced_costs(can.c_min)).size == 0
-            x = lp_module._full_point(sim)[: changed.num_cols]
-            assert changed.c @ x == pytest.approx(cold.objective, abs=1e-9)
+            assert sim._priced_out(sim._reduced_costs(sim.c)).size == 0
+            x = sim._nonbasic_values()
+            x[sim.basis] = sim.x_b
+            assert changed.c @ x[: changed.num_cols] == pytest.approx(
+                cold.objective, abs=1e-9
+            )
 
     def test_start_neither_primal_nor_dual_feasible_is_served(self):
         # new costs and right-hand sides: the old basis is neither primal nor
@@ -447,13 +457,12 @@ class TestDualSimplex:
                 c=lp.c + rng.normal(size=lp.num_cols), A=lp.A, senses=lp.senses,
                 b=lp.b + rng.normal(scale=0.5, size=lp.num_rows), lb=lp.lb, ub=lp.ub,
             )
-            can = lp_module._Canonical(changed)
-            sim = lp_module._start(can, sol.basis)
+            sim = lp_module._Simplex(changed, sol.basis.basic, sol.basis.at_upper)
             x_b = sim._basic_values()
-            below, above = can.lb[sim.basis] - x_b, x_b - can.ub[sim.basis]
+            below, above = sim.lb[sim.basis] - x_b, x_b - sim.ub[sim.basis]
             if (
                 max(below.max(), above.max()) > lp_module.FEAS_TOL
-                and sim._priced_out(sim._reduced_costs(can.c_min)).size
+                and sim._priced_out(sim._reduced_costs(sim.c)).size
             ):
                 neither += 1
             warm = solve_lp(changed, warm=sol.basis)
@@ -502,9 +511,8 @@ class TestKernel:
             c=rng.normal(size=n), A=rng.normal(size=(m, n)), senses=[LE] * m,
             b=np.ones(m), ub=np.ones(n),
         )
-        can = lp_module._Canonical(lp)
-        sim = lp_module._Simplex(can, range(n, n + m))
-        full = np.hstack([can.A, np.eye(m)])
+        sim = lp_module._Simplex(lp, range(n, n + m))
+        full = np.hstack([sim.A, np.eye(m)])
         kinds = set()
         # 80 pivots: the kernel is refactorized once on the way
         for _ in range(80):
@@ -533,7 +541,7 @@ class TestKernel:
         # (structural leaves, structural enters): all four pivot kinds ran
         assert kinds == set(itertools.product((True, False), repeat=2))
 
-    def test_tall_lp_keeps_no_square_array(self):
+    def test_tall_lp_keeps_no_square_array(self, monkeypatch):
         rng = np.random.default_rng(0)
         m, n = 300, 20
         A = rng.uniform(0.0, 1.0, size=(m, n))
@@ -543,15 +551,23 @@ class TestKernel:
         lp = LinearProgram.build(
             c=rng.normal(size=n), A=A, senses=senses, b=b, ub=np.ones(n)
         )
-        can = lp_module._Canonical(lp)
-        sim = lp_module._Simplex(can, range(n, n + m))
-        sol = lp_module._solve(lp, can, sim, False)
+        sims = []
+
+        class Recorded(lp_module._Simplex):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sims.append(self)
+
+        monkeypatch.setattr(lp_module, "_Simplex", Recorded)
+        sol = solve_lp(lp)
+        (sim,) = sims
         assert sol.status == "optimal" and sol.pivots > 0
         assert np.any(sim.basis < n)
-        for state in (can, sim, sim.kernel):
+        for state in (sim, sim.kernel):
             for name, value in vars(state).items():
                 if isinstance(value, np.ndarray):
                     assert value.size < m * m, name
+        assert all(value.size < m * m for value in lp._form)
 
 
 class TestMaintainedState:
