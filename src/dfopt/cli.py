@@ -71,6 +71,8 @@ def cmd_generate(args) -> int:
         raise ConfigError("generator \"configs\" is empty")
     master_seed = _count("seed", cfg_obj.get("seed", 0), 0)
     multi = len(configs) > 1
+    if multi and args.out == "-":
+        raise ConfigError("a \"configs\" list writes one file per entry, not to --out -")
     for idx, entry in enumerate(configs):
         entry = dict(entry)
         entry.setdefault("seed", master_seed + idx)
@@ -288,7 +290,7 @@ CELL_COLUMNS = ("type", "n", "num_trees", "leaves")
 def _count(name: str, value, least) -> int:
     """``value`` as an int, if it is an integer (an integral JSON float such as
     4.0 counts) of at least ``least``; otherwise ``ConfigError``."""
-    value = instancegen._json_integer(value)
+    value = model._json_integer(value)
     instancegen._check_integer(name, value, least)
     return value
 

@@ -41,6 +41,7 @@ from .model import (
     ProductCatalog,
     PurchaseTree,
     Split,
+    _json_integer,
 )
 
 
@@ -50,11 +51,6 @@ def _check_integer(name: str, value, least: int) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
-
-
-def _json_integer(value):
-    """A JSON number with an integral value as an int; anything else as is."""
-    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 @dataclass(frozen=True)

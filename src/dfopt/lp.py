@@ -13,18 +13,18 @@ The simplex reaches its basis only through ftran (B^-1 a), btran
 (c_B' B^-1) and one row of B^-1, and behind them factorizes only the basis
 kernel: the rows whose slack is nonbasic against the basic structural
 columns, a square block of order k <= min(rows, cols).  A basic slack
-covers its own row, so the slack block stays implicit.  This fits the cut
-masters, which have far more rows than basic structural columns.  The dense
-kernel inverse is updated at every pivot (rank-1, or bordered when a slack
-leaves or enters the basis) and refactorized periodically.  A pivot also
-updates what the next one reads: the bounds of each basic position, each
-column's entering direction, and the reduced costs, which move by the pivot
-row (d <- d - (d_q / alpha_q) alpha) and are recomputed at every
-factorization.  The row part of the internal form
-(``LinearProgram._form``) is built once per constraint matrix and shared by
-the programs ``with_bounds`` and ``with_rhs`` derive from it
-(branch-and-bound nodes, product-oracle LPs); a solve holds no other copy
-of the program.
+covers its own row, so the kernel stores A[rows], A[:, cols]' and the
+inverse, never the slack identity.  This fits the cut masters, which have
+far more rows than basic structural columns.  The dense kernel inverse is
+updated at every pivot (rank-1, or bordered when a slack leaves or enters
+the basis) and refactorized periodically.  A pivot also updates what the
+next one reads: the bounds of each basic position, each column's entering
+direction, and the reduced costs, which move by the pivot row
+(d <- d - (d_q / alpha_q) alpha) and are recomputed at every
+factorization.  The row part of the internal form (``LinearProgram._form``)
+is built once per constraint matrix and shared by the programs
+``with_bounds`` and ``with_rhs`` derive from it (branch-and-bound nodes,
+product-oracle LPs); a solve holds no other copy of the program.
 
 ``solve_lp(lp, warm=None)`` is the one entry point, and every solve takes
 one path from a start basis.  The start is a given start basis
@@ -249,13 +249,14 @@ class _Kernel:
     columns and ``rows`` the rows whose slack is nonbasic, so K is square,
     of order k.  A basic slack covers its own row, so the rest of the basis
     B stays implicit: B^-1 a holds K^-1 a[rows] at the kernel positions and
-    a_i - A[i, cols] K^-1 a[rows] at the position of row i's slack.  Nothing
-    of order m x m is formed.
+    a_i - A[i, cols] K^-1 a[rows] at the position of row i's slack.  Stored
+    are A[rows], A[:, cols]' and ``inv`` = K^-1, never the slack identity,
+    so nothing m x m or n + m wide is formed.
 
     ``replace`` keeps rows and columns up to date at every pivot and updates
-    ``inv`` = K^-1 in place of a refactorization.  Kernel rows and columns
-    live in buffers of min(m, n) entries; one that leaves the kernel is
-    overwritten by the last.
+    ``inv`` in place of a refactorization.  Kernel rows and columns live in
+    buffers of min(m, n) entries; one that leaves the kernel is overwritten
+    by the last.
     """
 
     def __init__(self, A: np.ndarray, AT: np.ndarray, basis: np.ndarray, rows):
@@ -275,9 +276,8 @@ class _Kernel:
         # basis position, column and row of each kernel index
         self._pos, self._cols, self._rows = index = np.empty((3, cap), dtype=int)
         index[:, :k] = pos, basis[pos], rows
-        self._full_rows = np.zeros((cap, n + m))  # [A | I][rows]
-        self._full_rows[:k, :n] = A[rows]
-        self._full_rows[slots, n + rows] = 1.0
+        self._A_rows = np.empty((cap, n))  # A[rows]
+        self._A_rows[:k] = A[rows]
         self._AT_cols = np.empty((cap, m))  # A[:, cols] transposed
         self._AT_cols[:k] = AT[self._cols[:k]]
         self._resize(k)
@@ -287,12 +287,12 @@ class _Kernel:
         self.pos = self._pos[:k]
         self.cols = self._cols[:k]
         self.rows = self._rows[:k]
-        self.full_rows = self._full_rows[:k]
+        self.A_rows = self._A_rows[:k]
         self.AT_cols = self._AT_cols[:k]
 
     def factorize(self):
         """K^-1 afresh; raises LinAlgError when K is singular."""
-        K = self.full_rows[:, self.cols]
+        K = self.A_rows[:, self.cols]
         self.inv = np.linalg.inv(K) if self.k else K
 
     def ftran(self, a: np.ndarray) -> np.ndarray:
@@ -307,12 +307,19 @@ class _Kernel:
         """
         return c[self.cols].dot(self.inv)
 
+    def times(self, y: np.ndarray) -> np.ndarray:
+        """y'[A | I][rows]: y.A[rows], and y at the kernel rows' slacks."""
+        out = np.zeros(self.n + self.m)
+        out[: self.n] = y.dot(self.A_rows)
+        out[self.n :][self.rows] = y
+        return out
+
     def row(self, p: int) -> np.ndarray:
         """Row p of B^-1 times [A | I]: every column's entry in pivot row p."""
         i = self.at[p]
         if i >= self.m:
-            return self.inv[i - self.m].dot(self.full_rows)
-        alpha = -self.AT_cols[:, i].dot(self.inv).dot(self.full_rows)
+            return self.times(self.inv[i - self.m])
+        alpha = self.times(-self.AT_cols[:, i].dot(self.inv))
         alpha[: self.n] += self.A[i]
         alpha[self.n + i] += 1.0
         return alpha
@@ -351,7 +358,7 @@ class _Kernel:
                 self.inv = grown
             self._pos[k], self._cols[k] = p, j
             self._AT_cols[k] = self.AT[j]
-            self._set_row(k, i)
+            self._rows[k], self._A_rows[k] = i, self.A[i]
             self.at[p], self.row_slot[i] = m + k, k
             self._resize(k + 1)
         elif at >= m:
@@ -367,7 +374,7 @@ class _Kernel:
             self._pos[t], self._cols[t] = q, self._cols[last]
             self._AT_cols[t] = self._AT_cols[last]
             self._rows[a] = r
-            self._full_rows[a] = self._full_rows[last]
+            self._A_rows[a] = self._A_rows[last]
             self.at[q], self.row_slot[r] = m + t, a
             self.at[p], self.row_slot[j - n] = j - n, -1
             self._resize(last)
@@ -378,16 +385,8 @@ class _Kernel:
                 col = M[:, a] / g[a]
                 M -= col[:, None] * g
                 M[:, a] = col
-            self._set_row(a, i)
+            self._rows[a], self._A_rows[a] = i, self.A[i]
             self.at[p], self.row_slot[j - n], self.row_slot[i] = j - n, -1, a
-
-    def _set_row(self, slot: int, i: int):
-        """Kernel row ``slot`` becomes row i of [A | I]."""
-        self._rows[slot] = i
-        full = self._full_rows[slot]
-        full[: self.n] = self.A[i]
-        full[self.n :] = 0.0
-        full[self.n + i] = 1.0
 
 
 class _Simplex:
@@ -476,7 +475,7 @@ class _Simplex:
         return self.kernel.ftran(self.b - self.A.dot(xn[: self.n]) - xn[self.n :])
 
     def _reduced_costs(self, c: np.ndarray) -> np.ndarray:
-        d = c - self.kernel.btran(c).dot(self.kernel.full_rows)
+        d = c - self.kernel.times(self.kernel.btran(c))
         d[self.is_basic] = 0.0
         return d
 

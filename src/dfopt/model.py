@@ -471,6 +471,19 @@ def _number_from_json(v) -> Number:
     raise ValidationError(f"cannot parse number {v!r}")
 
 
+def _json_integer(value):
+    """A JSON number with an integral value as an int; anything else as is."""
+    return int(value) if isinstance(value, float) and value.is_integer() else value
+
+
+def _integer_from_json(name: str, value) -> int:
+    """An instance's integer field: an int, or an integral number such as 4.0."""
+    value = _json_integer(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _tree_to_obj(tree: PurchaseTree) -> dict:
     order = sorted(tree.nodes)
     pos = {nid: i for i, nid in enumerate(order)}
@@ -497,12 +510,14 @@ def _tree_from_obj(obj) -> PurchaseTree:
     for i, entry in enumerate(obj["nodes"]):
         if "split" in entry:
             s = entry["split"]
-            nodes[i] = Split(int(s["product"]), int(s["left"]), int(s["right"]))
+            nodes[i] = Split(
+                *(_integer_from_json(k, s[k]) for k in ("product", "left", "right"))
+            )
         elif "leaf" in entry:
-            nodes[i] = Leaf(int(entry["leaf"]["option"]))
+            nodes[i] = Leaf(_integer_from_json("option", entry["leaf"]["option"]))
         else:
             raise ValidationError(f"node {i}: neither split nor leaf")
-    return PurchaseTree(nodes, int(obj["root"]))
+    return PurchaseTree(nodes, _integer_from_json("root", obj["root"]))
 
 
 def instance_to_json(catalog: ProductCatalog, forest: DecisionForest) -> str:
@@ -520,7 +535,7 @@ def instance_from_json(text: str) -> tuple[ProductCatalog, DecisionForest]:
     obj = json.loads(text)
     try:
         catalog = ProductCatalog(
-            n=int(obj["n"]),
+            n=_integer_from_json("n", obj["n"]),
             revenues=tuple(_number_from_json(r) for r in obj["revenues"]),
         )
         forest = DecisionForest(

@@ -85,6 +85,16 @@ class TestGenerate:
         texts = [(tmp_path / f"grid-{i}.json").read_text() for i in range(3)]
         assert texts[0] != texts[1]  # same config, derived seeds differ
 
+    def test_config_list_refuses_stdout(self, tmp_path, monkeypatch, capsys):
+        # one file per entry cannot go to stdout; nothing is generated or written
+        entry = {"n": 4, "num_trees": 1, "shape": {"type": "t3", "leaves": 4}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"configs": [entry, entry]}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["generate", "--config", str(cfg_path), "--out", "-"]) == EXIT_CONFIG
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+        assert capsys.readouterr().out == ""
+
     def test_cnf_reduction(self, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 4 2\n1 -2 3 0\n-1 2 4 0\n")
@@ -220,6 +230,15 @@ class TestSolve:
         assert res["value"] == 20
         assert res["gap"] == 0
         assert res["assortment"] == [1, 2, 3]
+
+    def test_fractional_product_is_refused(self, gap_instance_path, tmp_path):
+        # read with int(), product 1.7 was product 1 and the solve exited 0
+        obj = json.loads(gap_instance_path.read_text())
+        split = next(e["split"] for e in obj["trees"][0]["nodes"] if "split" in e)
+        split["product"] += 0.7
+        gap_instance_path.write_text(json.dumps(obj))
+        argv = ["solve", "--instance", str(gap_instance_path), "--method", "benders:split"]
+        assert main(argv + ["--out", str(tmp_path / "res.json")]) == EXIT_CONFIG
 
     def test_monolithic_product_single_tree_gap_zero(self, gap_instance_path, tmp_path):
         out = tmp_path / "res.json"

@@ -567,6 +567,8 @@ class TestKernel:
             for name, value in vars(state).items():
                 if isinstance(value, np.ndarray):
                     assert value.size < m * m, name
+                    # kernel rows hold A[rows] alone, without the slack identity
+                    assert value.ndim < 2 or value.shape[1] != n + m, name
         assert all(value.size < m * m for value in lp._form)
 
 

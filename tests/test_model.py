@@ -323,6 +323,66 @@ class TestJson:
         with pytest.raises(ValidationError):
             instance_from_json(json.dumps(obj))
 
+    @staticmethod
+    def _two_leaf_instance():
+        return {
+            "n": 2,
+            "revenues": ["20", "19"],
+            "trees": [
+                {
+                    "nodes": [
+                        {"split": {"product": 1, "left": 1, "right": 2}},
+                        {"leaf": {"option": 1}},
+                        {"leaf": {"option": 0}},
+                    ],
+                    "root": 0,
+                }
+            ],
+            "lambda": [1.0],
+        }
+
+    @staticmethod
+    def _set(obj, field, value):
+        tree = obj["trees"][0]
+        if field == "n":
+            obj["n"] = value
+        elif field == "root":
+            tree["root"] = value
+        elif field == "option":
+            tree["nodes"][1]["leaf"]["option"] = value
+        else:
+            tree["nodes"][0]["split"][field] = value
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", "2"),
+            ("n", 2.5),
+            ("root", 0.9),
+            ("product", 1.7),
+            ("product", "1"),
+            ("left", 1.5),
+            ("right", 2.9),
+            ("option", True),
+            ("option", 1.2),
+        ],
+    )
+    def test_non_integer_read_is_refused(self, field, value):
+        # int() took each of these: it truncated a fraction and read a string or a bool
+        obj = self._two_leaf_instance()
+        self._set(obj, field, value)
+        with pytest.raises(ValidationError, match=field):
+            instance_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("field", ["n", "root", "product", "left", "right", "option"])
+    def test_integral_number_reads_as_integer(self, field):
+        # an integral JSON number such as 2.0 counts, as in generator configs
+        obj = self._two_leaf_instance()
+        want = instance_to_json(*instance_from_json(json.dumps(obj)))
+        value = {"n": 2, "root": 0, "product": 1, "left": 1, "right": 2, "option": 1}
+        self._set(obj, field, float(value[field]))
+        assert instance_to_json(*instance_from_json(json.dumps(obj))) == want
+
     def test_schema_shape(self):
         catalog, forest = seeded_instance(1, num_trees=2)
         obj = json.loads(instance_to_json(catalog, forest))
