@@ -73,10 +73,12 @@ def cmd_generate(args) -> int:
     multi = len(configs) > 1
     if multi and args.out == "-":
         raise ConfigError("a \"configs\" list writes one file per entry, not to --out -")
-    for idx, entry in enumerate(configs):
-        entry = dict(entry)
-        entry.setdefault("seed", master_seed + idx)
-        config = instancegen.GeneratorConfig.from_obj(entry)
+    # every entry is checked before any instance is generated or written
+    parsed = [
+        instancegen.GeneratorConfig.from_obj({"seed": master_seed + idx, **entry})
+        for idx, entry in enumerate(configs)
+    ]
+    for idx, config in enumerate(parsed):
         catalog, forest = instancegen.generate_instance(config)
         text = model.instance_to_json(catalog, forest)
         if multi:

@@ -13,14 +13,22 @@ split k that tests i, cached as ``alt[t][k]`` when first asked for.  That walk
 reads the assortment only at the split's own product and at the splits below
 it, so a dependency index (product -> every ``(t, k)`` whose walk read it)
 drops exactly the entries a flip makes stale, including walks down branches
-no current path takes.  A flip is scored as ``value + delta``, delta summing
-``alt[t][k] - contrib[t]`` over the trees that test i; a move that cannot
-beat the best so far even with a summation error bound added (zero for ints
-and Fractions) is refused there, and any other move is scored by the exact
-sum over the trees in order, ``total = 0; total += w_t * revenue_t``, that
-``expected_revenue`` computes.  So a score equals ``expected_revenue`` of its
-assortment bit for bit, with the same type (int, float or Fraction), and every
-move accepted is the one a full rescan would accept.  A swap (i out, j in) is
+no current path takes.  Trees are walked through their dense per-node arrays
+(``PurchaseTree.arrays``), one list lookup per step.
+
+The cost of a scan is what the last flip changed, not the number of
+candidates.  Each product's flip delta, the sum of ``alt[t][k] - contrib[t]``
+over the trees that test it, is cached, and a flip drops only the deltas it
+can change: those of the products on the old or new path of a re-walked tree,
+and of the product at the split of each dropped alternative.  A scan scores
+every candidate as ``value + delta`` from that cache, then runs the exact sum
+over the trees in order, ``total = 0; total += w_t * revenue_t``, that
+``expected_revenue`` computes, only for the candidates within twice a
+summation error bound (zero for ints and Fractions) of the top score, in scan
+order against the best so far.  No candidate below that cut can hold the
+largest exact total, so a score equals ``expected_revenue`` of its assortment
+bit for bit, with the same type (int, float or Fraction), and every move
+accepted is the one a full rescan would accept.  A swap (i out, j in) is
 scored as "apply flip i, score flip j, undo"; an accepted move re-walks and
 re-indexes only the trees it changes.
 """
@@ -39,7 +47,6 @@ from .instancegen import sample_without_replacement
 from .model import (
     AssortmentVector,
     DecisionForest,
-    Leaf,
     Number,
     ProductCatalog,
     check_cardinality,
@@ -63,23 +70,26 @@ def _total(contrib) -> Number:
     return total
 
 
-# ``_Walks.best_flip`` refuses a move when value + delta + margin <= best.
+# ``_Walks.best_flip`` scores candidate i as s_i = value + delta_i and needs
+# |E_i - s_i| < margin / 2, E_i being the exact total it would compute.
 # Let u = 2**-53 and M = sum|w_t| * max|r|; every term |c_t| is at most
 # |w_t| max|r| (1 + u), so each sum of T absolute terms is <= M (1 + u).
 # Recursive summation of n terms errs by at most gamma_{n-1} times the sum
 # of their absolute values (Higham 2002, Accuracy and Stability of Numerical
 # Algorithms, sec. 4.2), gamma_n = n u / (1 - n u).  An int term or int
 # partial sum that meets a float is rounded once more, so:
-#   - value and the candidate's exact total are each within gamma_T M (1 + u)
-#     of their real sums;
+#   - value and E_i are each within gamma_T M (1 + u) of their real sums;
 #   - delta, at most T differences each rounded (and converted) at most
 #     twice, of absolute size <= 2 M (1 + u) in all, is within
 #     gamma_{T+2} 2 M (1 + u) of the real change;
-#   - the test's two additions err by at most 2 u (M + margin).
-# So the candidate's total exceeds value + delta by less than (4 T + 6) u M
-# times (1 + 2 T u) <= 1.001 for T < 2**40, and margin = 8 (T + 8) u M is
-# more than twice that.  With only ints and Fractions every step is exact,
-# and margin is 0.
+#   - the addition value + delta rounds once more, by at most u M (1 + 2 T u).
+# So |E_i - s_i| < (4 T + 6) u M times (1 + 2 T u) <= 1.001 for T < 2**40,
+# and margin = 8 (T + 8) u M is more than twice that.  The cut top - 2 margin
+# rounds by at most u (2 M + 2 margin) < margin, so a candidate with s_i
+# under it has s_i < top - margin and E_i < top - margin / 2 < E_j for the
+# candidate j that scored top: it cannot hold the largest exact total.  For
+# the same reason a candidate with s_i + margin <= best has E_i <= best.
+# With only ints and Fractions every step is exact, and margin is 0.
 def _margin(revenues, weights) -> Number:
     if all(isinstance(v, (int, Fraction)) for v in (*revenues, *weights)):
         return 0
@@ -93,9 +103,11 @@ class _Walks:
     ``x[i]`` is 1 when product i is offered (``x[0]`` is unused);
     ``contrib[t]`` is tree t's leaf contribution; ``tested[i]`` maps each
     tree whose path tests product i to the split that tests it; ``value`` is
-    ``expected_revenue`` at ``x``.  ``alt[t][k]`` caches the contribution
-    tree t makes when the product at split k flips, and ``deps[i]`` holds
-    every ``(t, k)`` whose cached walk read product i.
+    ``expected_revenue`` at ``x``.  Splits are node positions in
+    ``trees[t]``, tree t's ``PurchaseTree.arrays``.  ``alt[t][k]`` caches the
+    contribution tree t makes when the product at split k flips, and
+    ``deps[i]`` holds every ``(t, k)`` whose cached walk read product i.
+    ``deltas[i]`` caches the change in ``value`` that flipping i makes.
     """
 
     def __init__(self, catalog: ProductCatalog, forest: DecisionForest, members):
@@ -103,15 +115,16 @@ class _Walks:
         for i in members:
             self.x[i] = 1
         self.catalog = catalog
-        self.nodes = [tree.nodes for tree in forest.trees]
+        self.trees = [tree.arrays() for tree in forest.trees]
         self.weights = forest.weights
-        self.paths: list[list[int]] = [[] for _ in self.nodes]
-        self.contrib: list[Number] = [0] * len(self.nodes)
+        self.paths: list[list[int]] = [[] for _ in self.trees]
+        self.contrib: list[Number] = [0] * len(self.trees)
         self.tested: list[dict[int, int]] = [{} for _ in self.x]
-        self.alt: list[dict[int, Number]] = [{} for _ in self.nodes]
+        self.alt: list[dict[int, Number]] = [{} for _ in self.trees]
         self.deps: defaultdict[int, set[tuple[int, int]]] = defaultdict(set)
-        for t, tree in enumerate(forest.trees):
-            self._descend(t, tree.root)
+        self.deltas: dict[int, Number] = {}
+        for t, arrays in enumerate(self.trees):
+            self._descend(t, arrays[4])
         self.value = _total(self.contrib)
         self.margin = _margin(catalog.revenues, forest.weights)
 
@@ -120,14 +133,15 @@ class _Walks:
 
     def _descend(self, t: int, k: int) -> None:
         """Walk tree t down from node k, appending the splits passed."""
-        nodes, x, path, tested = self.nodes[t], self.x, self.paths[t], self.tested
-        node = nodes[k]
-        while not isinstance(node, Leaf):
+        product, left, right, option, _ = self.trees[t]
+        x, path, tested = self.x, self.paths[t], self.tested
+        p = product[k]
+        while p:
             path.append(k)
-            tested[node.product][t] = k
-            k = node.left if x[node.product] else node.right
-            node = nodes[k]
-        self.contrib[t] = self.weights[t] * self.catalog.revenue_of(node.option)
+            tested[p][t] = k
+            k = left[k] if x[p] else right[k]
+            p = product[k]
+        self.contrib[t] = self.weights[t] * self.catalog.revenue_of(option[k])
 
     def _alternative(self, t: int, k: int) -> Number:
         """Tree t's contribution if the product at split k flipped, cached.
@@ -136,50 +150,73 @@ class _Walks:
         branch, and at each split below it (no product repeats on a path),
         so the entry stays exact until one of those products flips.
         """
-        nodes, x, deps, key = self.nodes[t], self.x, self.deps, (t, k)
-        node = nodes[k]
-        deps[node.product].add(key)
-        node = nodes[node.right if x[node.product] else node.left]
-        while not isinstance(node, Leaf):
-            deps[node.product].add(key)
-            node = nodes[node.left if x[node.product] else node.right]
-        alt = self.alt[t][k] = self.weights[t] * self.catalog.revenue_of(node.option)
+        product, left, right, option, _ = self.trees[t]
+        x, deps, key = self.x, self.deps, (t, k)
+        p = product[k]
+        deps[p].add(key)
+        node = right[k] if x[p] else left[k]
+        p = product[node]
+        while p:
+            deps[p].add(key)
+            node = left[node] if x[p] else right[node]
+            p = product[node]
+        alt = self.alt[t][k] = self.weights[t] * self.catalog.revenue_of(option[node])
         return alt
 
     def flip(self, i: int) -> None:
-        """Offer product i if it is not offered, withdraw it otherwise."""
+        """Offer product i if it is not offered, withdraw it otherwise.
+
+        Drops the cached deltas the flip can change; with none cached, as
+        when nothing has been scanned yet, there is nothing to drop.
+        """
         self.x[i] ^= 1
+        trees, tested, deltas = self.trees, self.tested, self.deltas
         for t, k in self.deps.pop(i, ()):
-            self.alt[t].pop(k, None)
-        for t, k in list(self.tested[i].items()):
-            path, nodes = self.paths[t], self.nodes[t]
+            if self.alt[t].pop(k, None) is not None and deltas:
+                deltas.pop(trees[t][0][k], None)
+        for t, k in list(tested[i].items()):
+            product, path = trees[t][0], self.paths[t]
             pos = path.index(k)
+            if deltas:
+                for s in path:
+                    deltas.pop(product[s], None)
             for s in path[pos + 1 :]:
-                del self.tested[nodes[s].product][t]
+                del tested[product[s]][t]
             del path[pos:]
             self._descend(t, k)
+            if deltas:
+                for s in path[pos:]:
+                    deltas.pop(product[s], None)
         self.value = _total(self.contrib)
 
     def best_flip(self, candidates, best: Number) -> tuple[Number, int] | None:
         """The first candidate whose flip is worth the most above ``best``.
 
-        Returns ``(value, i)``, or None when no flip is worth more than
-        ``best``; the state is left as it is.  Only the trees that test i
-        change, so their cached alternatives give the change ``delta``; a
-        move whose ``value + delta`` cannot exceed the best so far even with
-        ``margin`` added is refused without the exact sum over all trees.
+        ``candidates`` is a sequence of products.  Returns ``(value, i)``, or
+        None when no flip is worth more than ``best``; the state is left as
+        it is.  Every candidate is scored as ``value + delta`` from the
+        cache; the exact sum over all trees runs only for the candidates
+        whose score is within ``2 * margin`` of the top one and, with
+        ``margin`` added, above the best so far.
         """
-        contrib, alt, tested = self.contrib, self.alt, self.tested
-        value, margin = self.value, self.margin
-        found = None
-        for i in candidates:
+        deltas, contrib, alt, tested = self.deltas, self.contrib, self.alt, self.tested
+        for i in [i for i in candidates if i not in deltas]:
             delta = 0
             for t, k in tested[i].items():
                 a = alt[t].get(k)
                 if a is None:
                     a = self._alternative(t, k)
                 delta += a - contrib[t]
-            if value + delta + margin <= best:
+            deltas[i] = delta
+        value, margin = self.value, self.margin
+        scores = [value + deltas[i] for i in candidates]
+        top = max(scores, default=best)
+        if top + margin <= best:  # most scans at a local optimum end here
+            return None
+        cut = top - 2 * margin
+        found = None
+        for i, score in [(i, s) for i, s in zip(candidates, scores) if s >= cut]:
+            if score + margin <= best:
                 continue
             cand = contrib[:]
             for t, k in tested[i].items():
@@ -225,6 +262,8 @@ def local_search(
 
 def _check_runs(restarts: int, seed: int) -> None:
     """Refuse what the random starts could not be drawn with."""
+    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral):
+        raise DomainError(f"restarts must be an integer, got {restarts!r}")
     if restarts < 1:
         raise DomainError("restarts must be >= 1")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

@@ -91,6 +91,11 @@ class GeneratorConfig:
             raise ConfigError(
                 f"{self.shape.kind} depth {self.shape.depth} needs n >= depth"
             )
+        # no product repeats on a path, so a tree has at most 2**n leaves
+        if self.shape.kind == "t3" and (self.shape.leaves - 1).bit_length() > self.n:
+            raise ConfigError(
+                f"cannot grow to {self.shape.leaves} leaves with n={self.n} products"
+            )
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GeneratorConfig":
@@ -195,9 +200,8 @@ def _gen_t3_tree(config: GeneratorConfig, rng) -> PurchaseTree:
         if n >= target - 1:  # an open leaf has depth < target - 1: all expandable
             pos = int(rng.integers(0, len(leaf_list)))
         else:
+            # not empty: all leaves at depth n would be 2**n >= target leaves
             expandable = [l for l in leaf_list if len(ancestors[l]) < n]
-            if not expandable:
-                raise ConfigError(f"cannot grow to {target} leaves with n={n} products")
             pos = leaf_list.index(_choice(rng, expandable))
         leaf = leaf_list[pos]
         anc = ancestors.pop(leaf)

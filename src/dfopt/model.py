@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -67,6 +68,9 @@ class PurchaseTree:
       l; the leaf is reached exactly when the products of its left splits
       are offered and those of its right splits are not.
 
+    ``arrays()`` gives the same tree as dense per-node lists, built on first
+    use, for walks that read every node by position.
+
     The tree knows no capacity-row granularity; ``formulations.capacity_rows``
     groups these sets into rows.
     """
@@ -80,6 +84,7 @@ class PurchaseTree:
         "left_leaves",
         "right_leaves",
         "path",
+        "_arrays",
     )
 
     def __init__(self, nodes: Mapping[int, Node], root: int):
@@ -162,6 +167,32 @@ class PurchaseTree:
         self.left_leaves = {s: tuple(sorted(v)) for s, v in left_leaves.items()}
         self.right_leaves = {s: tuple(sorted(v)) for s, v in right_leaves.items()}
         self.path = paths
+        self._arrays = None
+
+    def arrays(self) -> tuple[list[int], list[int], list[int], list[int], int]:
+        """``(product, left, right, option, root)`` indexed by node position.
+
+        Position k is the k-th node id in ascending order.  ``product[k]`` is
+        0 at a leaf (products are >= 1), ``option[k]`` is the leaf's option
+        and ``left[k]`` / ``right[k]`` the children's positions (0 at a
+        leaf).  Built on first use and kept, so building a tree costs nothing
+        more for callers that never walk it this way; threads that build it
+        at once build equal arrays.
+        """
+        if self._arrays is None:
+            order = sorted(self.nodes)
+            pos = {nid: k for k, nid in enumerate(order)}
+            product, left, right, option = ([0] * len(order) for _ in range(4))
+            for k, nid in enumerate(order):
+                node = self.nodes[nid]
+                if isinstance(node, Leaf):
+                    option[k] = node.option
+                else:
+                    product[k] = node.product
+                    left[k] = pos[node.left]
+                    right[k] = pos[node.right]
+            self._arrays = (product, left, right, option, pos[self.root])
+        return self._arrays
 
     def split_product(self, s: int) -> int:
         return self.nodes[s].product
@@ -344,8 +375,15 @@ def check_size(catalog: ProductCatalog, vals) -> None:
 
 
 def check_cardinality(n: int, cardinality: int | None) -> None:
-    """Refuse a cardinality limit outside 0..n; ``None`` means no limit."""
-    if cardinality is not None and not 0 <= cardinality <= n:
+    """Refuse a cardinality limit that is not an integer in 0..n.
+
+    ``None`` means no limit; a bool is not a count.
+    """
+    if cardinality is None:
+        return
+    if isinstance(cardinality, bool) or not isinstance(cardinality, numbers.Integral):
+        raise DomainError(f"cardinality must be an integer, got {cardinality!r}")
+    if not 0 <= cardinality <= n:
         raise DomainError(f"cardinality {cardinality} out of range 0..{n}")
 
 

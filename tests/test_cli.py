@@ -95,6 +95,25 @@ class TestGenerate:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"n": -1}, "n must be >= 1, got -1"),
+            ({"n": 2, "shape": {"type": "t3", "leaves": 5}}, "cannot grow to 5 leaves"),
+        ],
+    )
+    def test_invalid_later_entry_writes_nothing(self, tmp_path, capsys, bad, message):
+        # the list is checked whole before the first file is written
+        entry = {"n": 4, "num_trees": 1, "shape": {"type": "t3", "leaves": 4}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"configs": [entry, {**entry, **bad}]}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "out.json"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert list(out_dir.iterdir()) == []
+        assert message in capsys.readouterr().err
+
     def test_cnf_reduction(self, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 4 2\n1 -2 3 0\n-1 2 4 0\n")

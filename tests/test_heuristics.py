@@ -457,3 +457,151 @@ def test_near_ties_match_full_rescan(shape, monkeypatch):
         catalog = ProductCatalog(catalog.n, (1,) * catalog.n)
         forest = DecisionForest(forest.trees, (0.1, 0.2, 0.3, 0.4))
         assert_heuristics_match(catalog, forest, seed, (1, 3, 5), monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# the cached per-product deltas and the near-top exact sums
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("weight", [0.25, Fraction(1, 4)])
+def test_rising_gains_run_one_exact_sum(weight, monkeypatch):
+    # tree j buys product j (revenue j) when it is offered, so from the empty
+    # set flipping 1, 2, 3, 4 gains w, 2w, 3w, 4w: each beats the one before,
+    # and only the last is near the top score
+    trees = tuple(
+        PurchaseTree({0: Split(j, 1, 2), 1: Leaf(j), 2: Leaf(0)}, root=0)
+        for j in range(1, 5)
+    )
+    catalog = ProductCatalog(n=4, revenues=(1, 2, 3, 4))
+    forest = DecisionForest(trees, (weight,) * 4)
+    walks = heuristics._Walks(catalog, forest, ())
+    sums = []
+    total = heuristics._total
+    monkeypatch.setattr(heuristics, "_total", lambda c: sums.append(1) or total(c))
+    want = expected_revenue(catalog, forest, AssortmentVector.from_set(4, {4}))
+    assert walks.best_flip(range(1, 5), walks.value) == (want, 4)
+    assert len(sums) == 1
+
+
+def test_score_an_ulp_under_the_top_still_wins_a_tie(monkeypatch):
+    # from {3}, adding 1 scores 1.2 and adding 2 scores 1.2000000000000002 as
+    # value + delta, but both exact totals are 1.2000000000000002, so the
+    # first winner in scan order, product 1, is the move
+    def buys(p):
+        return PurchaseTree({0: Split(p, 1, 2), 1: Leaf(p), 2: Leaf(0)}, root=0)
+
+    catalog = ProductCatalog(n=3, revenues=(2, 2, 2))
+    forest = DecisionForest(
+        tuple(buys(p) for p in (3, 1, 1, 2, 3)), (0.15, 0.35, 0.05, 0.4, 0.05)
+    )
+    walks = heuristics._Walks(catalog, forest, {3})
+    want = expected_revenue(catalog, forest, AssortmentVector.from_set(3, {1, 3}))
+    assert walks.best_flip(range(1, 4), walks.value) == (want, 1)
+    assert repr(want) == "1.2000000000000002"
+    assert repr(walks.value + walks.deltas[1]) == "1.2"
+    assert repr(walks.value + walks.deltas[2]) == "1.2000000000000002"
+    start = AssortmentVector.from_set(3, {3})
+    assert_same(
+        local_search(catalog, forest, start), reference.local_search(catalog, forest, start)
+    )
+    assert_heuristics_match(catalog, forest, 0, (1, 2), monkeypatch)
+
+
+def test_node_ids_do_not_change_a_run():
+    # walks read a tree by node position, so ids in another order, some of
+    # them negative, give the same runs
+    catalog, forest = seeded_instance(4)
+
+    def relabel(tree):
+        new = {nid: 30 - 7 * nid for nid in tree.nodes}
+        return PurchaseTree(
+            {
+                new[k]: Split(n.product, new[n.left], new[n.right])
+                if isinstance(n, Split)
+                else n
+                for k, n in tree.nodes.items()
+            },
+            new[tree.root],
+        )
+
+    relabelled = DecisionForest(tuple(map(relabel, forest.trees)), forest.weights)
+    for run in (
+        local_search,
+        revenue_ordered,
+        lambda c, f: ls10(c, f, seed=4, restarts=3),
+        lambda c, f: divide_and_conquer(c, f, 3, restarts=3, seed=4),
+    ):
+        assert_same(run(catalog, relabelled), run(catalog, forest))
+
+
+def path_products(tree, x):
+    """``(split id, product)`` along the path ``x`` takes (``x[i]`` for product i)."""
+    out, nid = [], tree.root
+    while isinstance(tree.nodes[nid], Split):
+        node = tree.nodes[nid]
+        out.append((nid, node.product))
+        nid = node.left if x[node.product] else node.right
+    return out
+
+
+def alternative_reads(tree, x, k):
+    """The products the walk down the other branch of split k reads."""
+    node = tree.nodes[k]
+    reads = [node.product]
+    node = tree.nodes[node.right if x[node.product] else node.left]
+    while isinstance(node, Split):
+        reads.append(node.product)
+        node = tree.nodes[node.left if x[node.product] else node.right]
+    return reads
+
+
+@pytest.mark.parametrize("numbers", NUMBERS)
+def test_flip_keeps_the_deltas_it_cannot_change(numbers):
+    # a flip of i can change the delta of a product only on the old or new
+    # path of a tree whose path tests i, or at a split whose other branch
+    # reads i; every other product keeps its delta, equal to a fresh state's
+    catalog, forest = with_numbers(*seeded_instance(8, n=12, num_trees=6), numbers)
+    n = catalog.n
+    start = {2, 5, 6, 11}
+    kept = 0
+    for i in range(1, n + 1):
+        walks = heuristics._Walks(catalog, forest, start)
+        walks.best_flip(range(1, n + 1), walks.value)
+        before = list(walks.x)
+        walks.flip(i)
+        changed = set()
+        for tree in forest.trees:
+            path = path_products(tree, before)
+            if i in (p for _, p in path):
+                changed.update(p for _, p in path + path_products(tree, walks.x))
+            changed.update(p for k, p in path if i in alternative_reads(tree, before, k))
+        fresh = heuristics._Walks(catalog, forest, walks.assortment().support())
+        fresh.best_flip(range(1, n + 1), fresh.value)
+        assert set(walks.deltas) >= set(range(1, n + 1)) - changed
+        for j, delta in walks.deltas.items():
+            want = fresh.deltas[j]
+            assert (repr(delta), type(delta)) == (repr(want), type(want))
+        kept += len(walks.deltas)
+    assert kept > 0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda c, f: ls10(c, f, seed=0, restarts=2.5),
+        lambda c, f: ls10(c, f, seed=0, restarts="3"),
+        lambda c, f: ls10(c, f, seed=0, restarts=True),
+        lambda c, f: divide_and_conquer(c, f, b=2.0),
+        lambda c, f: divide_and_conquer(c, f, b=True),
+        lambda c, f: divide_and_conquer(c, f, b=3, restarts=2.5),
+        lambda c, f: divide_and_conquer(c, f, b=3, restarts=False),
+        lambda c, f: brute_force_optimal(c, f, cardinality=True),
+    ],
+    ids=["ls10-float", "ls10-str", "ls10-bool", "dnc-b-float", "dnc-b-bool",
+         "dnc-restarts-float", "dnc-restarts-bool", "brute-force-bool"],
+)
+def test_counts_must_be_integers(run):
+    catalog, forest = seeded_instance(5)
+    with pytest.raises(DomainError, match="must be an integer"):
+        run(catalog, forest)
