@@ -167,7 +167,7 @@ class MasterState:
             A = np.vstack([lp.A, rows])
             b = np.concatenate([lp.b, [cut.const for cut in new]])
             senses = lp.senses + (LE,) * len(new)
-            self.lp = LinearProgram.build(lp.c, A, senses, b, lp.lb, lp.ub)
+            self.lp = LinearProgram.build(lp.c, A, senses, b, lp.lb, ub=lp.ub)
             self.pool += new
         return len(new)
 

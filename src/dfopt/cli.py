@@ -560,6 +560,8 @@ def _check_spec(spec) -> None:
     rho = spec.get("rho", [0.2])
     if not (isinstance(rho, list) and all(number(r) and 0 < r <= 1 for r in rho)):
         raise ConfigError(f"rho must be a list of numbers in (0, 1], got {rho!r}")
+    if not isinstance(spec.get("out", "."), str):
+        raise ConfigError(f"out must be a path string, got {spec['out']!r}")
 
 
 def cmd_experiment(args) -> int:

@@ -9,6 +9,9 @@ leaf), tied together by capacity rows at one of three granularities:
 - "product": one row per (tree, product), aggregating all splits of that
   product, the strongest relaxation.
 
+Each leaf weight is bounded to [0, 1]: each tree's unit-sum row already
+implies y <= 1, but the LP layer takes only finite bounds.
+
 ``capacity_rows`` is the one place where the granularities are defined; the
 builder here, the per-tree oracles, the closed-form cuts and the Benders cut
 assembly all read their rows from it or from its per-leaf transpose
@@ -209,9 +212,7 @@ def build(
         card_row = len(rows)
         add_row({j: 1.0 for j in range(n)}, EQ, float(cardinality))
 
-    lb = np.zeros(ncols)
-    ub = np.concatenate([np.ones(n), np.full(ncols - n, np.inf)])
-    lp = LinearProgram.build(c=c, A=np.array(rows), senses=senses, b=rhs, lb=lb, ub=ub)
+    lp = LinearProgram.build(c=c, A=np.array(rows), senses=senses, b=rhs, ub=np.ones(ncols))
     return BuiltFormulation(
         kind=kind,
         lp=lp,

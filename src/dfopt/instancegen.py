@@ -324,6 +324,13 @@ def max3sat_to_instance(
     return catalog, DecisionForest(trees=trees, weights=weights)
 
 
+def _dimacs_int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise DomainError(f"bad DIMACS token {tok!r}, not an integer") from None
+
+
 def parse_dimacs(text: str) -> Cnf3Formula:
     """Parse DIMACS CNF; every clause must have exactly three literals."""
     num_vars = None
@@ -337,10 +344,10 @@ def parse_dimacs(text: str) -> Cnf3Formula:
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise DomainError(f"bad DIMACS header: {line!r}")
-            num_vars = int(parts[2])
+            num_vars = _dimacs_int(parts[2])
             continue
         for tok in line.split():
-            lit = int(tok)
+            lit = _dimacs_int(tok)
             if lit == 0:
                 if len(pending) != 3:
                     raise DomainError(f"clause with {len(pending)} literals")

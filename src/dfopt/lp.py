@@ -31,19 +31,22 @@ one path from a start basis.  The start is a given start basis
 (``LpSolution.basis`` of an earlier solve) extended by the slacks of any
 rows appended after its own rows, or the slack basis, which is the empty
 start extended the same way.  An optimal solution carries the point, its
-objective, the row duals and the final basis.  The bounded dual simplex,
-the only simplex, runs from it once it is dual feasible: each nonbasic
-boxed column goes to the bound its reduced cost prefers, and only when a
-column with no upper bound still prices out does a dual phase 1 run.  With
-no dual feasible basis the program is unbounded, or infeasible when the
-dual simplex on zero costs finds no feasible point.
+objective, the row duals and the final basis.  Every structural column is
+boxed, so each nonbasic structural column can go to the bound its reduced
+cost prefers; only an inequality row's slack has no upper bound.  That
+makes the slack basis, where every slack is basic, dual feasible, and the
+bounded dual simplex, the only simplex, runs from it or from a given start
+once placing the columns makes that start dual feasible.  It ends optimal
+or proves the program infeasible: with every column boxed, no program
+runs off to infinity, and there is no dual phase 1.
 
-A given start basis that does not fit the program, is singular, or fails
-numerically on the way falls back to the slack basis; ``LpSolution.warm``
-tells whether the given basis served.  This covers the re-solves of the
-decomposition: a master after its cuts are appended, a product-oracle LP at
-new levels x, and a branch-and-bound child after one bound change.
-``solve_lp_multi`` tries several start bases in turn.
+A given start basis that does not fit the program, is singular, leaves a
+slack priced out, or fails numerically on the way falls back to the slack
+basis; ``LpSolution.warm`` tells whether the given basis served.  This
+covers the re-solves of the decomposition: a master after its cuts are
+appended, a product-oracle LP at new levels x, and a branch-and-bound child
+after one bound change.  ``solve_lp_multi`` tries several start bases in
+turn.
 
 Pivoting is deterministic: the most infeasible row leaves and, among tied
 ratios, the largest pivot enters, switching to Bland's rule (smallest
@@ -59,9 +62,8 @@ numerical failures raise SolverError instead of returning a wrong status.
 ``verify_solution_exact`` refactorizes a returned basis in exact rational
 arithmetic, for regression fixtures whose optima are known exactly.
 
-Costs, coefficients, right-hand sides and lower bounds must be finite;
-an upper bound may be +inf but not NaN.  ``validate`` raises
-ValidationError otherwise.
+Costs, coefficients, right-hand sides and both bounds of every column
+must be finite; ``validate`` raises ValidationError otherwise.
 """
 
 from __future__ import annotations
@@ -87,12 +89,11 @@ RESTARTS = 2  # dual simplex runs after the first whose optimum priced out
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max c'x subject to row constraints and variable bounds.
+    """max c'x subject to row constraints and finite variable bounds.
 
     ``build`` validates the program and marks it ``validated``, so
     ``solve_lp`` does not check it again; ``with_bounds`` and ``with_rhs``
@@ -110,7 +111,9 @@ class LinearProgram:
     validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
-    def build(cls, c, A, senses, b, lb=None, ub=None) -> "LinearProgram":
+    def build(cls, c, A, senses, b, lb=None, *, ub) -> "LinearProgram":
+        """The validated program.  ``lb`` defaults to 0; ``ub`` has no
+        default, since every bound must be finite."""
         c = np.asarray(c, dtype=float)
         A = np.asarray(A, dtype=float)
         if A.ndim != 2:
@@ -118,7 +121,7 @@ class LinearProgram:
         b = np.asarray(b, dtype=float)
         n = len(c)
         lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
-        ub = np.full(n, np.inf) if ub is None else np.asarray(ub, dtype=float)
+        ub = np.asarray(ub, dtype=float)
         lp = cls(c=c, A=A, senses=tuple(senses), b=b, lb=lb, ub=ub)
         lp.validate()
         object.__setattr__(lp, "validated", True)
@@ -193,13 +196,11 @@ def _check_rhs(b: np.ndarray, m: int) -> None:
 
 
 def _check_bounds(lb: np.ndarray, ub: np.ndarray, n: int) -> None:
-    """Lower bounds finite, upper bounds finite or +inf, and lb <= ub."""
+    """Every bound finite (neither inf nor NaN), and lb <= ub."""
     if np.shape(lb) != (n,) or np.shape(ub) != (n,):
         raise ValidationError("inconsistent bound dimensions")
-    if not np.isfinite(lb).all():
-        raise ValidationError("lower bounds must be finite")
-    if np.isnan(ub).any():
-        raise ValidationError("upper bounds must not be NaN")
+    if not (np.isfinite(lb).all() and np.isfinite(ub).all()):
+        raise ValidationError("bounds must be finite")
     if (lb > ub).any():
         raise ValidationError("lower bound exceeds upper bound")
 
@@ -401,6 +402,7 @@ class _Simplex:
     the way each column may enter (+1 at its lower bound, -1 at its upper,
     0 when basic or fixed); and ``d``, the reduced costs for the costs ``c``,
     computed at every factorization and updated by the pivot row between.
+    The costs and bounds never change within a solve.
 
     The loops here and in the kernel call ndarray methods (``dot``,
     ``nonzero``, ``argmax``) rather than ``@`` and the numpy functions: on
@@ -429,19 +431,16 @@ class _Simplex:
         self.is_basic[self.basis] = True
         self.at_upper = np.zeros(ncols, dtype=bool)
         self.at_upper[at_upper] = True
-        self._set_bounds(lp.b * row_sign, np.concatenate((lp.lb, np.zeros(m))), ub)
+        self.b, self.ub = lp.b * row_sign, ub
+        self.lb = lb = np.concatenate((lp.lb, np.zeros(m)))
+        self.lb_b, self.ub_b = lb[self.basis], ub[self.basis]
+        self.dir = np.where(self.at_upper, -1.0, 1.0)
+        self.dir[self.is_basic | (lb == ub)] = 0.0
         rows = (~self.is_basic[n:]).nonzero()[0]
         self.kernel = _Kernel(self.A, AT, self.basis, rows)
         self._refactor()
 
     # -- state helpers ----------------------------------------------------
-
-    def _set_bounds(self, b, lb, ub):
-        """Take b and the bounds, and the basic bounds and directions with them."""
-        self.b, self.lb, self.ub = b, lb, ub
-        self.lb_b, self.ub_b = lb[self.basis], ub[self.basis]
-        self.dir = np.where(self.at_upper, -1.0, 1.0)
-        self.dir[self.is_basic | (lb == ub)] = 0.0
 
     def _refactor(self):
         """Factorize the basis afresh, and recompute ``x_b`` and ``d``."""
@@ -479,12 +478,6 @@ class _Simplex:
         d[self.is_basic] = 0.0
         return d
 
-    def _price(self, c: np.ndarray) -> np.ndarray:
-        """The reduced costs for c: the maintained ``d`` when c is ``self.c``."""
-        if c is not self.c:
-            self.c, self.d = c, self._reduced_costs(c)
-        return self.d
-
     def _priced_out(self, d: np.ndarray) -> np.ndarray:
         """Columns whose reduced cost says they should enter (dual infeasible)."""
         return (self.dir * d < -OPT_TOL).nonzero()[0]
@@ -514,14 +507,15 @@ class _Simplex:
 
     # -- dual simplex ------------------------------------------------------
 
-    def place(self, c: np.ndarray) -> np.ndarray:
+    def place(self) -> np.ndarray:
         """Put each nonbasic boxed column at the bound its reduced cost prefers.
 
         Only a column priced out by more than OPT_TOL moves, so a start
         basis keeps its ``at_upper`` otherwise.  Returns the columns that
-        still price out: those with no upper bound.
+        still price out: nonbasic slacks of inequality rows, the only
+        columns with no upper bound.  From the slack basis there are none.
         """
-        out = self._priced_out(self._price(c))
+        out = self._priced_out(self.d)
         boxed = np.isfinite(self.ub[out])
         if boxed.any():
             flip = out[boxed]
@@ -530,47 +524,19 @@ class _Simplex:
             self.x_b = self._basic_values()
         return out[~boxed]
 
-    def phase_one(self, c: np.ndarray) -> bool:
-        """Dual phase 1: reach a dual feasible basis; False when there is none.
-
-        The dual simplex solves the auxiliary problem of the subproblem
-        approach (Koberstein & Suhl 2007, Comput. Optim. Appl. 37(1)): the
-        same rows with b = 0, each column with no upper bound in [0, 1] and
-        every other column fixed at 0.  Its objective is the sum of the
-        reduced costs of the columns at 1, so at its optimum a column with
-        no upper bound prices out only when no basis is dual feasible.
-        Otherwise the basis is dual feasible once the boxed columns are
-        placed, which this does.
-        """
-        b, lb, ub = self.b, self.lb, self.ub
-        unbounded = np.isinf(ub)
-        self._set_bounds(np.zeros_like(b), np.zeros_like(lb), unbounded * 1.0)
-        try:
-            self.x_b = self._basic_values()
-            self.place(c)
-            if self.dual(c) != OPTIMAL:
-                raise SolverError("dual phase 1 found no point at b = 0", {})
-        finally:
-            self.at_upper &= ~unbounded
-            self._set_bounds(b, lb, ub)
-        self.x_b = self._basic_values()
-        return self.place(c).size == 0
-
-    def dual(self, c: np.ndarray) -> str:
+    def dual(self) -> str:
         """Bounded dual simplex from a dual feasible basis.
 
         Returns OPTIMAL once every basic value is within LEAVE_TOL of its
         bounds (on a fresh factorization), INFEASIBLE when a row shows that
         no point satisfies the bounds.  Raises SolverError when that row's
-        proof does not hold up without the pivot tolerance.  Under zero
-        costs every basis is dual feasible, and OPTIMAL means primal feasible.
+        proof does not hold up without the pivot tolerance.
         """
         m, ncols = self.m, self.n + self.m
         max_iter = 50 * (m + ncols) + 10_000
         degen_limit = 3 * (m + ncols)
         degen_count = 0
         bland = False
-        self._price(c)
         if m == 0:
             return OPTIMAL
 
@@ -699,42 +665,36 @@ def _solve_from(lp: LinearProgram, warm: WarmBasis | None) -> LpSolution | None:
     """Optimize ``lp`` by the dual simplex from ``warm``, or from the slack
     basis when ``warm`` is None.
 
-    A pass places the boxed columns, runs the dual phase 1 if a column with
-    no upper bound still prices out, and then the dual simplex on the true
-    costs.  A column that prices out on its final factorization starts
-    another pass.  A given start that does not fit the program, is singular
-    or fails numerically gives None, which sends the caller to the slack
+    A pass places the boxed columns and runs the dual simplex; a column that
+    prices out on its final factorization starts another pass.  A slack that
+    still prices out after placing is a start that is not dual feasible.
+    Such a start, or a given one that does not fit the program, is singular
+    or fails numerically, gives None, which sends the caller to the slack
     basis; from the slack basis the SolverError is raised.
     """
     start = () if warm is None else (warm.basic, warm.at_upper)
     try:
         sim = _Simplex(lp, *start)
-        c = sim.c
         for _ in range(1 + RESTARTS):
-            if sim.place(c).size and not sim.phase_one(c):
-                infeasible = sim.dual(np.zeros_like(c)) == INFEASIBLE
-                status = INFEASIBLE if infeasible else UNBOUNDED
-                break
-            if sim.dual(c) == INFEASIBLE:
-                status = INFEASIBLE
-                break
+            if sim.place().size:
+                raise SolverError("a slack prices out after placing the columns", {})
+            if sim.dual() == INFEASIBLE:
+                return LpSolution(
+                    status=INFEASIBLE,
+                    pivots=sim.pivots,
+                    refactorizations=sim.refactorizations,
+                    warm=warm is not None,
+                )
             if sim._priced_out(sim.d).size == 0:
                 return _extract(lp, sim, warm is not None)
-        else:
-            raise SolverError(
-                "reduced costs still price out after the dual simplex",
-                {"pivots": sim.pivots},
-            )
+        raise SolverError(
+            "reduced costs still price out after the dual simplex",
+            {"pivots": sim.pivots},
+        )
     except SolverError:
         if warm is None:
             raise
         return None
-    return LpSolution(
-        status=status,
-        pivots=sim.pivots,
-        refactorizations=sim.refactorizations,
-        warm=warm is not None,
-    )
 
 
 def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:

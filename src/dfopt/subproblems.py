@@ -164,10 +164,11 @@ class TreeTable:
     def product_lp(self) -> tuple[LinearProgram, list[tuple], WarmBasis]:
         """The tree's per-product subproblem LP, its rows and its start basis.
 
-        Columns are the leaf weights in ascending leaf id, maximizing
-        revenue; row 0 is the unit sum, then one row per ``capacity_rows``
-        entry, whose right-hand sides ``_at_levels`` sets from x (here all
-        levels are 0).  The start basis is ``best_leaf_basis``.
+        Columns are the leaf weights, each in [0, 1], by ascending leaf id,
+        maximizing revenue; row 0 is the unit sum, then one row per
+        ``capacity_rows`` entry, whose right-hand sides ``_at_levels`` sets
+        from x (here all levels are 0).  The start basis is
+        ``best_leaf_basis``.
         """
         leaves = self.tree.leaf_ids
         col = {l: j for j, l in enumerate(leaves)}
@@ -181,6 +182,7 @@ class TreeTable:
             A=A,
             senses=[EQ] + [LE] * len(rows),
             b=[1.0] + [0.0 if left else 1.0 for _, _, left, _, _ in rows],
+            ub=np.ones(len(leaves)),
         )
         return lp, rows, best_leaf_basis(lp, [0])
 

@@ -353,20 +353,6 @@ class TestNodeBudget:
             assert (res.value, res.x, res.nodes) == (ref.value, ref.x, ref.nodes)
 
 
-def record_phase_ones(monkeypatch):
-    """Log each dual phase 1 (``_Simplex.phase_one``) and whether it found a
-    dual feasible basis."""
-    runs = []
-    real = lp._Simplex.phase_one
-
-    def phase_one(sim, c):
-        runs.append(real(sim, c))
-        return runs[-1]
-
-    monkeypatch.setattr(lp._Simplex, "phase_one", phase_one)
-    return runs
-
-
 START_GRID = [
     (seed, shape) for seed in range(4) for shape in ("t1", "t2", "t3")
 ]
@@ -379,7 +365,6 @@ class TestMonolithicStartBasis:
     @pytest.mark.parametrize("kind", list(Kind))
     def test_start_is_accepted(self, monkeypatch, kind, cardinality):
         # the root is the only node that does not start from its parent
-        phase_ones = record_phase_ones(monkeypatch)
         roots = record_solves(monkeypatch, benders, "solve_lp_multi")
         for seed, shape in START_GRID:
             catalog, forest = seeded_instance(seed, shape, n=12, num_trees=10)
@@ -387,10 +372,14 @@ class TestMonolithicStartBasis:
             start = built.start_basis()
             sim = lp._Simplex(built.lp, start.basic, start.at_upper)
             assert sim._priced_out(sim._reduced_costs(sim.c)).size == 0
+            # every column is boxed, so placing the columns makes the slack
+            # basis dual feasible too
+            sim = lp._Simplex(built.lp)
+            assert sim.place().size == 0
+            assert sim._priced_out(sim._reduced_costs(sim.c)).size == 0
             roots.clear()
             branch_and_bound_monolithic(built, catalog, forest, Budget(max_nodes=1))
             assert len(roots) == 1 and roots[0][1].warm
-            assert phase_ones == []  # the root runs no phase 1
 
     @pytest.mark.parametrize("cardinality", [None, 0, 3])
     @pytest.mark.parametrize("kind", list(Kind))
@@ -449,41 +438,38 @@ class TestWarmStartsServe:
     @pytest.mark.parametrize("kind", list(Kind))
     def test_round_one_master_starts_dual_feasible(self, monkeypatch, kind, cardinality):
         # x and theta are boxed: placed at the bounds their reduced costs
-        # prefer, they make the slack basis dual feasible, so the cold
-        # round-1 master runs no phase 1, nor does any later solve
+        # prefer, they make the slack basis dual feasible for the cold
+        # round-1 master
         catalog, forest = seeded_instance(1, "t1", n=10, num_trees=6)
         sim = lp._Simplex(benders._master_state(catalog, forest, cardinality).lp)
-        assert sim.place(sim.c).size == 0
+        assert sim.place().size == 0
         assert sim._priced_out(sim._reduced_costs(sim.c)).size == 0
-        phase_ones = record_phase_ones(monkeypatch)
         masters = record_solves(monkeypatch, benders, "solve_lp")
         relaxation_phase(kind, catalog, forest, cardinality)
-        assert not masters[0][1].warm and phase_ones == []
+        assert not masters[0][1].warm
 
     @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)
     def test_product_oracle_after_first_call(self, monkeypatch, seed, cardinality):
         # The certified sweep separates most points, so a tree's product LP
         # runs only where that check fails: first from the tree's best-leaf
-        # basis, then from the tree's previous LP basis, never as a phase 1.
+        # basis, then from the tree's previous LP basis.
         catalog, forest = seeded_instance(seed, "t1", n=10, num_trees=6)
         solves = record_solves(monkeypatch, subproblems, "solve_lp")
-        phase_ones = record_phase_ones(monkeypatch)
         calls = []
         real = benders.product_subproblem_lp
 
         def oracle(catalog, tree, x, warm=None, *, table=None):
-            before = len(phase_ones)
             value, cert, sol = real(catalog, tree, x, warm, table=table)
-            calls.append((tree, warm, sol, phase_ones[before:]))
+            calls.append((tree, warm, sol))
             return value, cert, sol
 
         monkeypatch.setattr(benders, "product_subproblem_lp", oracle)
         relax = relaxation_phase(Kind.PRODUCT, catalog, forest, cardinality)
         assert 0 < len(solves) == len(calls) < len(forest.trees) * relax.rounds
         last = {}
-        for tree, warm, sol, runs in calls:
+        for tree, warm, sol in calls:
             assert warm is last.get(id(tree))
-            assert sol.warm and runs == []
+            assert sol.warm
             last[id(tree)] = sol.basis
 
     @pytest.mark.parametrize("seed, cardinality", WARM_INSTANCES)

@@ -122,6 +122,23 @@ class TestGenerate:
         catalog, forest = instance_from_json(out.read_text())
         assert catalog.n == 5 and len(forest.trees) == 2
 
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("p cnf x 2\n1 -2 3 0\n-1 2 4 0\n", "x"),
+            ("p cnf 4 2\n1 2 abc 0\n-1 2 4 0\n", "abc"),
+            ("p cnf 4 2\n1 -2 1.5 0\n-1 2 4 0\n", "1.5"),
+        ],
+        ids=["header-count", "literal", "fractional-literal"],
+    )
+    def test_malformed_cnf_exit_code(self, tmp_path, capsys, text, token):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text(text)
+        out = tmp_path / "sat.json"
+        assert main(["generate", "--cnf", str(cnf), "--out", str(out)]) == EXIT_CONFIG
+        assert f"bad DIMACS token {token!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integral_float_counts_accepted(self, tmp_path):
         texts = []
         for n, leaves in ((4, 4), (4.0, 4.0)):
@@ -606,6 +623,19 @@ class TestExperiment:
         argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path)]
         assert main(argv) == EXIT_CONFIG
         assert "rho must be a list of numbers in (0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [5, ["a"], None], ids=["number", "list", "null"])
+    def test_non_string_out_is_refused_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        def run_cells(spec, worker):
+            raise AssertionError("a grid cell ran")
+
+        monkeypatch.setattr(cli, "_run_cells", run_cells)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(self.SPEC, out=out)))
+        assert main(["experiment", "--spec", str(spec_path)]) == EXIT_CONFIG
+        assert "out must be a path string" in capsys.readouterr().err
 
     def test_unknown_experiment(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -75,7 +75,7 @@ def random_le_lp(rng, m=5, n=8) -> LinearProgram:
 
 class TestBasics:
     def test_single_variable(self):
-        lp = LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0])
+        lp = LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0], ub=[2.0])
         sol = solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0)
@@ -102,22 +102,22 @@ class TestBasics:
         )
         assert solve_lp(lp).status == "infeasible"
 
-    def test_unbounded(self):
-        lp = LinearProgram.build(c=[1.0], A=[[-1.0]], senses=[LE], b=[0.0])
-        assert solve_lp(lp).status == "unbounded"
-
     def test_validation(self):
         with pytest.raises(ValidationError):
-            LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[np.inf])
+            LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[np.inf], ub=[2.0])
 
     @pytest.mark.parametrize(
         "name, value",
-        [("A", np.nan), ("A", np.inf), ("ub", np.nan), ("c", np.nan), ("c", np.inf)],
+        [
+            ("A", np.nan), ("A", np.inf), ("ub", np.nan), ("ub", np.inf),
+            ("c", np.nan), ("c", np.inf),
+        ],
     )
     def test_non_finite_data_is_refused(self, name, value):
-        # unchecked, solve_lp took a NaN in A for optimal at x = [1, 1], a
-        # NaN upper bound for unbounded, and a NaN or inf cost for optimal
-        # with a NaN or inf objective
+        # unchecked, solve_lp took a NaN in A for optimal at x = [1, 1], and
+        # a NaN or inf cost for optimal with a NaN or inf objective; a NaN or
+        # inf upper bound leaves a column that may price out with no bound
+        # to go to
         data = dict(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.5], ub=[1.0, 1.0])
         data = {key: np.array(v, dtype=float) for key, v in data.items()}
         data[name].flat[-1] = value
@@ -126,8 +126,10 @@ class TestBasics:
         with pytest.raises(ValidationError):
             solve_lp(LinearProgram(senses=(LE,), lb=np.zeros(2), **data))
         if name == "ub":  # with_bounds checks its bounds by the same rules
-            lp = LinearProgram.build(c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[LE], b=[1.5])
-            with pytest.raises(ValidationError, match="NaN"):
+            lp = LinearProgram.build(
+                c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[LE], b=[1.5], ub=[1.0, 1.0]
+            )
+            with pytest.raises(ValidationError, match="finite"):
                 lp.with_bounds(lp.lb, data["ub"])
 
     @pytest.mark.parametrize(
@@ -135,14 +137,15 @@ class TestBasics:
     )
     def test_misshapen_vectors_are_refused(self, name, value):
         # a scalar used to raise a bare TypeError, and a 2-D bound passed
-        data = dict(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0])
+        data = dict(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0], ub=[2.0])
         with pytest.raises(ValidationError, match="dimensions"):
             LinearProgram.build(**{**data, name: value})
 
     def test_unknown_sense_names_the_first_one(self):
         with pytest.raises(ValidationError, match="unknown row sense '<'"):
             LinearProgram.build(
-                c=[1.0], A=[[1.0], [1.0], [1.0]], senses=[LE, "<", "!"], b=[1, 1, 1]
+                c=[1.0], A=[[1.0], [1.0], [1.0]], senses=[LE, "<", "!"], b=[1, 1, 1],
+                ub=[2.0],
             )
 
     def test_built_programs_are_validated_once(self, monkeypatch):
@@ -151,7 +154,7 @@ class TestBasics:
         monkeypatch.setattr(
             LinearProgram, "validate", lambda lp: calls.append(lp) or real(lp)
         )
-        lp = LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[2.0])
+        lp = LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[2.0], ub=[3.0])
         assert solve_lp(lp).objective == pytest.approx(2.0)
         assert len(calls) == 1
         # a program made another way is still checked when solved
@@ -189,7 +192,7 @@ class TestGreedyGapLp:
         ]
         c = [20, 19, 18, 0, 18, 0]
         return LinearProgram.build(
-            c=c, A=A, senses=[LE] * 6, b=[0.5] * 6
+            c=c, A=A, senses=[LE] * 6, b=[0.5] * 6, ub=[1.0] * 6
         )
 
     def test_value_and_point(self):
@@ -435,7 +438,7 @@ class TestDualSimplex:
         cold = solve_lp(changed)
         start = solve_lp(lp).basis
         sim = lp_module._Simplex(changed, start.basic, start.at_upper)
-        assert sim.dual(sim.c) == cold.status
+        assert sim.dual() == cold.status
         if cold.status == "optimal":
             assert sim._priced_out(sim._reduced_costs(sim.c)).size == 0
             x = sim._nonbasic_values()
@@ -446,9 +449,11 @@ class TestDualSimplex:
 
     def test_start_neither_primal_nor_dual_feasible_is_served(self):
         # new costs and right-hand sides: the old basis is neither primal nor
-        # dual feasible, and placing its boxed columns (or the dual phase 1,
-        # when a slack prices out) makes it dual feasible
-        neither = 0
+        # dual feasible.  Placing its boxed columns makes it dual feasible,
+        # and the start serves, unless a nonbasic slack still prices out;
+        # then the solve falls back to the slack basis.  Either way the
+        # status and objective are the cold solve's
+        neither, served = 0, 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
             lp = mixed_lp(rng)
@@ -462,16 +467,33 @@ class TestDualSimplex:
             below, above = sim.lb[sim.basis] - x_b, x_b - sim.ub[sim.basis]
             if (
                 max(below.max(), above.max()) > lp_module.FEAS_TOL
-                and sim._priced_out(sim._reduced_costs(sim.c)).size
+                and sim._priced_out(sim.d).size
             ):
                 neither += 1
+            dual_feasible = sim.place().size == 0
+            served += dual_feasible
             warm = solve_lp(changed, warm=sol.basis)
             cold = solve_lp(changed)
-            assert warm.warm and warm.status == cold.status
+            assert warm.warm == dual_feasible and warm.status == cold.status
             if cold.status == "optimal":
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
                 assert_kkt(changed, warm)
-        assert neither >= 4
+        assert neither >= 4 and 0 < served < 12
+
+    def test_infeasible_from_a_dual_infeasible_start_falls_back(self):
+        # x0 - x1 <= 1 and >= 2 meet nowhere.  With x1 basic in the first
+        # row, that row's slack prices out and no bound placement mends it,
+        # so the solve falls back to the slack basis, which proves the rows
+        # infeasible
+        lp = LinearProgram.build(
+            c=[1.0, 1.0], A=[[1.0, -1.0], [1.0, -1.0]], senses=[LE, GE], b=[1.0, 2.0],
+            ub=[10.0, 10.0],
+        )
+        start = WarmBasis(basic=(1, 3), at_upper=())
+        sim = lp_module._Simplex(lp, start.basic, start.at_upper)
+        assert sim.place().tolist() == [2]
+        sol = solve_lp(lp, warm=start)
+        assert sol.status == "infeasible" and not sol.warm
 
     def test_child_made_infeasible_is_proved_warm(self):
         # max x0 - x1  s.t.  x0 + x1 >= 1.5 on the unit box: x1 = 0.5 is basic;
@@ -737,67 +759,6 @@ def test_dual_pivot_judged_by_the_row_tolerance():
     cold = solve_lp(cuts)
     assert cold.objective == pytest.approx(1.0, abs=1e-7)
     assert cold.x[0] <= 1.0 + lp_module.LEAVE_TOL
-
-
-def linprog_status(lp: LinearProgram) -> str:
-    """``lp``'s status by scipy's HiGHS, in ``solve_lp``'s terms."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    le, ge = np.array(lp.senses) == LE, np.array(lp.senses) == GE
-    A_ub = np.vstack([lp.A[le], -lp.A[ge]])
-    b_ub = np.concatenate([lp.b[le], -lp.b[ge]])
-    eq = ~(le | ge)
-    res = linprog(
-        -lp.c, A_ub=A_ub if len(A_ub) else None, b_ub=b_ub if len(b_ub) else None,
-        A_eq=lp.A[eq] if eq.any() else None, b_eq=lp.b[eq] if eq.any() else None,
-        bounds=[(l, None if np.isinf(u) else u) for l, u in zip(lp.lb, lp.ub)],
-        method="highs",
-    )
-    return {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
-
-
-class TestDualPhaseOne:
-    """Cold solves from a slack basis where a column with no upper bound
-    prices out, so only the dual phase 1 can make the start dual feasible."""
-
-    def solve(self, monkeypatch, lp):
-        runs = []
-        real = lp_module._Simplex.phase_one
-
-        def phase_one(sim, c):
-            runs.append(real(sim, c))
-            return runs[-1]
-
-        monkeypatch.setattr(lp_module._Simplex, "phase_one", phase_one)
-        sol = solve_lp(lp)
-        assert sol.status == linprog_status(lp)
-        return sol, runs
-
-    def test_priced_out_column_with_a_finite_optimum(self, monkeypatch):
-        # max x0 + 2 x1  s.t.  x0 + x1 <= 4, x1 - x0 <= 1, x >= 0
-        lp = LinearProgram.build(
-            c=[1.0, 2.0], A=[[1.0, 1.0], [-1.0, 1.0]], senses=[LE, LE], b=[4.0, 1.0]
-        )
-        sol, runs = self.solve(monkeypatch, lp)
-        assert runs == [True] and sol.status == "optimal"
-        assert sol.objective == pytest.approx(6.5, abs=1e-12)
-        assert np.allclose(sol.x, [1.5, 2.5], atol=1e-12)
-        assert_kkt(lp, sol)
-
-    def test_unbounded(self, monkeypatch):
-        # max x0 + x1  s.t.  x0 - x1 <= 1: x0 = x1 + 1 runs off to infinity
-        lp = LinearProgram.build(c=[1.0, 1.0], A=[[1.0, -1.0]], senses=[LE], b=[1.0])
-        sol, runs = self.solve(monkeypatch, lp)
-        assert runs == [False] and sol.status == "unbounded"
-
-    def test_infeasible_from_a_dual_infeasible_start(self, monkeypatch):
-        # x0 - x1 <= 1 and >= 2 meet nowhere, while the direction (1, 1)
-        # improves max x0 + x1 on both rows: no basis is dual feasible, and
-        # the zero-cost dual simplex proves the rows infeasible
-        lp = LinearProgram.build(
-            c=[1.0, 1.0], A=[[1.0, -1.0], [1.0, -1.0]], senses=[LE, GE], b=[1.0, 2.0]
-        )
-        sol, runs = self.solve(monkeypatch, lp)
-        assert runs == [False] and sol.status == "infeasible"
 
 
 class TestDeterminism:

@@ -76,7 +76,8 @@ def leaf_sub_lp(catalog, tree, x):
             senses.append(LE)
             rhs.append(1.0 - xv)
     c = [float(catalog.leaf_revenue(tree, l)) for l in leaves]
-    return LinearProgram.build(c=c, A=rows, senses=senses, b=rhs)
+    # y <= 1 does not bind: the unit-sum row implies it
+    return LinearProgram.build(c=c, A=rows, senses=senses, b=rhs, ub=[1.0] * len(leaves))
 
 
 def split_sub_lp(catalog, tree, x, unit_sense=EQ):
@@ -98,7 +99,8 @@ def split_sub_lp(catalog, tree, x, unit_sense=EQ):
         senses.append(LE)
         rhs.append(1.0 - xv)
     c = [float(catalog.leaf_revenue(tree, l)) for l in leaves]
-    return LinearProgram.build(c=c, A=rows, senses=senses, b=rhs)
+    # y <= 1 does not bind: the unit-sum row implies it
+    return LinearProgram.build(c=c, A=rows, senses=senses, b=rhs, ub=[1.0] * len(leaves))
 
 
 # ---------------------------------------------------------------------------
