@@ -243,11 +243,13 @@ def local_search(
 
     Each step applies the single add or remove that raises expected revenue
     the most; stops at a local optimum.  Values increase strictly, so no
-    assortment repeats.
+    assortment repeats.  A start level other than 0 or 1 raises DomainError.
     """
     members = ()
     if start is not None:
         check_size(catalog, start)
+        if any(v != 0 and v != 1 for v in start.values):
+            raise DomainError(f"local search needs a binary start, got {start.values}")
         members = start.support()
     walks = _Walks(catalog, forest, members)
     moves = 0

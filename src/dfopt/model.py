@@ -54,9 +54,12 @@ class PurchaseTree:
     """A rooted binary purchase decision tree stored in an id-indexed arena.
 
     Node ids are arbitrary integers (the arena is a mapping), so trees can
-    carry externally meaningful numberings.  Construction validates the
-    structure and rejects trees where a product appears on two splits of the
-    same root-to-leaf path; such splits would be unreachable.
+    carry externally meaningful numberings.  Construction checks the arena in
+    one walk from the root.  Each node reached has an integer id in the arena
+    and is a ``Split`` with product >= 1 or a ``Leaf`` with option >= 0; no
+    product repeats on a path (such a split would be unreachable).  A node
+    reached twice means a cycle, a second parent, identical children or a
+    child that is the root; a node never reached is an orphan.
 
     Derived index sets are precomputed once:
 
@@ -88,39 +91,10 @@ class PurchaseTree:
     )
 
     def __init__(self, nodes: Mapping[int, Node], root: int):
-        nodes = dict(nodes)
         if root not in nodes:
             raise ValidationError(f"root id {root} not in arena")
-        for nid, node in nodes.items():
-            if not isinstance(nid, int):
-                raise ValidationError(f"node id {nid!r} is not an integer")
-            if isinstance(node, Split):
-                if node.product < 1:
-                    raise ValidationError(f"split {nid}: product id {node.product} < 1")
-                for child in (node.left, node.right):
-                    if child not in nodes:
-                        raise ValidationError(f"split {nid}: missing child {child}")
-            elif isinstance(node, Leaf):
-                if node.option < 0:
-                    raise ValidationError(f"leaf {nid}: option {node.option} < 0")
-            else:
-                raise ValidationError(f"node {nid}: unknown node type {type(node)!r}")
-
-        parents: dict[int, int] = {}
-        for nid, node in nodes.items():
-            if isinstance(node, Split):
-                if node.left == node.right:
-                    raise ValidationError(f"split {nid}: identical children")
-                for child in (node.left, node.right):
-                    if child == root:
-                        raise ValidationError("root has a parent")
-                    if child in parents:
-                        raise ValidationError(f"node {child} has two parents")
-                    parents[child] = nid
-
-        self.nodes = nodes
+        self.nodes = nodes = dict(nodes)
         self.root = root
-
         depth: dict[int, int] = {}
         paths: dict[int, tuple[tuple[int, bool], ...]] = {}
         left_leaves: dict[int, list[int]] = {}
@@ -129,24 +103,30 @@ class PurchaseTree:
         leaves: list[int] = []
 
         # Iterative DFS carrying the path (split id, went_left) and the set of
-        # ancestor products, which also enforces the no-repeat assumption.
+        # ancestor products; each node is checked when the walk reaches it.
         stack: list[tuple[int, tuple[tuple[int, bool], ...], frozenset[int]]] = [
             (root, (), frozenset())
         ]
-        visited: set[int] = set()
         while stack:
             nid, path, anc = stack.pop()
-            if nid in visited:
-                raise ValidationError(f"node {nid} reachable twice (cycle or DAG)")
-            visited.add(nid)
-            node = nodes[nid]
+            if nid not in nodes:
+                raise ValidationError(f"split {path[-1][0]}: missing child {nid}")
+            if not isinstance(nid, int):
+                raise ValidationError(f"node id {nid!r} is not an integer")
+            if nid in depth:
+                raise ValidationError(f"node {nid} reached twice (cycle or DAG)")
             depth[nid] = len(path) + 1
+            node = nodes[nid]
             if isinstance(node, Leaf):
+                if node.option < 0:
+                    raise ValidationError(f"leaf {nid}: option {node.option} < 0")
                 leaves.append(nid)
                 paths[nid] = path
                 for s, went_left in path:
                     (left_leaves if went_left else right_leaves)[s].append(nid)
-            else:
+            elif isinstance(node, Split):
+                if node.product < 1:
+                    raise ValidationError(f"split {nid}: product id {node.product} < 1")
                 if node.product in anc:
                     raise ValidationError(
                         f"product {node.product} repeats on the path to split {nid}"
@@ -157,8 +137,10 @@ class PurchaseTree:
                 anc2 = anc | {node.product}
                 stack.append((node.right, path + ((nid, False),), anc2))
                 stack.append((node.left, path + ((nid, True),), anc2))
-        if len(visited) != len(nodes):
-            orphans = sorted(set(nodes) - visited)
+            else:
+                raise ValidationError(f"node {nid}: unknown node type {type(node)!r}")
+        if len(depth) != len(nodes):
+            orphans = [nid for nid in nodes if nid not in depth]
             raise ValidationError(f"unreachable nodes in arena: {orphans}")
 
         self.split_ids = tuple(sorted(splits))
@@ -523,24 +505,13 @@ def _integer_from_json(name: str, value) -> int:
 
 
 def _tree_to_obj(tree: PurchaseTree) -> dict:
-    order = sorted(tree.nodes)
-    pos = {nid: i for i, nid in enumerate(order)}
-    out = []
-    for nid in order:
-        node = tree.nodes[nid]
-        if isinstance(node, Split):
-            out.append(
-                {
-                    "split": {
-                        "product": node.product,
-                        "left": pos[node.left],
-                        "right": pos[node.right],
-                    }
-                }
-            )
-        else:
-            out.append({"leaf": {"option": node.option}})
-    return {"nodes": out, "root": pos[tree.root]}
+    product, left, right, option, root = tree.arrays()
+    out = [
+        {"split": {"product": p, "left": l, "right": r}} if p  # products are >= 1
+        else {"leaf": {"option": o}}
+        for p, l, r, o in zip(product, left, right, option)
+    ]
+    return {"nodes": out, "root": root}
 
 
 def _tree_from_obj(obj) -> PurchaseTree:

@@ -389,12 +389,6 @@ def product_certified_sweep(
     return value, cert
 
 
-def _product_subproblem_lp_data(catalog, tree, x):
-    """The tree's product LP at levels x, its ``capacity_rows`` and its leaves."""
-    lp, rows, _ = tree_table(Kind.PRODUCT, catalog, tree).product_lp
-    return _at_levels(lp, rows, as_values(x)), rows, tree.leaf_ids
-
-
 def _at_levels(lp: LinearProgram, rows, vals) -> LinearProgram:
     """``lp`` with the right-hand sides of levels ``vals``, sharing its rows."""
     b = [1.0] + [float(vals[i - 1]) if left else 1.0 - float(vals[i - 1])

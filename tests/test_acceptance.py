@@ -24,12 +24,14 @@ from dfopt.instancegen import (
 from dfopt.lp import solve_lp, verify_solution_exact
 from dfopt.model import brute_force_optimal
 from dfopt.subproblems import (
+    _at_levels,
     leaf_dual_greedy,
     leaf_primal_greedy,
     product_greedy_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
+    tree_table,
 )
 
 from cases import greedy_gap_tree, single_tree_forest, worked_example, y_value
@@ -147,10 +149,8 @@ def test_a02_greedy_failure_fixture_exact():
         x = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
         value, cert, sol = product_subproblem_lp(catalog, tree, x)
         assert value == 18.5
-        from dfopt.subproblems import _product_subproblem_lp_data
-
-        lp, _, _ = _product_subproblem_lp_data(catalog, tree, x)
-        exact = verify_solution_exact(lp, sol)
+        lp, rows, _ = tree_table(Kind.PRODUCT, catalog, tree).product_lp
+        exact = verify_solution_exact(_at_levels(lp, rows, x), sol)
         assert exact["feasible"] and exact["optimal"]
         assert exact["objective"] == Fraction(37, 2)
         _, sweep = product_greedy_sweep(catalog, tree, x)

@@ -8,7 +8,8 @@ order of their multipliers) independently of how they are computed.  The
 greedy oracles are fed exact Fraction levels, so their weights and duals are
 exact too; their digest leaves out the event trace and the multipliers'
 insertion order and pins only what the sweeps compute.  The 3-CNF reduction's
-instances are pinned byte for byte through their JSON.
+instances are pinned byte for byte through their JSON, and so are generated
+instances and a tree whose node ids are negative and not positions.
 """
 
 import hashlib
@@ -24,7 +25,14 @@ from dfopt.instancegen import (
     max3sat_to_instance,
     random_formula,
 )
-from dfopt.model import instance_to_json
+from dfopt.model import (
+    DecisionForest,
+    Leaf,
+    ProductCatalog,
+    PurchaseTree,
+    Split,
+    instance_to_json,
+)
 from dfopt.subproblems import (
     EVENT_C,
     integer_cut,
@@ -46,6 +54,7 @@ BUILD_DIGEST = "8c62edd2acf0ef72ec306a61d8ac546f319a910a7e8d3838510d1a62f563114e
 CUT_DIGEST = "d6b83d0a891b89657e8e4eeb3c0a7b572cdefd2f120faa6412fa868e7afba380"
 GREEDY_DIGEST = "5a93574def137c3a8d6cafe2d5b192ceff87d3cbab95291e3e326e17687af6f5"
 CLAUSE_TREE_DIGEST = "914f01667d2de2486ba0bdc91bdd361051267057a985283b683148dbe7c2b9bb"
+JSON_DIGEST = "929db38bd9b370c140048663442a0d5820149e9584e87003b8932d0ac807cc59"
 
 
 def golden_instances():
@@ -143,3 +152,20 @@ def test_reduction_instances_are_pinned():
         formula = random_formula(rng, num_vars=k, num_clauses=m)
         h.update(instance_to_json(*max3sat_to_instance(formula)).encode())
     assert h.hexdigest() == CLAUSE_TREE_DIGEST
+
+
+def test_instance_json_is_pinned():
+    h = hashlib.sha256()
+    for shape in (
+        TreeShape("t1", depth=4), TreeShape("t2", depth=4), TreeShape("t3", leaves=16)
+    ):
+        for seed in range(5):
+            config = GeneratorConfig(n=10, num_trees=6, shape=shape, seed=seed)
+            h.update(instance_to_json(*generate_instance(config)).encode())
+    # written as positions in ascending id order: -7, -2, 3, 9, 40 -> 0..4
+    nodes = {
+        -7: Split(2, 40, 3), 40: Leaf(0), 3: Split(1, 9, -2), 9: Leaf(1), -2: Leaf(2)
+    }
+    forest = DecisionForest((PurchaseTree(nodes, -7),), (1.0,))
+    h.update(instance_to_json(ProductCatalog(n=2, revenues=(3, 5)), forest).encode())
+    assert h.hexdigest() == JSON_DIGEST

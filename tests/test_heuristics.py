@@ -66,6 +66,14 @@ class TestLocalSearch:
             with pytest.raises(DomainError):
                 local_search(catalog, forest, start)
 
+    def test_fractional_start_rejected(self):
+        # a level of 0.5 would otherwise count as not offered
+        catalog, tree = greedy_gap_tree()
+        forest = single_tree_forest(tree)
+        for start in ((0.5,) * 3, (1, 0.5, 0)):
+            with pytest.raises(DomainError, match="binary start"):
+                local_search(catalog, forest, AssortmentVector(start))
+
     def test_never_beats_brute_force(self):
         for seed in range(25):
             catalog, forest = seeded_instance(seed)

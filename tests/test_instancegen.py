@@ -241,6 +241,8 @@ BAD_ARENAS = {
     "unknown-node": {0: Split(1, 1, 2), 1: "leaf", 2: Leaf(0)},
     "text-id": {0: Split(1, "a", 2), "a": Leaf(0), 2: Leaf(0)},
     "product-zero": {0: Split(0, 1, 2), 1: Leaf(0), 2: Leaf(0)},
+    "orphan-text-product": {0: Leaf(0), 1: Split(None, 2, 3)},
+    "orphans-of-mixed-ids": {0: Leaf(0), 3: Leaf(0), "b": Leaf(0)},
 }
 
 
