@@ -9,7 +9,11 @@ Subcommands:
   the benchmark all run solvers through it via ``solve_one``.
 - ``dfopt experiment``: a seeded grid of instances and methods, one CSV per
   table, reproducible byte for byte given the same spec (timings can be
-  zeroed with --no-timings for exact reruns).
+  zeroed with --no-timings for exact reruns).  ``EXPERIMENTS`` gives each
+  table's per-replication worker and columns; ``cmd_experiment`` is the one
+  runner: ``_run_cells`` checks every grid cell, then runs the worker per
+  replication (a failing one becomes a ``status=error:`` row), and
+  ``_rows_with_means`` adds each cell's means before the CSV is written.
 
 Exit codes: 0 success, 2 configuration error, 3 budget exhausted (partial
 result emitted), 4 internal solver error.
@@ -25,6 +29,7 @@ import logging
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import benders, formulations, heuristics, instancegen, model
@@ -240,17 +245,6 @@ def _shape_for(type_name: str, leaves: int) -> instancegen.TreeShape:
     raise ConfigError(f"unknown instance type {type_name!r}")
 
 
-def _instance_for(type_name, n, num_trees, leaves, seed, revenue_range):
-    config = instancegen.GeneratorConfig(
-        n=n,
-        num_trees=num_trees,
-        shape=_shape_for(type_name, leaves),
-        revenue_range=tuple(revenue_range),
-        seed=seed,
-    )
-    return instancegen.generate_instance(config)
-
-
 def _rep_seed(master_seed: int, *coords) -> int:
     # stable across processes (never use hash(): it is salted per run)
     seed = master_seed % (2**63)
@@ -315,9 +309,11 @@ def _grid(spec) -> list[tuple]:
 def _run_cells(spec, worker):
     """Run ``worker(catalog, forest, seed)`` per (cell, replication), in grid order.
 
-    Each replication's instance is drawn from its cell and seed, with the
-    revenues in the spec's ``revenue_range``.  Returns ``(cell, rep, seed,
-    result)`` tuples.
+    Every cell's generator config is built, and so checked, before the first
+    worker runs.  Each replication's instance is drawn from its cell and
+    seed, with the revenues in the spec's ``revenue_range``.  Returns
+    ``(cell, rep, seed, row)`` tuples: the worker's row with status ``ok``
+    unless it sets its own, or only an ``error:`` status if it raises.
     """
     reps = _count("replications", spec.get("replications", 1), 1)
     # any integer seeds the grid: _rep_seed reduces it modulo 2**63
@@ -326,13 +322,21 @@ def _run_cells(spec, worker):
         cells = _grid(spec)
     except TypeError as exc:  # a grid entry that is not a list
         raise ConfigError(f"malformed experiment grid: {exc}") from None
-    revenue_range = spec.get("revenue_range", [1, 100])
+    revenue_range = tuple(spec.get("revenue_range", [1, 100]))
+    configs = [
+        instancegen.GeneratorConfig(n, trees, _shape_for(kind, leaves), revenue_range)
+        for kind, n, trees, leaves in cells
+    ]
     results = []
-    for cell in cells:
+    for cell, config in zip(cells, configs):
         for rep in range(reps):
             seed = _rep_seed(master_seed, *cell, rep)
-            catalog, forest = _instance_for(*cell, seed, revenue_range)
-            results.append((cell, rep, seed, worker(catalog, forest, seed)))
+            catalog, forest = instancegen.generate_instance(replace(config, seed=seed))
+            try:
+                row = {"status": "ok", **worker(catalog, forest, seed)}
+            except DfoptError as exc:
+                row = {"status": f"error: {exc}"}
+            results.append((cell, rep, seed, row))
     return results
 
 
@@ -361,8 +365,16 @@ def _spec_budget(spec) -> benders.Budget:
     )
 
 
+def _pct(diff, base):
+    """``diff`` as a percentage of ``base``; None unless ``base`` is positive."""
+    return 100.0 * diff / base if base > 0 else None
+
+
 def _experiment_integrality(spec, timings):
+    """Root relaxation gap of each formulation against the brute-force optimum."""
+
     def worker(catalog, forest, seed):
+        # its own try keeps z_star on an error row
         row = {}
         try:
             _, z_star = model.brute_force_optimal(catalog, forest)
@@ -376,44 +388,40 @@ def _experiment_integrality(spec, timings):
                     formulations.build(kind, catalog, forest)
                 )
                 row[f"z_lo_{kind.value}"] = z_lo
-                row[f"gap_{kind.value}"] = max(0.0, 100.0 * (z_lo - z_star) / z_star)
-            row["status"] = "ok"
+                row[f"gap_{kind.value}"] = max(0.0, _pct(z_lo - z_star, z_star))
         except DfoptError as exc:
             row["status"] = f"error: {exc}"
         return row
 
-    results = _run_cells(spec, worker)
-    keys = ["z_star"]
-    for kind in KINDS:
-        keys += [f"z_lo_{kind.value}", f"gap_{kind.value}"]
-    rows = _rows_with_means(results, keys)
-    header = [*CELL_COLUMNS, "rep", "seed", "status"] + keys
-    return "integrality_gap", header, rows
+    columns = [f"{c}_{k.value}" for k in KINDS for c in ("z_lo", "gap")]
+    return worker, ["z_star", *columns]
 
 
 def _experiment_tractability(spec, timings):
+    """Budgeted monolithic solves: final gap and time per formulation."""
     budget = _spec_budget(spec)
 
     def worker(catalog, forest, seed):
-        row = {"status": "ok"}
+        row = {}
         for kind in KINDS:
             method = f"monolithic:{kind.value}"
             try:
                 res = solve_one(catalog, forest, method, budget=budget, timings=timings)
-            except DfoptError as exc:
+            except DfoptError as exc:  # the row keeps the kinds that did solve
                 row["status"] = f"error: {exc}"
                 continue
             row[f"gap_{kind.value}"] = res["gap"]
             row[f"time_{kind.value}"] = res["wall_ms"] / 1000.0
         return row
 
-    results = _run_cells(spec, worker)
-    keys = []
-    for kind in KINDS:
-        keys += [f"gap_{kind.value}", f"time_{kind.value}"]
-    rows = _rows_with_means(results, keys)
-    header = [*CELL_COLUMNS, "rep", "seed", "status"] + keys
-    return "tractability", header, rows
+    return worker, [f"{c}_{k.value}" for k in KINDS for c in ("gap", "time")]
+
+
+#: The ``benders`` table's columns per rho, each prefixed by ``rho{rho:g}_``.
+BENDERS_COLUMNS = (
+    "b", "z_b_lo", "z_b_ub", "z_b_lb", "g_b", "z_dnc", "ri_dnc", "z_direct",
+    "ri_direct", "nu_direct", "t_b_lo", "t_b_io", "t_b_total", "t_dnc", "t_direct",
+)
 
 
 def _experiment_benders(spec, timings):
@@ -421,11 +429,13 @@ def _experiment_benders(spec, timings):
     budget = _spec_budget(spec)
     rhos = [float(r) for r in spec.get("rho", [0.2])]
 
+    def columns(rho):
+        return [f"rho{rho:g}_{name}" for name in BENDERS_COLUMNS]
+
     def worker(catalog, forest, seed):
-        rows = {}
+        row = {}
         for rho in rhos:
             b = max(1, round(rho * catalog.n))
-            tag = f"rho{rho:g}"
             # the two phases are timed apart, which solve_one cannot do
             t0 = time.monotonic()
             relax = benders.relaxation_phase(
@@ -445,60 +455,19 @@ def _experiment_benders(spec, timings):
             direct = solve_one(
                 catalog, forest, "monolithic:split", cardinality=b, budget=budget
             )
-            z_lb = integer.value
-            z_dnc = dnc["value"]
-            z_direct = direct["value"]
-            rows[f"{tag}_b"] = b
-            rows[f"{tag}_z_b_lo"] = relax.value
-            rows[f"{tag}_z_b_ub"] = integer.upper_bound
-            rows[f"{tag}_z_b_lb"] = z_lb
-            rows[f"{tag}_g_b"] = integer.gap_pct
-            rows[f"{tag}_z_dnc"] = z_dnc
-            rows[f"{tag}_ri_dnc"] = (
-                100.0 * (z_lb - z_dnc) / z_dnc if z_dnc > 0 else None
-            )
-            rows[f"{tag}_z_direct"] = z_direct
-            rows[f"{tag}_ri_direct"] = (
-                100.0 * (z_lb - z_direct) / z_direct if z_direct > 0 else None
-            )
-            rows[f"{tag}_nu_direct"] = 0 if direct["optimal"] else 1
-            for name, secs in (
-                ("t_b_lo", t1 - t0),
-                ("t_b_io", t2 - t1),
-                ("t_b_total", t2 - t0),
-                ("t_dnc", dnc["wall_ms"] / 1000.0),
-                ("t_direct", direct["wall_ms"] / 1000.0),
-            ):
-                rows[f"{tag}_{name}"] = secs if timings else 0.0
-        return rows
+            z_lb, z_dnc, z_direct = integer.value, dnc["value"], direct["value"]
+            secs = (t1 - t0, t2 - t1, t2 - t0, dnc["wall_ms"] / 1000.0,
+                    direct["wall_ms"] / 1000.0)
+            row.update(zip(columns(rho), (
+                b, relax.value, integer.upper_bound, z_lb, integer.gap_pct,
+                z_dnc, _pct(z_lb - z_dnc, z_dnc),
+                z_direct, _pct(z_lb - z_direct, z_direct),
+                0 if direct["optimal"] else 1,
+                *(s if timings else 0.0 for s in secs),
+            )))
+        return row
 
-    results = _run_cells(spec, worker)
-    keys = []
-    for rho in rhos:
-        tag = f"rho{rho:g}"
-        keys += [
-            f"{tag}_{name}"
-            for name in (
-                "b",
-                "z_b_lo",
-                "z_b_ub",
-                "z_b_lb",
-                "g_b",
-                "z_dnc",
-                "ri_dnc",
-                "z_direct",
-                "ri_direct",
-                "nu_direct",
-                "t_b_lo",
-                "t_b_io",
-                "t_b_total",
-                "t_dnc",
-                "t_direct",
-            )
-        ]
-    rows = _rows_with_means(results, keys)
-    header = [*CELL_COLUMNS, "rep", "seed"] + keys
-    return "benders", header, rows
+    return worker, [c for rho in rhos for c in columns(rho)]
 
 
 def _experiment_heuristics(spec, timings):
@@ -518,20 +487,15 @@ def _experiment_heuristics(spec, timings):
         for name, res in results.items():
             v = res["value"]
             row[f"z_{name}"] = v
-            row[f"gbar_{name}"] = (
-                100.0 * (best_ub - v) / best_ub if best_ub > 0 else None
-            )
+            row[f"gbar_{name}"] = _pct(best_ub - v, best_ub)
         return row
 
-    results = _run_cells(spec, worker)
-    keys = ["z_best_ub"]
-    for name in methods:
-        keys += [f"z_{name}", f"gbar_{name}"]
-    rows = _rows_with_means(results, keys)
-    header = [*CELL_COLUMNS, "rep", "seed"] + keys
-    return "heuristics", header, rows
+    return worker, ["z_best_ub", *(f"{c}_{m}" for m in methods for c in ("z", "gbar"))]
 
 
+#: Every table by name: ``EXPERIMENTS[name](spec, timings)`` returns
+#: ``(worker, columns)``, the per-replication ``worker(catalog, forest, seed)``
+#: that gives one row and the row's metric columns in header order.
 EXPERIMENTS = {
     "integrality_gap": _experiment_integrality,
     "tractability": _experiment_tractability,
@@ -577,11 +541,12 @@ def cmd_experiment(args) -> int:
             f"unknown experiment {name!r} (choose from {sorted(EXPERIMENTS)})"
         )
     _check_spec(spec)
-    table, header, rows = EXPERIMENTS[name](spec, not args.no_timings)
+    worker, columns = EXPERIMENTS[name](spec, not args.no_timings)
+    rows = _rows_with_means(_run_cells(spec, worker), columns)
     out_dir = Path(args.out or spec.get("out", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    schema = f"{SCHEMA_PREFIX}.{table}.v1"
-    _write_csv(out_dir / f"{table}.csv", schema, header, rows)
+    header = [*CELL_COLUMNS, "rep", "seed", "status", *columns]
+    _write_csv(out_dir / f"{name}.csv", f"{SCHEMA_PREFIX}.{name}.v1", header, rows)
     return EXIT_OK
 
 

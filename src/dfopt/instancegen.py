@@ -26,7 +26,6 @@ stepping over the sorted ancestors instead of listing the allowed products.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -41,13 +40,14 @@ from .model import (
     ProductCatalog,
     PurchaseTree,
     Split,
+    _is_integer,
     _json_integer,
 )
 
 
 def _check_integer(name: str, value, least: int) -> None:
     """Raise ``ConfigError`` unless ``value`` is an integer >= ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_integer(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ConfigError(f"{name} must be >= {least}, got {value}")
@@ -163,9 +163,9 @@ def assign_leaf_options(tree_nodes: dict[int, Node], root: int, rng) -> Purchase
         nid, products = stack.pop()
         visits -= 1
         node = tree_nodes.get(nid) if visits >= 0 and isinstance(nid, int) else None
-        if isinstance(node, Split):
+        if isinstance(node, Split) and _is_integer(node.product):
             stack += [(node.left, products + [node.product]), (node.right, products)]
-        elif isinstance(node, Leaf) and node.option >= 0:
+        elif isinstance(node, Leaf) and _is_integer(node.option) and node.option >= 0:
             offered[nid] = products
         else:  # not a tree of splits and leaves: raise the arena's own error
             PurchaseTree(tree_nodes, root)

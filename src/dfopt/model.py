@@ -56,7 +56,8 @@ class PurchaseTree:
     Node ids are arbitrary integers (the arena is a mapping), so trees can
     carry externally meaningful numberings.  Construction checks the arena in
     one walk from the root.  Each node reached has an integer id in the arena
-    and is a ``Split`` with product >= 1 or a ``Leaf`` with option >= 0; no
+    and is a ``Split`` with an integer product >= 1 or a ``Leaf`` with an
+    integer option >= 0 (a bool is not an integer, a numpy integer is); no
     product repeats on a path (such a split would be unreachable).  A node
     reached twice means a cycle, a second parent, identical children or a
     child that is the root; a node never reached is an orphan.
@@ -118,6 +119,10 @@ class PurchaseTree:
             depth[nid] = len(path) + 1
             node = nodes[nid]
             if isinstance(node, Leaf):
+                if type(node.option) is not int and not _is_integer(node.option):
+                    raise ValidationError(
+                        f"leaf {nid}: option {node.option!r} is not an integer"
+                    )
                 if node.option < 0:
                     raise ValidationError(f"leaf {nid}: option {node.option} < 0")
                 leaves.append(nid)
@@ -125,6 +130,10 @@ class PurchaseTree:
                 for s, went_left in path:
                     (left_leaves if went_left else right_leaves)[s].append(nid)
             elif isinstance(node, Split):
+                if type(node.product) is not int and not _is_integer(node.product):
+                    raise ValidationError(
+                        f"split {nid}: product {node.product!r} is not an integer"
+                    )
                 if node.product < 1:
                     raise ValidationError(f"split {nid}: product id {node.product} < 1")
                 if node.product in anc:
@@ -189,6 +198,14 @@ class PurchaseTree:
         )
 
 
+def _is_integer(v) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    # plain ints skip the ABC test, which costs several times more
+    if type(v) is int:
+        return True
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def _check_nonnegative(v, what: str) -> None:
     # NaN passes every comparison test, so non-finite floats are refused first
     if isinstance(v, bool) or (isinstance(v, float) and not math.isfinite(v)):
@@ -205,6 +222,8 @@ class ProductCatalog:
     revenues: tuple[Number, ...]
 
     def __post_init__(self):
+        if not _is_integer(self.n):
+            raise ValidationError(f"catalog size n={self.n!r} is not an integer")
         if self.n < 1:
             raise ValidationError("catalog needs at least one product")
         if len(self.revenues) != self.n:
@@ -363,7 +382,7 @@ def check_cardinality(n: int, cardinality: int | None) -> None:
     """
     if cardinality is None:
         return
-    if isinstance(cardinality, bool) or not isinstance(cardinality, numbers.Integral):
+    if not _is_integer(cardinality):
         raise DomainError(f"cardinality must be an integer, got {cardinality!r}")
     if not 0 <= cardinality <= n:
         raise DomainError(f"cardinality {cardinality} out of range 0..{n}")

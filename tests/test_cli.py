@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from dfopt import cli
+from dfopt import cli, heuristics
 from dfopt.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_OK, main
+from dfopt.errors import SolverError
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import instance_from_json, instance_to_json
 
@@ -636,6 +637,66 @@ class TestExperiment:
         spec_path.write_text(json.dumps(dict(self.SPEC, out=out)))
         assert main(["experiment", "--spec", str(spec_path)]) == EXIT_CONFIG
         assert "out must be a path string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, function",
+        [("heuristics", "revenue_ordered"), ("benders", "divide_and_conquer")],
+        ids=["heuristics", "benders"],
+    )
+    def test_failing_replication_becomes_an_error_row(
+        self, tmp_path, monkeypatch, name, function
+    ):
+        spec = dict(self.SMALL, experiment=name, types=["t3"], replications=3)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+
+        def rows(out):
+            argv = ["--no-timings", "experiment", "--spec", str(spec_path), "--out", out]
+            assert main(argv) == EXIT_OK
+            text = (tmp_path / out / f"{name}.csv").read_text()
+            return {r["rep"]: r for r in csv.DictReader(io.StringIO(text))}
+
+        clean = rows(str(tmp_path / "clean"))
+        calls = []
+        real = getattr(heuristics, function)
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SolverError("injected")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(heuristics, function, flaky)
+        got = rows(str(tmp_path / "flaky"))
+        assert [r["status"] for r in got.values()] == ["ok", "error: injected", "ok", ""]
+        metrics = [k for k in got["1"] if k.startswith(("z_", "rho"))]
+        assert metrics and all(got["1"][k] == "" for k in metrics)
+        assert got["0"] == clean["0"] and got["2"] == clean["2"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"types": ["t1", "t9"]}, "unknown instance type 't9'"),
+            ({"types": ["t3", "t2"], "leaves": [8, 6]}, "t2 needs a power-of-two leaf"),
+            ({"types": ["t3"], "n": [8, 2]}, "cannot grow to 8 leaves with n=2"),
+        ],
+        ids=["unknown-type", "t2-leaves", "t3-too-few-products"],
+    )
+    def test_invalid_cell_is_refused_before_any_cell_runs(
+        self, tmp_path, capsys, monkeypatch, edit, message
+    ):
+        def solve_one(*args, **kwargs):
+            raise AssertionError("a grid cell ran")
+
+        monkeypatch.setattr(cli, "solve_one", solve_one)
+        spec = {**self.SPEC, "experiment": "tractability", "n": [8], "num_trees": [2],
+                "leaves": [8], **edit}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_experiment(self, tmp_path):
         spec_path = tmp_path / "spec.json"

@@ -9,14 +9,19 @@ greedy oracles are fed exact Fraction levels, so their weights and duals are
 exact too; their digest leaves out the event trace and the multipliers'
 insertion order and pins only what the sweeps compute.  The 3-CNF reduction's
 instances are pinned byte for byte through their JSON, and so are generated
-instances and a tree whose node ids are negative and not positions.
+instances and a tree whose node ids are negative and not positions.  So are
+the four experiment tables' ``--no-timings`` CSVs.
 """
 
+import csv
 import hashlib
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
 
+from dfopt.cli import main
 from dfopt.formulations import Kind, build
 from dfopt.instancegen import (
     GeneratorConfig,
@@ -169,3 +174,76 @@ def test_instance_json_is_pinned():
     forest = DecisionForest((PurchaseTree(nodes, -7),), (1.0,))
     h.update(instance_to_json(ProductCatalog(n=2, revenues=(3, 5)), forest).encode())
     assert h.hexdigest() == JSON_DIGEST
+
+
+EXPERIMENT_GRID = {
+    "types": ["t1", "t2", "t3"], "n": [9, 6], "num_trees": [3], "leaves": [8],
+    "replications": 2, "seed": 5, "revenue_range": [1, 50], "rho": [0.2, 0.5],
+}
+ZERO_REVENUE_GRID = {
+    "types": ["t3"], "n": [6], "num_trees": [2], "leaves": [4],
+    "replications": 2, "seed": 5, "revenue_range": [0, 0],
+}
+#: Per case "table" or "table/variant": the spec's grid and its CSV's SHA-256.
+CSV_CASES = {
+    "integrality_gap": (
+        EXPERIMENT_GRID,
+        "57cd20174c5a099815e7fdf3efec4c91bfce258c6d3eb3e958307bf4d36bb2c6",
+    ),
+    "integrality_gap/budget": (
+        dict(EXPERIMENT_GRID, budget_nodes=2),
+        "57cd20174c5a099815e7fdf3efec4c91bfce258c6d3eb3e958307bf4d36bb2c6",
+    ),
+    "tractability": (
+        EXPERIMENT_GRID,
+        "eaee9f6607fb188b39fbe84757f47e458f7ac2721d070e76a0a2669379554896",
+    ),
+    "tractability/budget": (
+        dict(EXPERIMENT_GRID, budget_nodes=2),
+        "c765de24de0d9f5cf59a4a375fc20f1fc69fa8dda08a19bf92bdc826e1bdd005",
+    ),
+    "benders": (
+        EXPERIMENT_GRID,
+        "c425681b13389903c5bc6e02e104093ffc5654faaf88b7f9cf48836e8b5a71b2",
+    ),
+    "benders/budget": (
+        dict(EXPERIMENT_GRID, budget_nodes=2),
+        "558292a8482869f76dc7d5dbb41afef1d043f04b6fce8b9ab214dae65dd55a36",
+    ),
+    "heuristics": (
+        EXPERIMENT_GRID,
+        "6006ebec1af8b9e6267ead12fd8d322504f1176de1c9230b2ba17d497163794d",
+    ),
+    "heuristics/budget": (
+        dict(EXPERIMENT_GRID, budget_nodes=2),
+        "e01790ad33bafe5ea9aafaa11f463530a3f9f9870663651a08f2d4103ef03401",
+    ),
+    "integrality_gap/zero-revenue": (
+        ZERO_REVENUE_GRID,
+        "5c87356783b8bbef6f8856361778493fd1886ee736539effdc6272b402594b54",
+    ),
+    "heuristics/zero-revenue": (
+        ZERO_REVENUE_GRID,
+        "810b88e6c50aa46da64cc136f940c118ddaca52192a09372e3f2a0754d44f1f3",
+    ),
+}
+
+
+def test_experiment_csvs_are_pinned(tmp_path):
+    wrong = []
+    for case, (grid, digest) in CSV_CASES.items():
+        name = case.split("/")[0]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(dict(grid, experiment=name)))
+        out = tmp_path / case.replace("/", "-")
+        argv = ["--no-timings", "experiment", "--spec", str(spec), "--out", str(out)]
+        assert main(argv) == 0, case
+        data = (out / f"{name}.csv").read_bytes()
+        rows = csv.DictReader(io.StringIO(data.decode()))
+        errors = [r["status"] for r in rows if r["status"].startswith("error:")]
+        # with every revenue 0 the optimum is 0, so no relative gap is defined
+        undefined = case == "integrality_gap/zero-revenue"
+        assert errors == ["error: Z*=0, gap undefined"] * 2 * undefined, case
+        if hashlib.sha256(data).hexdigest() != digest:
+            wrong.append(case)
+    assert not wrong

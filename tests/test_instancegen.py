@@ -243,6 +243,10 @@ BAD_ARENAS = {
     "product-zero": {0: Split(0, 1, 2), 1: Leaf(0), 2: Leaf(0)},
     "orphan-text-product": {0: Leaf(0), 1: Split(None, 2, 3)},
     "orphans-of-mixed-ids": {0: Leaf(0), 3: Leaf(0), "b": Leaf(0)},
+    "none-product": {0: Split(None, 1, 2), 1: Leaf(0), 2: Leaf(0)},
+    "text-option": {0: Split(1, 1, 2), 1: Leaf("x"), 2: Leaf(0)},
+    "fractional-product": {0: Split(1.5, 1, 2), 1: Leaf(0), 2: Leaf(0)},
+    "bool-option": {0: Split(1, 1, 2), 1: Leaf(True), 2: Leaf(0)},
 }
 
 

@@ -3,6 +3,7 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from dfopt.errors import DomainError, SizeGuardError, ValidationError
@@ -102,6 +103,17 @@ class TestTreeValidation:
     def test_non_finite_or_boolean_revenue_rejected(self, bad):
         with pytest.raises(ValidationError):
             ProductCatalog(n=2, revenues=(1, bad))
+
+    @pytest.mark.parametrize("n", [2.0, True, None, "2"])
+    def test_non_integer_catalog_size_rejected(self, n):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            ProductCatalog(n=n, revenues=(1, 2))
+
+    def test_numpy_integers_accepted(self):
+        nodes = {0: Split(np.int64(2), 1, 2), 1: Leaf(np.int32(2)), 2: Leaf(np.int64(0))}
+        tree = PurchaseTree(nodes, 0)
+        catalog = ProductCatalog(n=np.int64(2), revenues=(1, 5))
+        assert expected_revenue(catalog, DecisionForest((tree,), (1.0,)), (0, 1)) == 5
 
     @pytest.mark.parametrize(
         "weights",
