@@ -28,9 +28,9 @@ basis), each tree's product-oracle LP from its previous one, the integer
 root from the relaxation's final master basis, each B&B child from its
 parent's final basis, and a node's re-solve after lazy cuts from its own.
 The monolithic root starts from ``BuiltFormulation.start_basis``, the
-dual feasible basis at the point where every tree buys its best leaf
-(``formulations.best_leaf_basis``), and so does each tree's first
-product-oracle LP.
+dual feasible basis at the point where every tree buys its best leaf, and
+so does each tree's first product-oracle LP, which is that tree's own
+``formulations.build`` with x fixed by its bounds.
 """
 
 from __future__ import annotations

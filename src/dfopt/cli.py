@@ -524,6 +524,10 @@ def _check_spec(spec) -> None:
     rho = spec.get("rho", [0.2])
     if not (isinstance(rho, list) and all(number(r) and 0 < r <= 1 for r in rho)):
         raise ConfigError(f"rho must be a list of numbers in (0, 1], got {rho!r}")
+    tags = [f"rho{r:g}" for r in rho]  # the benders table's column prefixes
+    shared = next((tag for tag in tags if tags.count(tag) > 1), None)
+    if shared is not None:
+        raise ConfigError(f"rho values {rho!r} share the column tag {shared}")
     if not isinstance(spec.get("out", "."), str):
         raise ConfigError(f"out must be a path string, got {spec['out']!r}")
 

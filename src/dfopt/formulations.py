@@ -15,10 +15,12 @@ implies y <= 1, but the LP layer takes only finite bounds.
 ``capacity_rows`` is the one place where the granularities are defined; the
 builder here, the per-tree oracles, the closed-form cuts and the Benders cut
 assembly all read their rows from it or from its per-leaf transpose
-``leaf_rows``.  The objective is the weight-and-revenue weighted sum of leaf
-variables.  An optional cardinality row fixes the assortment size.  Builders
-are pure and produce deterministic row/column orderings (trees in order, node
-ids ascending), so matrices are reproducible byte for byte.
+``leaf_rows``.  Fixing x splits the "product" formulation into one LP per
+tree, so the per-product oracle solves ``build`` of its tree alone, with x
+fixed by its bounds.  The objective is the weight-and-revenue weighted sum
+of leaf variables.  An optional cardinality row fixes the assortment size.
+Builders are pure and produce deterministic row/column orderings (trees in
+order, node ids ascending), so matrices are reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -130,35 +132,28 @@ class BuiltFormulation:
         return {key: float(solution.x[c]) for key, c in self.y_cols.items()}
 
     def start_basis(self) -> WarmBasis:
-        return best_leaf_basis(self.lp, self.unit_rows, self.card_row, self.cardinality)
+        """Start basis at the optimistic point: every tree buys its best leaf.
 
+        In each tree's unit-sum row the leaf with the largest objective
+        coefficient is basic, on ties the smallest leaf id; every capacity
+        slack is basic.  With a cardinality b >= 1, product 1 is basic in the
+        cardinality row and products 2..b sit at their upper bound; at b = 0
+        the row keeps its slack.
 
-def best_leaf_basis(
-    lp: LinearProgram,
-    unit_rows,
-    card_row: int | None = None,
-    cardinality: int | None = None,
-) -> WarmBasis:
-    """Start basis at the optimistic point: every tree buys its best leaf.
-
-    In each tree's unit-sum row (``unit_rows``, whose nonzeros are the tree's
-    leaf weights) the leaf with the largest objective coefficient is basic,
-    on ties the smallest leaf id; every capacity slack is basic.  With a
-    cardinality b >= 1, product 1 is basic in ``card_row`` and products 2..b
-    sit at their upper bound; at b = 0 the row keeps its slack.
-
-    The basis is dual feasible, so the dual simplex starts from it on the true
-    costs: capacity duals are 0, each unit row's dual is its best leaf's
-    coefficient, which no leaf's exceeds, and the x columns cost 0 and meet
-    only rows of dual 0, so their reduced costs are 0.
-    """
-    basic = list(range(lp.num_cols, lp.num_cols + lp.num_rows))
-    for row in unit_rows:
-        cols = lp.A[row].nonzero()[0]
-        basic[row] = int(cols[lp.c[cols].argmax()])  # first maximum on ties
-    if cardinality:
-        basic[card_row] = 0
-    return WarmBasis(basic=tuple(basic), at_upper=tuple(range(1, cardinality or 0)))
+        The basis is dual feasible, so the dual simplex starts from it on the
+        true costs: capacity duals are 0, each unit row's dual is its best
+        leaf's coefficient, which no leaf's exceeds, and the x columns cost 0
+        and meet only rows of dual 0, so their reduced costs are 0.
+        """
+        lp = self.lp
+        basic = list(range(lp.num_cols, lp.num_cols + lp.num_rows))
+        for row in self.unit_rows:
+            cols = lp.A[row].nonzero()[0]
+            basic[row] = int(cols[lp.c[cols].argmax()])  # first maximum on ties
+        if self.cardinality:
+            basic[self.card_row] = 0
+        at_upper = tuple(range(1, self.cardinality or 0))
+        return WarmBasis(basic=tuple(basic), at_upper=at_upper)
 
 
 def build(

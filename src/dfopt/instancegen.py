@@ -162,7 +162,7 @@ def assign_leaf_options(tree_nodes: dict[int, Node], root: int, rng) -> Purchase
     while stack:
         nid, products = stack.pop()
         visits -= 1
-        node = tree_nodes.get(nid) if visits >= 0 and isinstance(nid, int) else None
+        node = tree_nodes.get(nid) if visits >= 0 and _is_integer(nid) else None
         if isinstance(node, Split) and _is_integer(node.product):
             stack += [(node.left, products + [node.product]), (node.right, products)]
         elif isinstance(node, Leaf) and _is_integer(node.option) and node.option >= 0:

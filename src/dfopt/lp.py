@@ -23,8 +23,9 @@ direction, and the reduced costs, which move by the pivot row
 (d <- d - (d_q / alpha_q) alpha) and are recomputed at every
 factorization.  The row part of the internal form (``LinearProgram._form``)
 is built once per constraint matrix and shared by the programs
-``with_bounds`` and ``with_rhs`` derive from it (branch-and-bound nodes,
-product-oracle LPs); a solve holds no other copy of the program.
+``with_bounds``, the one derivation, makes from it (branch-and-bound nodes,
+and product-oracle LPs, whose x columns are fixed by their bounds); a solve
+holds no other copy of the program.
 
 ``solve_lp(lp, warm=None)`` is the one entry point, and every solve takes
 one path from a start basis.  The start is a given start basis
@@ -63,12 +64,13 @@ numerical failures raise SolverError instead of returning a wrong status.
 arithmetic, for regression fixtures whose optima are known exactly.
 
 Costs, coefficients, right-hand sides and both bounds of every column
-must be finite; ``validate`` raises ValidationError otherwise.
+must be finite; a program is checked once, when it is made, and raises
+ValidationError otherwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -95,11 +97,9 @@ INFEASIBLE = "infeasible"
 class LinearProgram:
     """max c'x subject to row constraints and finite variable bounds.
 
-    ``build`` validates the program and marks it ``validated``, so
-    ``solve_lp`` does not check it again; ``with_bounds`` and ``with_rhs``
-    of a validated program check only what they change.  One made any other
-    way (the constructor, ``dataclasses.replace``) is checked each time it is
-    solved.
+    A program checks itself once, when it is made (``__post_init__``), so a
+    solve does not check it again; ``with_bounds`` checks only the bounds it
+    changes.
     """
 
     c: np.ndarray
@@ -108,11 +108,10 @@ class LinearProgram:
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
-    validated: bool = field(default=False, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, c, A, senses, b, lb=None, *, ub) -> "LinearProgram":
-        """The validated program.  ``lb`` defaults to 0; ``ub`` has no
+        """The program from array-likes.  ``lb`` defaults to 0; ``ub`` has no
         default, since every bound must be finite."""
         c = np.asarray(c, dtype=float)
         A = np.asarray(A, dtype=float)
@@ -122,10 +121,7 @@ class LinearProgram:
         n = len(c)
         lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
         ub = np.asarray(ub, dtype=float)
-        lp = cls(c=c, A=A, senses=tuple(senses), b=b, lb=lb, ub=ub)
-        lp.validate()
-        object.__setattr__(lp, "validated", True)
-        return lp
+        return cls(c=c, A=A, senses=tuple(senses), b=b, lb=lb, ub=ub)
 
     @property
     def num_rows(self) -> int:
@@ -135,13 +131,14 @@ class LinearProgram:
     def num_cols(self) -> int:
         return self.A.shape[1]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         m, n = self.A.shape
-        if np.shape(self.c) != (n,) or len(self.senses) != m:
+        if np.shape(self.c) != (n,) or np.shape(self.b) != (m,) or len(self.senses) != m:
             raise ValidationError("inconsistent LP dimensions")
         if not (np.isfinite(self.c).all() and np.isfinite(self.A).all()):
             raise ValidationError("costs and row coefficients must be finite")
-        _check_rhs(self.b, m)
+        if not np.isfinite(self.b).all():
+            raise ValidationError("right-hand sides must be finite")
         _check_bounds(self.lb, self.ub, n)
         if not _SENSES.issuperset(self.senses):
             bad = next(s for s in self.senses if s not in _SENSES)
@@ -159,9 +156,8 @@ class LinearProgram:
         stored.  A slack ranges over [0, ``slack_ub``]: [0, inf) on an
         inequality row, [0, 0] on an equality row.  ``c_min`` holds the
         costs to minimize, 0 for every slack.  Built once per constraint
-        matrix and shared by the programs ``with_bounds`` and ``with_rhs``
-        derive from this one; ``_Simplex`` signs b and extends the bounds
-        per solve.
+        matrix and shared by the programs ``with_bounds`` derives from this
+        one; ``_Simplex`` signs b and extends the bounds per solve.
         """
         sign = np.array([-1.0 if s == GE else 1.0 for s in self.senses])
         A = self.A * sign[:, None] if GE in self.senses else self.A
@@ -169,30 +165,17 @@ class LinearProgram:
         c_min = np.concatenate([-self.c, np.zeros(len(sign))])
         return sign, A, np.ascontiguousarray(A.T), slack_ub, c_min
 
-    def _derive(self, **changes) -> "LinearProgram":
-        lp = replace(self, **changes)
-        lp.__dict__["_form"] = self._form
-        object.__setattr__(lp, "validated", self.validated)
-        return lp
-
     def with_bounds(self, lb, ub) -> "LinearProgram":
+        """This program with bounds ``lb`` and ``ub``, sharing its ``_form``.
+
+        Only the bounds are checked: the copy is not made through the
+        constructor, which would check A again at every branch-and-bound node.
+        """
         lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
-        if self.validated:
-            _check_bounds(lb, ub, self.num_cols)
-        return self._derive(lb=lb, ub=ub)
-
-    def with_rhs(self, b) -> "LinearProgram":
-        b = np.asarray(b, dtype=float)
-        if self.validated:
-            _check_rhs(b, self.num_rows)
-        return self._derive(b=b)
-
-
-def _check_rhs(b: np.ndarray, m: int) -> None:
-    if np.shape(b) != (m,):
-        raise ValidationError("inconsistent LP dimensions")
-    if not np.isfinite(b).all():
-        raise ValidationError("right-hand sides must be finite")
+        _check_bounds(lb, ub, self.num_cols)
+        lp = object.__new__(LinearProgram)
+        lp.__dict__.update(self.__dict__, lb=lb, ub=ub, _form=self._form)
+        return lp
 
 
 def _check_bounds(lb: np.ndarray, ub: np.ndarray, n: int) -> None:
@@ -704,8 +687,6 @@ def solve_lp(lp: LinearProgram, warm: WarmBasis | None = None) -> LpSolution:
     fails numerically) falls back to the slack basis; ``LpSolution.warm``
     tells which one served.
     """
-    if not lp.validated:
-        lp.validate()
     if warm is not None:
         sol = _solve_from(lp, warm)
         if sol is not None:
@@ -719,8 +700,6 @@ def solve_lp_multi(lp: LinearProgram, bases) -> LpSolution:
     The cold fallback goes through ``solve_lp``, so a caller watching that
     name sees which calls the start bases did not serve.
     """
-    if not lp.validated:
-        lp.validate()
     for warm in bases:
         sol = None if warm is None else _solve_from(lp, warm)
         if sol is not None:

@@ -112,7 +112,7 @@ class PurchaseTree:
             nid, path, anc = stack.pop()
             if nid not in nodes:
                 raise ValidationError(f"split {path[-1][0]}: missing child {nid}")
-            if not isinstance(nid, int):
+            if type(nid) is not int and not _is_integer(nid):
                 raise ValidationError(f"node id {nid!r} is not an integer")
             if nid in depth:
                 raise ValidationError(f"node {nid} reached twice (cycle or DAG)")

@@ -21,13 +21,15 @@ capacity that a later leaf under another split of the product needed
 at most points, and its replayed dual proves it when it is feasible and as
 good: ``product_certified_sweep`` returns the pair only then, and
 ``product_subproblem_lp`` solves the rows with the bundled simplex when that
-check fails.  That LP is built once per tree, with only its right-hand sides
-set from x at each call.  Its dual simplex starts from the tree's previous
-basis, or on the first call from the basis where the tree buys its best leaf
-(``formulations.best_leaf_basis``); both are dual feasible at every x.  For
-binary x all three granularities share the closed-form optimum of
-``integer_cut``.  The greedy oracles and ``integer_cut`` read one
-``TreeTable`` per tree and granularity, which a caller builds once per tree.
+check fails.  That LP is the tree's own per-product formulation
+(``formulations.build`` of the tree alone), built once per tree, with its x
+columns fixed at each call by their bounds.  Its dual simplex starts from
+the tree's previous basis, or on the first call from the basis where the
+tree buys its best leaf (``BuiltFormulation.start_basis``); both are dual
+feasible at every x.  For binary x all three granularities share the
+closed-form optimum of ``integer_cut``.  The oracles read one ``TreeTable``
+per tree and granularity, which a caller builds once per tree, and refuse
+an x with other than one level per product.
 
 Arithmetic is pure Python, so exact inputs (ints, Fractions) give exact
 outputs.  All functions are pure; the tie rules (the unit-sum event wins,
@@ -41,19 +43,26 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping
 
-import numpy as np
-
 from .errors import ContractViolation
 from .formulations import (
+    BuiltFormulation,
     Kind,
     as_kind,
-    best_leaf_basis,
+    build,
     capacity_rows,
     leaf_rows,
     row_product,
 )
-from .lp import LE, EQ, OPT_TOL, LinearProgram, LpSolution, WarmBasis, solve_lp
-from .model import Number, ProductCatalog, PurchaseTree, as_values, traverse
+from .lp import OPT_TOL, LpSolution, WarmBasis, solve_lp
+from .model import (
+    DecisionForest,
+    Number,
+    ProductCatalog,
+    PurchaseTree,
+    as_values,
+    check_size,
+    traverse,
+)
 
 #: Capacities closer than this are treated as tied.
 TIE_TOL = 1e-12
@@ -126,19 +135,21 @@ def leaf_order(catalog: ProductCatalog, tree: PurchaseTree) -> tuple[int, ...]:
 class TreeTable:
     """What the oracles read of one tree at one granularity.
 
-    ``order`` is ``leaf_order`` and ``revenue`` each leaf's revenue.  Three
-    parts are built on first use: ``rows(l)``, the ``leaf_rows`` of leaf l,
-    which the sweep, the replay and ``slacks`` read; ``cuts[l]``, for
-    ``integer_cut``, each row of ``capacity_rows`` whose opposite branch holds
-    leaf l and one of whose leaves earns more than l, as ``(key, left,
-    excess)`` in row order, where ``excess`` is the largest revenue among
-    the row's leaves minus l's; and, at the per-product
-    granularity, ``product_lp`` for ``product_subproblem_lp``.  A caller that
-    separates the same tree many times builds the table once (``tree_table``)
-    and passes it as ``table=``; without one, every call builds its own.
+    ``catalog`` is the tree's catalog, ``order`` is ``leaf_order`` and
+    ``revenue`` each leaf's revenue.  Three parts are built on first use:
+    ``rows(l)``, the ``leaf_rows`` of leaf l, which the sweep, the replay and
+    ``slacks`` read; ``cuts[l]``, for ``integer_cut``, each row of
+    ``capacity_rows`` whose opposite branch holds leaf l and one of whose
+    leaves earns more than l, as ``(key, left, excess)`` in row order, where
+    ``excess`` is the largest revenue among the row's leaves minus l's; and,
+    at the per-product granularity, ``product_lp`` for
+    ``product_subproblem_lp``.  A caller that separates the same tree many
+    times builds the table once (``tree_table``) and passes it as
+    ``table=``; without one, every call builds its own.
     """
 
     kind: Kind
+    catalog: ProductCatalog
     tree: PurchaseTree
     order: tuple[int, ...]
     revenue: Mapping[int, Number]
@@ -161,30 +172,15 @@ class TreeTable:
         return cuts
 
     @cached_property
-    def product_lp(self) -> tuple[LinearProgram, list[tuple], WarmBasis]:
-        """The tree's per-product subproblem LP, its rows and its start basis.
+    def product_lp(self) -> tuple[BuiltFormulation, list[tuple], WarmBasis]:
+        """The tree's per-product formulation, its rows and its start basis.
 
-        Columns are the leaf weights, each in [0, 1], by ascending leaf id,
-        maximizing revenue; row 0 is the unit sum, then one row per
-        ``capacity_rows`` entry, whose right-hand sides ``_at_levels`` sets
-        from x (here all levels are 0).  The start basis is
-        ``best_leaf_basis``.
+        ``build`` of the tree alone: columns x, then the leaf weights by
+        ascending leaf id; row 0 is the unit sum, then one row per
+        ``capacity_rows`` entry.  ``_at_levels`` fixes x by its bounds.
         """
-        leaves = self.tree.leaf_ids
-        col = {l: j for j, l in enumerate(leaves)}
-        rows = capacity_rows(Kind.PRODUCT, self.tree)
-        A = np.zeros((len(rows) + 1, len(leaves)))
-        A[0] = 1.0
-        for r, (_, _, _, row_leaves, _) in enumerate(rows, 1):
-            A[r, [col[l] for l in row_leaves]] = 1.0
-        lp = LinearProgram.build(
-            c=[float(self.revenue[l]) for l in leaves],
-            A=A,
-            senses=[EQ] + [LE] * len(rows),
-            b=[1.0] + [0.0 if left else 1.0 for _, _, left, _, _ in rows],
-            ub=np.ones(len(leaves)),
-        )
-        return lp, rows, best_leaf_basis(lp, [0])
+        built = build(Kind.PRODUCT, self.catalog, DecisionForest((self.tree,), (1,)))
+        return built, capacity_rows(Kind.PRODUCT, self.tree), built.start_basis()
 
     def slacks(self, cert: DualCertificate) -> Iterator[tuple[int, Number]]:
         """``(leaf, slack)`` per leaf: gamma - revenue plus the prices of
@@ -205,6 +201,7 @@ def tree_table(kind, catalog: ProductCatalog, tree: PurchaseTree) -> TreeTable:
     """The tree's oracle table at granularity ``kind``."""
     return TreeTable(
         kind=as_kind(kind),
+        catalog=catalog,
         tree=tree,
         order=leaf_order(catalog, tree),
         revenue={l: catalog.leaf_revenue(tree, l) for l in tree.leaf_ids},
@@ -219,6 +216,7 @@ def tree_table(kind, catalog: ProductCatalog, tree: PurchaseTree) -> TreeTable:
 def _sweep(table: TreeTable, x) -> tuple[dict, EventTrace]:
     """The greedy sweep against the capacity rows of one granularity."""
     vals = as_values(x)
+    check_size(table.catalog, vals)
     y: dict[int, Number] = {l: 0 for l in table.tree.leaf_ids}
     used: tuple[dict, dict] = ({}, {})  # weight parked per row key: right, left
     events: list[tuple] = []
@@ -345,6 +343,7 @@ def integer_cut(
     kind = as_kind(kind)
     table = _table(kind, catalog, tree, table)
     vals = as_values(x)
+    check_size(catalog, vals)
     if any(v != 0 and v != 1 for v in vals):
         raise ContractViolation("integer_cut requires a binary assortment")
     _, leaf_star = traverse(tree, vals)
@@ -389,11 +388,11 @@ def product_certified_sweep(
     return value, cert
 
 
-def _at_levels(lp: LinearProgram, rows, vals) -> LinearProgram:
-    """``lp`` with the right-hand sides of levels ``vals``, sharing its rows."""
-    b = [1.0] + [float(vals[i - 1]) if left else 1.0 - float(vals[i - 1])
-                 for _, i, left, _, _ in rows]
-    return lp.with_rhs(b)
+def _at_levels(built: BuiltFormulation, vals):
+    """``built.lp`` with its x columns fixed at levels ``vals``."""
+    lb, ub = built.lp.lb.copy(), built.lp.ub.copy()
+    lb[: built.n] = ub[: built.n] = vals
+    return built.lp.with_bounds(lb, ub)
 
 
 def product_subproblem_lp(
@@ -406,15 +405,18 @@ def product_subproblem_lp(
 ) -> tuple[float, DualCertificate, LpSolution]:
     """Per-product subproblem via the bundled simplex; duals become the cut.
 
-    x enters only the right-hand sides, so the table's LP (``product_lp``)
-    serves every call, and any basis of it dual feasible at some levels stays
-    so at all: the dual simplex starts from ``warm``, the basis of the same
-    tree's LP at other levels (the returned solution's ``basis``), or without
-    one from the table's best-leaf basis.
+    x enters only the bounds of the fixed x columns, so the table's LP
+    (``product_lp``) serves every call, and any basis of it dual feasible at
+    some levels stays so at all: the dual simplex starts from ``warm``, the
+    basis of the same tree's LP at other levels (the returned solution's
+    ``basis``), or without one from the table's best-leaf basis.  That
+    solution's ``x`` and ``basis`` index the LP's columns: the n fixed x
+    columns first, then the leaf weights (``built.y_cols``).
     """
-    lp, rows, start = _table(Kind.PRODUCT, catalog, tree, table).product_lp
-    lp = _at_levels(lp, rows, as_values(x))
-    sol = solve_lp(lp, warm=start if warm is None else warm)
+    built, rows, start = _table(Kind.PRODUCT, catalog, tree, table).product_lp
+    vals = as_values(x)
+    check_size(catalog, vals)
+    sol = solve_lp(_at_levels(built, vals), warm=start if warm is None else warm)
     if sol.status != "optimal":
         raise ContractViolation(f"product subproblem LP is {sol.status}")
     alpha: dict[int, float] = {}

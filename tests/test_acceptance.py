@@ -149,8 +149,8 @@ def test_a02_greedy_failure_fixture_exact():
         x = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
         value, cert, sol = product_subproblem_lp(catalog, tree, x)
         assert value == 18.5
-        lp, rows, _ = tree_table(Kind.PRODUCT, catalog, tree).product_lp
-        exact = verify_solution_exact(_at_levels(lp, rows, x), sol)
+        built, _, _ = tree_table(Kind.PRODUCT, catalog, tree).product_lp
+        exact = verify_solution_exact(_at_levels(built, x), sol)
         assert exact["feasible"] and exact["optimal"]
         assert exact["objective"] == Fraction(37, 2)
         _, sweep = product_greedy_sweep(catalog, tree, x)

@@ -399,8 +399,8 @@ class TestMonolithicStartBasis:
         assert best == [20, 22, 30]
         built = build(Kind.SPLIT, catalog, single_tree_forest(tree))
         assert built.start_basis().basic[built.unit_rows[0]] == built.y_cols[(0, 20)]
-        _, _, start = subproblems.tree_table(Kind.PRODUCT, catalog, tree).product_lp
-        assert tree.leaf_ids[start.basic[0]] == 20
+        built, _, start = subproblems.tree_table(Kind.PRODUCT, catalog, tree).product_lp
+        assert tree.leaf_ids[start.basic[0] - built.n] == 20
 
 
 def record_solves(monkeypatch, module, name):

@@ -625,6 +625,22 @@ class TestExperiment:
         assert main(argv) == EXIT_CONFIG
         assert "rho must be a list of numbers in (0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rho", [[0.2, 0.2], [0.5, 0.2, 0.2000001]])
+    def test_rho_values_sharing_a_column_tag_are_refused(
+        self, tmp_path, capsys, monkeypatch, rho
+    ):
+        # each rho names its columns rho{rho:g}_..., so these wrote every
+        # column twice, with the last rho's values under both
+        def run_cells(spec, worker):
+            raise AssertionError("a grid cell ran")
+
+        monkeypatch.setattr(cli, "_run_cells", run_cells)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(dict(self.SPEC, experiment="benders", rho=rho)))
+        argv = ["experiment", "--spec", str(spec_path), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_CONFIG
+        assert "share the column tag rho0.2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("out", [5, ["a"], None], ids=["number", "list", "null"])
     def test_non_string_out_is_refused_before_any_cell(
         self, tmp_path, capsys, monkeypatch, out

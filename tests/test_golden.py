@@ -7,7 +7,10 @@ therefore pin the row layout and the certificates (including the insertion
 order of their multipliers) independently of how they are computed.  The
 greedy oracles are fed exact Fraction levels, so their weights and duals are
 exact too; their digest leaves out the event trace and the multipliers'
-insertion order and pins only what the sweeps compute.  The 3-CNF reduction's
+insertion order and pins only what the sweeps compute.  The per-product LP
+oracle is pinned through chained warm-started calls: its values, duals,
+pivot counts and warm flags, but not its basis indices, which name columns
+of the program the oracle solves.  The 3-CNF reduction's
 instances are pinned byte for byte through their JSON, and so are generated
 instances and a tree whose node ids are negative and not positions.  So are
 the four experiment tables' ``--no-timings`` CSVs.
@@ -44,6 +47,7 @@ from dfopt.subproblems import (
     leaf_dual_greedy,
     leaf_primal_greedy,
     product_greedy_sweep,
+    product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
 )
@@ -60,6 +64,7 @@ CUT_DIGEST = "d6b83d0a891b89657e8e4eeb3c0a7b572cdefd2f120faa6412fa868e7afba380"
 GREEDY_DIGEST = "5a93574def137c3a8d6cafe2d5b192ceff87d3cbab95291e3e326e17687af6f5"
 CLAUSE_TREE_DIGEST = "914f01667d2de2486ba0bdc91bdd361051267057a985283b683148dbe7c2b9bb"
 JSON_DIGEST = "929db38bd9b370c140048663442a0d5820149e9584e87003b8932d0ac807cc59"
+PRODUCT_LP_DIGEST = "6e24815492734cd3ea4c65906e177d3c6a55b5e5231d802661cbef5dc09c2fc2"
 
 
 def golden_instances():
@@ -145,6 +150,31 @@ def test_greedy_oracles_are_pinned():
                 y, value = product_greedy_sweep(catalog, tree, x)
                 h.update(repr((sorted(y.items()), value)).encode())
     assert h.hexdigest() == GREEDY_DIGEST
+
+
+def test_product_oracle_is_pinned():
+    records = []
+    for seed in range(100):
+        catalog, forest = generate_instance(
+            GeneratorConfig(n=8, num_trees=1, shape=TreeShape("t3", leaves=12), seed=seed)
+        )
+        tree = forest.trees[0]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        warm = None
+        for _ in range(4):
+            x = tuple(float(v) for v in rng.integers(0, 5, size=8) / 4)
+            value, cert, sol = product_subproblem_lp(catalog, tree, x, warm)
+            warm = sol.basis
+            records.append(repr((
+                value,
+                sorted(cert.alpha.items()),
+                sorted(cert.beta.items()),
+                cert.gamma,
+                sol.pivots,
+                sol.warm,
+            )))
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == PRODUCT_LP_DIGEST
 
 
 def test_reduction_instances_are_pinned():

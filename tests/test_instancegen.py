@@ -247,6 +247,7 @@ BAD_ARENAS = {
     "text-option": {0: Split(1, 1, 2), 1: Leaf("x"), 2: Leaf(0)},
     "fractional-product": {0: Split(1.5, 1, 2), 1: Leaf(0), 2: Leaf(0)},
     "bool-option": {0: Split(1, 1, 2), 1: Leaf(True), 2: Leaf(0)},
+    "bool-child": {0: Split(1, True, 2), True: Leaf(0), 2: Leaf(0)},
 }
 
 

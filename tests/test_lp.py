@@ -124,7 +124,7 @@ class TestBasics:
         with pytest.raises(ValidationError):
             LinearProgram.build(senses=[LE], **data)
         with pytest.raises(ValidationError):
-            solve_lp(LinearProgram(senses=(LE,), lb=np.zeros(2), **data))
+            LinearProgram(senses=(LE,), lb=np.zeros(2), **data)
         if name == "ub":  # with_bounds checks its bounds by the same rules
             lp = LinearProgram.build(
                 c=[1.0, 1.0], A=[[1.0, 1.0]], senses=[LE], b=[1.5], ub=[1.0, 1.0]
@@ -150,21 +150,22 @@ class TestBasics:
 
     def test_built_programs_are_validated_once(self, monkeypatch):
         calls = []
-        real = LinearProgram.validate
+        real = LinearProgram.__post_init__
         monkeypatch.setattr(
-            LinearProgram, "validate", lambda lp: calls.append(lp) or real(lp)
+            LinearProgram, "__post_init__", lambda lp: calls.append(lp) or real(lp)
         )
         lp = LinearProgram.build(c=[1.0], A=[[1.0]], senses=[LE], b=[2.0], ub=[3.0])
         assert solve_lp(lp).objective == pytest.approx(2.0)
         assert len(calls) == 1
-        # a program made another way is still checked when solved
-        bad = LinearProgram(
-            c=lp.c, A=lp.A, senses=("<",), b=lp.b, lb=lp.lb, ub=lp.ub
-        )
+        # a derived program checks its bounds, not the whole program again
+        child = lp.with_bounds([0.0], [1.0])
+        assert solve_lp(child).objective == pytest.approx(1.0)
+        assert len(calls) == 1
+        # a program made with the constructor is checked when it is made
         with pytest.raises(ValidationError, match="unknown row sense"):
-            solve_lp(bad)
+            LinearProgram(c=lp.c, A=lp.A, senses=("<",), b=lp.b, lb=lp.lb, ub=lp.ub)
         with pytest.raises(ValidationError, match="lower bound exceeds"):
-            solve_lp(lp.with_bounds([1.0], [0.0]))
+            lp.with_bounds([1.0], [0.0])
 
     def test_empty_rows(self):
         lp = LinearProgram.build(

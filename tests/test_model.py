@@ -109,8 +109,18 @@ class TestTreeValidation:
         with pytest.raises(ValidationError, match="is not an integer"):
             ProductCatalog(n=n, revenues=(1, 2))
 
+    def test_boolean_root_rejected(self):
+        # False == 0 as a dict key, so an id test that admits bools took it
+        nodes = {False: Split(1, 1, 2), 1: Leaf(0), 2: Leaf(0)}
+        with pytest.raises(ValidationError, match="node id False is not an integer"):
+            PurchaseTree(nodes, root=False)
+
     def test_numpy_integers_accepted(self):
-        nodes = {0: Split(np.int64(2), 1, 2), 1: Leaf(np.int32(2)), 2: Leaf(np.int64(0))}
+        nodes = {
+            0: Split(np.int64(2), np.int64(1), 2),
+            np.int64(1): Leaf(np.int32(2)),
+            2: Leaf(np.int64(0)),
+        }
         tree = PurchaseTree(nodes, 0)
         catalog = ProductCatalog(n=np.int64(2), revenues=(1, 5))
         assert expected_revenue(catalog, DecisionForest((tree,), (1.0,)), (0, 1)) == 5

@@ -8,7 +8,7 @@ import pytest
 
 from dfopt import subproblems
 from dfopt.benders import FRACTIONAL_LP, _separate
-from dfopt.errors import ContractViolation
+from dfopt.errors import ContractViolation, DomainError
 from dfopt.formulations import Kind
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.lp import EQ, LE, LinearProgram, solve_lp
@@ -415,7 +415,8 @@ class TestProductSubproblem:
         assert value == pytest.approx(18.5, abs=1e-9)
         _, sweep_value = product_greedy_sweep(catalog, tree, x)
         assert sweep_value == Fraction(10)
-        y = {l: sol.x[j] for j, l in enumerate(tree.leaf_ids)}
+        built, _, _ = tree_table(Kind.PRODUCT, catalog, tree).product_lp
+        y = {l: sol.x[built.y_cols[(0, l)]] for l in tree.leaf_ids}
         assert y[7] == pytest.approx(0.5) and y[10] == pytest.approx(0.5)
 
     def test_binary_matches_traversal(self):
@@ -543,12 +544,17 @@ def _cut(kind):
     return lambda catalog, tree, x, table: integer_cut(kind, catalog, tree, x, table=table)
 
 
+def _lp_value_and_certificate(catalog, tree, x, table):
+    return product_subproblem_lp(catalog, tree, x, table=table)[:2]
+
+
 TABLE_ORACLES = {
     "leaf_primal_greedy": (Kind.LEAF, _with_table(leaf_primal_greedy)),
     "leaf_dual_greedy": (Kind.LEAF, _replayed(leaf_primal_greedy, leaf_dual_greedy)),
     "split_primal_greedy": (Kind.SPLIT, _with_table(split_primal_greedy)),
     "split_dual_greedy": (Kind.SPLIT, _replayed(split_primal_greedy, split_dual_greedy)),
     "product_certified_sweep": (Kind.PRODUCT, _with_table(product_certified_sweep)),
+    "product_subproblem_lp": (Kind.PRODUCT, _lp_value_and_certificate),
     **{f"integer_cut-{kind.value}": (kind, _cut(kind)) for kind in Kind},
 }
 
@@ -573,3 +579,14 @@ def test_a_table_serves_only_its_kind_and_tree(name):
         with pytest.raises(ContractViolation, match="^table of another kind or tree$"):
             oracle(catalog, at, points[0], wrong)
 
+
+@pytest.mark.parametrize("extra", (-1, 1))
+@pytest.mark.parametrize("name", TABLE_ORACLES)
+def test_an_assortment_of_the_wrong_length_is_refused(name, extra):
+    # a short x raised a bare IndexError, a long one was read in part
+    kind, oracle = TABLE_ORACLES[name]
+    catalog, tree, _ = random_tree_and_x(4, n=6)
+    x = tuple(i % 2 for i in range(6 + extra))
+    for table in (None, tree_table(kind, catalog, tree)):
+        with pytest.raises(DomainError, match=f"has {6 + extra} levels for n=6"):
+            oracle(catalog, tree, x, table)
