@@ -72,7 +72,6 @@ from .subproblems import (
     leaf_dual_greedy,
     leaf_order,
     leaf_primal_greedy,
-    product_certified_sweep,
     product_greedy_sweep,
     product_subproblem_lp,
     split_dual_greedy,

@@ -4,12 +4,12 @@ The master problem keeps only the x levels plus one epigraph variable per
 tree, bounded above by that tree's best leaf revenue.  Optimality cuts tie
 each epigraph variable to its tree's subproblem value:
 
-- Phase 1 (relaxation): plain constraint generation on the LP master.  Cut
-  separation per tree uses the greedy primal/dual pair for the "leaf" and
-  "split" granularities.  For "product" it uses the same pair when the
-  replayed dual certifies the sweep optimal (``product_certified_sweep``) and
-  the subproblem LP only when that check fails.  Each phase builds one
-  ``subproblems.tree_table`` per tree for its oracles.  The product each
+- Phase 1 (relaxation): plain constraint generation on the LP master.  Every
+  tree is swept each round; the sweep's value bounds the subproblem optimum
+  from below, so only a tree whose epigraph value beats it by ``CUT_TOL``
+  gets a certificate and a cut: the greedy dual replay, which for "product"
+  must also certify the sweep optimal, else the subproblem LP.  Each phase
+  builds one ``subproblems.tree_table`` per tree for its oracles.  The product each
   multiplier of a cut belongs to comes from ``formulations.row_product``,
   beside ``capacity_rows``, the one place where the granularities are
   defined.
@@ -19,7 +19,10 @@ each epigraph variable to its tree's subproblem value:
 
 One master LP (``MasterState.lp``) serves both phases: cuts are appended to
 it as rows, and B&B, which searches the monolithic LP the same way, changes
-only its bounds.  Nodes are processed one at a time, so runs are deterministic.
+only its bounds.  The pool keeps no dedupe: a master's solution satisfies
+every pooled row within ``lp.FEAS_TOL``, below ``CUT_TOL``, so a cut
+violated by ``CUT_TOL`` at that solution is never one already pooled.
+Nodes are processed one at a time, so runs are deterministic.
 
 Every re-solve starts from the basis of the LP it follows, which stays dual
 feasible, so ``solve_lp`` runs the dual simplex from it: each master from
@@ -48,6 +51,7 @@ from .errors import DomainError, IterationLimitError
 from .formulations import BuiltFormulation, Kind, as_kind, row_product
 from .lp import (
     EQ,
+    FEAS_TOL,
     LE,
     OPTIMAL,
     LinearProgram,
@@ -64,10 +68,11 @@ from .model import (
 )
 from .subproblems import (
     DualCertificate,
+    _certified,
+    _sweep,
     integer_cut,
     leaf_dual_greedy,
     leaf_primal_greedy,
-    product_certified_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
@@ -77,6 +82,8 @@ from .subproblems import (
 log = logging.getLogger("dfopt.benders")
 
 #: An epigraph value this far above the subproblem optimum triggers a cut.
+#: It exceeds ``FEAS_TOL``, within which a master solution meets every pooled
+#: cut, so no pooled cut is found violated again and the pool needs no dedupe.
 CUT_TOL = 1e-6
 #: x entries this close to an integer count as integral at a node.
 INT_TOL = 1e-7
@@ -99,13 +106,6 @@ class BendersCut:
 
     def value_at(self, x) -> float:
         return float(np.dot(self.coef, np.asarray(x, dtype=float)) + self.const)
-
-    def key(self) -> tuple:
-        return (
-            self.tree,
-            tuple(round(v * 1e9) for v in self.coef),
-            round(self.const * 1e9),
-        )
 
 
 def cut_from_certificate(
@@ -147,23 +147,17 @@ class MasterState:
     bound: float = float("inf")
     basis: WarmBasis | None = None
     pool: list[BendersCut] = field(default_factory=list)
-    _keys: set = field(default_factory=set)
 
     def add_cuts(self, cuts) -> int:
-        """Pool the cuts not pooled yet, appending their rows to ``lp`` in one
-        rebuild; returns how many."""
-        new = []
-        for cut in cuts:
-            key = cut.key()
-            if key not in self._keys:
-                self._keys.add(key)
-                new.append(cut)
+        """Pool the cuts, appending their rows to ``lp`` in one rebuild;
+        returns how many."""
+        new = list(cuts)
         if new:
             lp, n = self.lp, self.n
-            rows = np.zeros((len(new), lp.num_cols))
-            for r, cut in enumerate(new):
-                rows[r, :n] = np.negative(cut.coef)
-                rows[r, n + cut.tree] = 1.0
+            rows = np.hstack([
+                np.negative([cut.coef for cut in new]),
+                np.eye(lp.num_cols - n)[[cut.tree for cut in new]],
+            ])
             A = np.vstack([lp.A, rows])
             b = np.concatenate([lp.b, [cut.const for cut in new]])
             senses = lp.senses + (LE,) * len(new)
@@ -191,8 +185,10 @@ def _master_state(catalog, forest, cardinality) -> MasterState:
     return MasterState(n=n, lp=lp, cardinality=cardinality)
 
 
-def _separate(kind: Kind, catalog, forest, x_vals, bases=None, tables=None):
-    """Per-tree subproblem values and cut certificates at fractional x.
+def _separate(kind: Kind, catalog, forest, x_vals, thetas, bases=None, tables=None):
+    """The cuts violated at the master point (``x_vals``, ``thetas``).  A tree
+    whose theta is within ``CUT_TOL`` of its sweep's value, which bounds its
+    optimum from below, gets no certificate.
 
     ``tables``, one ``tree_table`` per tree, may be built once by the
     caller.  ``bases``, one entry per tree, carries each tree's product-oracle
@@ -207,27 +203,31 @@ def _separate(kind: Kind, catalog, forest, x_vals, bases=None, tables=None):
         primal, dual = leaf_primal_greedy, leaf_dual_greedy
     elif kind is Kind.SPLIT:
         primal, dual = split_primal_greedy, split_dual_greedy
-    out = []
+    cuts = []
     for t, tree in enumerate(trees):
-        table = tables[t]
+        table, theta = tables[t], float(thetas[t])
         if kind is Kind.PRODUCT:
-            found = product_certified_sweep(catalog, tree, x_vals, table=table)
-            if found is not None:
-                value, cert = found
-                prov = FRACTIONAL_GREEDY
-            else:
+            y, trace = _sweep(table, x_vals)
+        else:
+            y, trace = primal(catalog, tree, x_vals, table=table)
+        value = table.value(y)
+        if theta <= value + CUT_TOL:
+            continue
+        prov = FRACTIONAL_GREEDY
+        if kind is not Kind.PRODUCT:
+            cert = dual(catalog, tree, trace)
+        else:
+            cert = _certified(table, trace, x_vals, value)
+            if cert is None:
                 value, cert, sol = product_subproblem_lp(
                     catalog, tree, x_vals, bases[t], table=table
                 )
                 bases[t] = sol.basis
                 prov = FRACTIONAL_LP
-        else:
-            y, trace = primal(catalog, tree, x_vals, table=table)
-            value = table.value(y)
-            cert = dual(catalog, tree, trace)
-            prov = FRACTIONAL_GREEDY
-        out.append((float(value), cert, prov))
-    return out
+                if theta <= value + CUT_TOL:
+                    continue
+        cuts.append(cut_from_certificate(cert, tree, t, catalog.n, prov))
+    return cuts
 
 
 @dataclass
@@ -265,13 +265,8 @@ def relaxation_phase(
             log.warning("master bound increased: %.12g -> %.12g", bounds[-1], obj)
         bounds.append(obj)
         x_vals = tuple(float(v) for v in sol.x[:n])
-        thetas = sol.x[n:]
         added = state.add_cuts(
-            cut_from_certificate(cert, forest.trees[t], t, n, prov)
-            for t, (value, cert, prov) in enumerate(
-                _separate(kind, catalog, forest, x_vals, oracle_bases, tables)
-            )
-            if float(thetas[t]) > value + CUT_TOL
+            _separate(kind, catalog, forest, x_vals, sol.x[n:], oracle_bases, tables)
         )
         log.info("round %d: bound %.6f, cuts added %d", rounds, obj, added)
         if added == 0:
@@ -434,7 +429,10 @@ def integer_phase(
         for t, tree in enumerate(forest.trees):
             g_t, cert = integer_cut(kind, catalog, tree, x_bin, table=tables[t])
             if float(point[n + t]) > float(g_t) + CUT_TOL:
-                cuts.append(cut_from_certificate(cert, tree, t, n, INTEGER_CLOSED_FORM))
+                cut = cut_from_certificate(cert, tree, t, n, INTEGER_CLOSED_FORM)
+                # x_bin may lie INT_TOL from the LP's x, where pooled cuts hold
+                if point[n + t] > cut.value_at(point[:n]) + FEAS_TOL:
+                    cuts.append(cut)
         return state.add_cuts(cuts)
 
     return _branch_and_bound(

@@ -19,7 +19,7 @@ under several splits of one product, so weight parked on one branch uses up
 capacity that a later leaf under another split of the product needed
 (``product_greedy_sweep`` shows the shortfall).  The sweep is still optimal
 at most points, and its replayed dual proves it when it is feasible and as
-good: ``product_certified_sweep`` returns the pair only then, and
+good: ``_certified`` returns that dual only then, and
 ``product_subproblem_lp`` solves the rows with the bundled simplex when that
 check fails.  That LP is the tree's own per-product formulation
 (``formulations.build`` of the tree alone), built once per tree, with its x
@@ -27,9 +27,11 @@ columns fixed at each call by their bounds.  Its dual simplex starts from
 the tree's previous basis, or on the first call from the basis where the
 tree buys its best leaf (``BuiltFormulation.start_basis``); both are dual
 feasible at every x.  For binary x all three granularities share the
-closed-form optimum of ``integer_cut``.  The oracles read one ``TreeTable``
-per tree and granularity, which a caller builds once per tree, and refuse
-an x with other than one level per product.
+closed-form optimum of ``integer_cut``.  The sweep's weights are feasible,
+so its value bounds the optimum from below: the decomposition certifies
+only a tree whose epigraph value beats that bound, where a cut follows.
+The oracles read one ``TreeTable`` per tree and granularity, which a caller
+builds once per tree, and refuse an x with other than one level per product.
 
 Arithmetic is pure Python, so exact inputs (ints, Fractions) give exact
 outputs.  All functions are pure; the tie rules (the unit-sum event wins,
@@ -66,7 +68,7 @@ from .model import (
 
 #: Capacities closer than this are treated as tied.
 TIE_TOL = 1e-12
-#: ``product_certified_sweep`` accepts a replayed dual whose leaf rows are
+#: ``_certified`` accepts a replayed dual whose leaf rows are
 #: violated by at most this and whose objective is within this of the sweep's
 #: value.  A leaf's dual row slack is the reduced cost of its weight in
 #: ``product_subproblem_lp``, which the simplex calls optimal at ``OPT_TOL``,
@@ -109,9 +111,10 @@ class DualCertificate:
     beta: Mapping
     gamma: Number
 
-    def objective(self, tree: PurchaseTree, x) -> Number:
+    def objective(self, catalog: ProductCatalog, tree: PurchaseTree, x) -> Number:
         """Value of the dual objective at levels x; equals the cut value."""
         vals = as_values(x)
+        check_size(catalog, vals)
         total = self.gamma
         for key, a in self.alpha.items():
             total += a * vals[row_product(self.kind, tree, key) - 1]
@@ -362,19 +365,15 @@ def integer_cut(
 # ---------------------------------------------------------------------------
 
 
-def product_certified_sweep(
-    catalog: ProductCatalog, tree: PurchaseTree, x, *, table: TreeTable | None = None
-) -> tuple[Number, DualCertificate] | None:
-    """The sweep's value and replayed dual on the per-product rows, if optimal.
+def _certified(table: TreeTable, trace: EventTrace, x, value) -> DualCertificate | None:
+    """The replayed dual of a per-product sweep of ``value``, if it proves it.
 
-    The pair is returned only when the sweep ends on the unit-sum event, every
+    The dual is returned only when the sweep ends on the unit-sum event, every
     multiplier is nonnegative, no leaf's dual row is violated by more than
-    ``CERT_TOL`` and the dual objective at x is within ``CERT_TOL`` of the
-    sweep's value; a feasible dual as good as a feasible primal point proves
-    both optimal.  Otherwise None: ``product_subproblem_lp`` must decide.
+    ``CERT_TOL`` and the dual objective at x is within ``CERT_TOL`` of
+    ``value``; a feasible dual as good as a feasible primal point proves both
+    optimal.  Otherwise None: ``product_subproblem_lp`` must decide.
     """
-    table = _table(Kind.PRODUCT, catalog, tree, table)
-    y, trace = _sweep(table, x)
     if EVENT_C not in trace.f:
         return None
     cert = _replay(table, trace)
@@ -382,10 +381,9 @@ def product_certified_sweep(
         return None
     if any(slack < -CERT_TOL for _, slack in table.slacks(cert)):
         return None
-    value = table.value(y)
-    if abs(cert.objective(tree, x) - value) > CERT_TOL:
+    if abs(cert.objective(table.catalog, table.tree, x) - value) > CERT_TOL:
         return None
-    return value, cert
+    return cert
 
 
 def _at_levels(built: BuiltFormulation, vals):

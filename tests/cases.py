@@ -3,12 +3,26 @@
 These encode the reference examples the solvers are pinned against: the
 16-leaf worked example for the per-split greedy pair, the 6-leaf instance
 where the per-product greedy sweep fails, the two small non-integral
-relaxation geometries, and a few traversal/heuristic fixtures.
+relaxation geometries, and a few traversal/heuristic fixtures; plus the
+per-product sweep with its certification as one call (``certified_sweep``).
 """
 
 from fractions import Fraction
 
+from dfopt import subproblems
+from dfopt.formulations import Kind
 from dfopt.model import DecisionForest, Leaf, ProductCatalog, PurchaseTree, Split
+
+
+def certified_sweep(catalog, tree, x):
+    """The per-product sweep's value and replayed dual when that dual proves
+    the sweep optimal, else None: the decomposition's product path without
+    the LP.  Reads ``subproblems._sweep`` at call time, so a test can patch it."""
+    table = subproblems.tree_table(Kind.PRODUCT, catalog, tree)
+    y, trace = subproblems._sweep(table, x)
+    value = table.value(y)
+    cert = subproblems._certified(table, trace, x, value)
+    return None if cert is None else (value, cert)
 
 
 def worked_example():

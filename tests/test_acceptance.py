@@ -123,7 +123,7 @@ def test_a01_worked_example_exact():
         y, trace = split_primal_greedy(catalog, tree, x_exact)
         cert = split_dual_greedy(catalog, tree, trace)
         primal = y_value(catalog, tree, y)
-        dual = cert.objective(tree, x_exact)
+        dual = cert.objective(catalog, tree, x_exact)
         assert primal == Fraction(175, 2)
         assert dual == Fraction(175, 2)
         assert cert.gamma == 72
@@ -164,14 +164,16 @@ def test_a03_strong_duality_suite():
             catalog, tree, x = random_tree_and_x(seed, n=8, leaves=8)
             y, trace = leaf_primal_greedy(catalog, tree, x)
             primal = float(y_value(catalog, tree, y))
-            dual = float(leaf_dual_greedy(catalog, tree, trace).objective(tree, x))
+            cert = leaf_dual_greedy(catalog, tree, trace)
+            dual = float(cert.objective(catalog, tree, x))
             assert abs(primal - dual) <= 1e-9 * (1 + abs(primal))
             lp_obj = solve_lp(leaf_sub_lp(catalog, tree, x)).objective
             assert abs(primal - lp_obj) <= 1e-6 * (1 + abs(primal))
 
             y, trace = split_primal_greedy(catalog, tree, x)
             primal = float(y_value(catalog, tree, y))
-            dual = float(split_dual_greedy(catalog, tree, trace).objective(tree, x))
+            cert = split_dual_greedy(catalog, tree, trace)
+            dual = float(cert.objective(catalog, tree, x))
             assert abs(primal - dual) <= 1e-9 * (1 + abs(primal))
             lp_obj = solve_lp(split_sub_lp(catalog, tree, x)).objective
             assert abs(primal - lp_obj) <= 1e-6 * (1 + abs(primal))

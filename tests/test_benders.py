@@ -1,5 +1,7 @@
 """Two-phase decomposition: cuts, relaxation fixpoint, lazy-cut B&B."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,12 @@ from dfopt.model import (
     expected_revenue,
     traverse,
 )
-from dfopt.subproblems import integer_cut, split_dual_greedy, split_primal_greedy
+from dfopt.subproblems import (
+    integer_cut,
+    product_greedy_sweep,
+    split_dual_greedy,
+    split_primal_greedy,
+)
 
 from cases import (
     greedy_gap_tree,
@@ -140,10 +147,7 @@ class TestRelaxationPhase:
 
         sol = solve_lp(master)
         thetas = sol.x[catalog.n :]
-        for t, (value, _, _) in enumerate(
-            _separate(Kind.SPLIT, catalog, forest, relax.x)
-        ):
-            assert float(thetas[t]) <= value + 1e-6
+        assert _separate(Kind.SPLIT, catalog, forest, relax.x, thetas) == []
 
     def test_cardinality(self):
         catalog, forest = seeded_instance(4)
@@ -404,7 +408,7 @@ class TestMonolithicStartBasis:
 
 
 def record_solves(monkeypatch, module, name):
-    """Replace ``module.name`` with a wrapper that logs (kwargs, solution)."""
+    """Replace ``module.name`` with a wrapper that logs (kwargs, result)."""
     calls = []
     real = getattr(module, name)
 
@@ -514,3 +518,83 @@ def test_unknown_kind_is_a_domain_error(call):
     catalog, forest = seeded_instance(0, n=6, num_trees=2)
     with pytest.raises(DomainError, match="unknown kind 'bogus'"):
         call(catalog, forest)
+
+
+# ---------------------------------------------------------------------------
+# certificates only where a cut is added, and a pool without a dedupe
+# ---------------------------------------------------------------------------
+
+A6_SHAPES = ("t1", "t2", "t3")
+
+
+def a6_instance(shape, rep):
+    """Instance ``rep`` of one shape of the acceptance sweep's A6 grid:
+    n = 12, 10 trees, 8 leaves."""
+    seed = 6_000 + 100 * rep + A6_SHAPES.index(shape)
+    return seeded_instance(seed, shape, n=12, num_trees=10, leaves=8)
+
+
+@pytest.mark.parametrize("cardinality", [None, 3])
+@pytest.mark.parametrize("shape", A6_SHAPES)
+class TestCertificatesOnlyWhereCut:
+    def test_one_dual_replay_per_pooled_cut(self, monkeypatch, shape, cardinality):
+        replays = {
+            Kind.LEAF: record_solves(monkeypatch, benders, "leaf_dual_greedy"),
+            Kind.SPLIT: record_solves(monkeypatch, benders, "split_dual_greedy"),
+        }
+        for rep in range(3):
+            catalog, forest = a6_instance(shape, rep)
+            for kind, calls in replays.items():
+                calls.clear()
+                relax = relaxation_phase(kind, catalog, forest, cardinality)
+                assert len(calls) == len(relax.state.pool) > 0
+
+    def test_product_lp_only_where_theta_beats_the_sweep(
+        self, monkeypatch, shape, cardinality
+    ):
+        masters = record_solves(monkeypatch, benders, "solve_lp")
+        real = benders.product_subproblem_lp
+        margins = []
+
+        def oracle(catalog, tree, x, warm=None, *, table=None):
+            # the tree's theta in the master solved last, against its sweep
+            [t] = [t for t, other in enumerate(forest.trees) if other is tree]
+            theta = float(masters[-1][1].x[catalog.n + t])
+            _, swept = product_greedy_sweep(catalog, tree, x)
+            margins.append(theta > swept + benders.CUT_TOL)
+            return real(catalog, tree, x, warm, table=table)
+
+        monkeypatch.setattr(benders, "product_subproblem_lp", oracle)
+        for rep in range(3):
+            catalog, forest = a6_instance(shape, rep)
+            relaxation_phase(Kind.PRODUCT, catalog, forest, cardinality)
+        assert margins and all(margins)
+
+
+def test_cut_tolerance_exceeds_the_lp_feasibility_tolerance():
+    assert benders.CUT_TOL > lp.FEAS_TOL
+
+
+@pytest.mark.parametrize("cardinality", [None, 3])
+@pytest.mark.parametrize("kind", list(Kind))
+def test_no_pooled_cut_is_offered_again(monkeypatch, kind, cardinality):
+    # add_cuts pools what it is handed: both phases offer only cuts violated
+    # by more than the master solution's feasibility tolerance
+    offered = Counter()
+    real = benders.MasterState.add_cuts
+
+    def add_cuts(self, cuts):
+        cuts = list(cuts)
+        pooled = {(cut.tree, cut.coef, cut.const) for cut in self.pool}
+        for cut in cuts:
+            assert (cut.tree, cut.coef, cut.const) not in pooled
+            offered[cut.provenance] += 1
+        return real(self, cuts)
+
+    monkeypatch.setattr(benders.MasterState, "add_cuts", add_cuts)
+    for shape in A6_SHAPES:
+        for rep in range(20):
+            catalog, forest = a6_instance(shape, rep)
+            _, integer = solve_two_phase(kind, catalog, forest, cardinality)
+            assert integer.optimal
+    assert offered[benders.FRACTIONAL_GREEDY] and offered[benders.INTEGER_CLOSED_FORM]

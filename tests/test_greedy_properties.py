@@ -25,16 +25,18 @@ from dfopt.model import (  # noqa: E402
 from dfopt.subproblems import (  # noqa: E402
     CERT_TOL,
     EVENT_C,
+    _certified,
     _replay,
     _sweep,
     leaf_dual_greedy,
     leaf_primal_greedy,
-    product_certified_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
     tree_table,
 )
+
+from cases import certified_sweep  # noqa: E402
 
 N = 5
 PAIRS = {
@@ -89,7 +91,7 @@ def test_greedy_dual_certifies_primal(catalog, tree, x, kind):
     y, trace = primal(catalog, tree, x)
     cert = dual(catalog, tree, trace)
     value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items())
-    assert float(cert.objective(tree, x)) == pytest.approx(float(value), abs=1e-9)
+    assert float(cert.objective(catalog, tree, x)) == pytest.approx(float(value), abs=1e-9)
     assert all(v >= -1e-9 for v in cert.row_slacks(catalog, tree).values())
     assert all(v >= 0 for v in cert.alpha.values())
     assert all(v >= 0 for v in cert.beta.values())
@@ -111,7 +113,7 @@ def generated_tree(shape, seed):
 )
 def test_certified_product_sweep_is_the_lp_optimum(shape, seed, x):
     catalog, tree = generated_tree(shape, seed)
-    found = product_certified_sweep(catalog, tree, x)
+    found = certified_sweep(catalog, tree, x)
     if found is not None:
         value, cert = found
         lp_value, _, _ = product_subproblem_lp(catalog, tree, x)
@@ -141,20 +143,20 @@ def test_product_sweep_is_certified_exactly_when_its_dual_checks(shape, seed, x)
         assert cert.row_slacks(catalog, tree) == reference_slacks(catalog, tree, cert)
     table = tree_table(Kind.PRODUCT, catalog, tree)
     y, trace = _sweep(table, x)
-    found = product_certified_sweep(catalog, tree, x)
+    value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items())
+    found = _certified(table, trace, x, value)
     if EVENT_C not in trace.f:
         assert found is None
         return
     cert = _replay(table, trace)
     slacks = cert.row_slacks(catalog, tree)
     assert slacks == reference_slacks(catalog, tree, cert)
-    value = sum(catalog.leaf_revenue(tree, l) * w for l, w in y.items())
     certified = (
         all(v >= 0 for v in (*cert.alpha.values(), *cert.beta.values()))
         and all(v >= -CERT_TOL for v in slacks.values())
-        and abs(cert.objective(tree, x) - value) <= CERT_TOL
+        and abs(cert.objective(catalog, tree, x) - value) <= CERT_TOL
     )
-    assert found == ((value, cert) if certified else None)
+    assert found == (cert if certified else None)
 
 
 @PROPERTY_SETTINGS

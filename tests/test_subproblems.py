@@ -21,7 +21,6 @@ from dfopt.subproblems import (
     leaf_dual_greedy,
     leaf_order,
     leaf_primal_greedy,
-    product_certified_sweep,
     product_greedy_sweep,
     product_subproblem_lp,
     split_dual_greedy,
@@ -30,6 +29,7 @@ from dfopt.subproblems import (
 )
 
 from cases import (
+    certified_sweep,
     greedy_gap_tree,
     single_leaf_tree,
     single_tree_forest,
@@ -142,7 +142,7 @@ class TestWorkedExample:
         assert cert.gamma == 72
         assert cert.beta == {1: 17}
         assert cert.alpha == {3: 8, 10: 28, 11: 28, 15: 11}
-        assert cert.objective(tree, x) == Fraction(175, 2)
+        assert cert.objective(catalog, tree, x) == Fraction(175, 2)
 
     def test_dual_feasible_every_leaf(self):
         catalog, tree, _, x = worked_example()
@@ -156,7 +156,7 @@ class TestWorkedExample:
         y, trace = split_primal_greedy(catalog, tree, x)
         assert y_value(catalog, tree, y) == pytest.approx(87.5, abs=1e-9)
         cert = split_dual_greedy(catalog, tree, trace)
-        assert cert.objective(tree, x) == pytest.approx(87.5, abs=1e-9)
+        assert cert.objective(catalog, tree, x) == pytest.approx(87.5, abs=1e-9)
 
     def test_agrees_with_lp(self):
         catalog, tree, x, _ = worked_example()
@@ -202,7 +202,7 @@ class TestLeafGreedy:
             y, trace = leaf_primal_greedy(catalog, tree, x)
             primal = float(y_value(catalog, tree, y))
             cert = leaf_dual_greedy(catalog, tree, trace)
-            dual = float(cert.objective(tree, x))
+            dual = float(cert.objective(catalog, tree, x))
             assert dual == pytest.approx(primal, rel=1e-9, abs=1e-9)
             lp_obj = solve_lp(leaf_sub_lp(catalog, tree, x)).objective
             assert primal == pytest.approx(lp_obj, rel=1e-6, abs=1e-6)
@@ -227,8 +227,8 @@ class TestLeafGreedy:
             cert_greedy = leaf_dual_greedy(catalog, tree, trace)
             value, cert_closed = integer_cut("leaf", catalog, tree, x)
             assert cert_greedy.gamma == cert_closed.gamma == value
-            assert cert_greedy.objective(tree, x) == value
-            assert cert_closed.objective(tree, x) == value
+            assert cert_greedy.objective(catalog, tree, x) == value
+            assert cert_closed.objective(catalog, tree, x) == value
             for cert in (cert_greedy, cert_closed):
                 assert all(v >= 0 for v in cert.alpha.values())
                 assert all(v >= 0 for v in cert.beta.values())
@@ -255,7 +255,7 @@ class TestSplitGreedy:
             y, trace = split_primal_greedy(catalog, tree, x)
             primal = float(y_value(catalog, tree, y))
             cert = split_dual_greedy(catalog, tree, trace)
-            dual = float(cert.objective(tree, x))
+            dual = float(cert.objective(catalog, tree, x))
             assert dual == pytest.approx(primal, rel=1e-9, abs=1e-9)
             lp_obj = solve_lp(split_sub_lp(catalog, tree, x)).objective
             assert primal == pytest.approx(lp_obj, rel=1e-6, abs=1e-6)
@@ -381,9 +381,9 @@ class TestIntegerCut:
             y, trace = split_primal_greedy(catalog, tree, x)
             assert y_value(catalog, tree, y) == value
             assert split_dual_greedy(catalog, tree, trace).objective(
-                tree, x
+                catalog, tree, x
             ) == value
-            assert cert.objective(tree, x) == value
+            assert cert.objective(catalog, tree, x) == value
 
     def test_cut_validity_over_cube(self):
         # every cut overestimates the traversal revenue at every binary point
@@ -395,7 +395,7 @@ class TestIntegerCut:
                     x = tuple((mask >> (5 - i)) & 1 for i in range(6))
                     option, leaf = traverse(tree, x)
                     g = catalog.leaf_revenue(tree, leaf)
-                    assert float(cert.objective(tree, x)) >= float(g) - 1e-9
+                    assert float(cert.objective(catalog, tree, x)) >= float(g) - 1e-9
 
     def test_fractional_input_rejected(self):
         catalog, tree, _ = random_tree_and_x(0)
@@ -442,7 +442,7 @@ class TestProductSubproblem:
         for seed in range(40):
             catalog, tree, x = random_tree_and_x(seed)
             value, cert, _ = product_subproblem_lp(catalog, tree, x)
-            assert float(cert.objective(tree, x)) == pytest.approx(value, abs=1e-7)
+            assert float(cert.objective(catalog, tree, x)) == pytest.approx(value, abs=1e-7)
             slacks = cert.row_slacks(catalog, tree)
             assert all(float(v) >= -1e-7 for v in slacks.values())
 
@@ -452,7 +452,7 @@ class TestProductCertifiedSweep:
         accepted = 0
         for seed in range(150):  # t1, t2, t3 in turn
             catalog, tree, x = random_tree_and_x(seed)
-            found = product_certified_sweep(catalog, tree, x)
+            found = certified_sweep(catalog, tree, x)
             if found is None:
                 continue
             accepted += 1
@@ -465,26 +465,26 @@ class TestProductCertifiedSweep:
     def test_greedy_gap_is_refused_and_the_lp_decides(self):
         catalog, tree = greedy_gap_tree()
         x = (Fraction(1, 2),) * 3
-        assert product_certified_sweep(catalog, tree, x) is None
-        [(value, cert, prov)] = _separate(
-            Kind.PRODUCT, catalog, single_tree_forest(tree), x
-        )
-        assert value == pytest.approx(18.5, abs=1e-9)
-        assert prov == FRACTIONAL_LP
-        assert float(cert.objective(tree, x)) == pytest.approx(18.5, abs=1e-9)
+        assert certified_sweep(catalog, tree, x) is None
+        # both thetas exceed the sweep's 10, so the LP's 18.5 decides
+        forest = single_tree_forest(tree)
+        [cut] = _separate(Kind.PRODUCT, catalog, forest, x, [19.0])
+        assert cut.provenance == FRACTIONAL_LP
+        assert cut.value_at(x) == pytest.approx(18.5, abs=1e-9)
+        assert _separate(Kind.PRODUCT, catalog, forest, x, [18.0]) == []
 
     def test_fraction_inputs_give_an_exact_certificate(self):
         accepted = 0
         for seed in range(60):
             catalog, tree, x = random_tree_and_x(seed)
             x = tuple(Fraction(round(v * 8), 8) for v in x)
-            found = product_certified_sweep(catalog, tree, x)
+            found = certified_sweep(catalog, tree, x)
             if found is None:
                 continue
             accepted += 1
             value, cert = found
             assert isinstance(value, (int, Fraction))
-            assert cert.objective(tree, x) == value
+            assert cert.objective(catalog, tree, x) == value
             assert all(v >= 0 for v in cert.row_slacks(catalog, tree).values())
             lp_value, _, _ = product_subproblem_lp(catalog, tree, x)
             assert float(value) == pytest.approx(lp_value, abs=1e-9)
@@ -500,25 +500,25 @@ class TestProductCertifiedSweep:
             return y, EventTrace(trace.kind, trace.events[:-1], f, table)
 
         monkeypatch.setattr(subproblems, "_sweep", short)
-        assert product_certified_sweep(catalog, tree, x) is None
+        assert certified_sweep(catalog, tree, x) is None
 
     def test_a_negative_multiplier_is_refused(self, monkeypatch):
         # Lowering alpha_i and beta_i of the root's product by d and raising
         # gamma by d leaves every leaf's dual row and the objective as they
         # were, so only the sign check can refuse the shifted dual.
         catalog, tree, x = random_tree_and_x(1)
-        value, cert = product_certified_sweep(catalog, tree, x)
+        value, cert = certified_sweep(catalog, tree, x)
         i = tree.split_product(tree.root)
         d = 1 + cert.alpha.get(i, 0) + cert.beta.get(i, 0)
         alpha = {**cert.alpha, i: cert.alpha.get(i, 0) - d}
         beta = {**cert.beta, i: cert.beta.get(i, 0) - d}
         shifted = DualCertificate(cert.kind, alpha, beta, cert.gamma + d)
-        assert shifted.objective(tree, x) == pytest.approx(value, abs=1e-9)
+        assert shifted.objective(catalog, tree, x) == pytest.approx(value, abs=1e-9)
         assert shifted.row_slacks(catalog, tree) == pytest.approx(
             cert.row_slacks(catalog, tree)
         )
         monkeypatch.setattr(subproblems, "_replay", lambda table, trace: shifted)
-        assert product_certified_sweep(catalog, tree, x) is None
+        assert certified_sweep(catalog, tree, x) is None
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +553,6 @@ TABLE_ORACLES = {
     "leaf_dual_greedy": (Kind.LEAF, _replayed(leaf_primal_greedy, leaf_dual_greedy)),
     "split_primal_greedy": (Kind.SPLIT, _with_table(split_primal_greedy)),
     "split_dual_greedy": (Kind.SPLIT, _replayed(split_primal_greedy, split_dual_greedy)),
-    "product_certified_sweep": (Kind.PRODUCT, _with_table(product_certified_sweep)),
     "product_subproblem_lp": (Kind.PRODUCT, _lp_value_and_certificate),
     **{f"integer_cut-{kind.value}": (kind, _cut(kind)) for kind in Kind},
 }
@@ -590,3 +589,16 @@ def test_an_assortment_of_the_wrong_length_is_refused(name, extra):
     for table in (None, tree_table(kind, catalog, tree)):
         with pytest.raises(DomainError, match=f"has {6 + extra} levels for n=6"):
             oracle(catalog, tree, x, table)
+
+
+@pytest.mark.parametrize("levels", (3, 8))
+def test_a_certificate_refuses_an_assortment_of_the_wrong_length(levels):
+    # a short x raised a bare IndexError, a long one gave the value of its
+    # first n levels
+    catalog, tree, x = random_tree_and_x(4, n=6)
+    y, trace = split_primal_greedy(catalog, tree, x)
+    cert = split_dual_greedy(catalog, tree, trace)
+    value = float(y_value(catalog, tree, y))
+    assert cert.objective(catalog, tree, x) == pytest.approx(value, abs=1e-9)
+    with pytest.raises(DomainError, match=f"has {levels} levels for n=6"):
+        cert.objective(catalog, tree, (1,) * levels)
