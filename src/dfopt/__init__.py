@@ -43,7 +43,6 @@ from .instancegen import (
     Cnf3Formula,
     GeneratorConfig,
     TreeShape,
-    assign_leaf_options,
     gen_lambda,
     gen_revenues,
     generate_instance,
@@ -67,12 +66,9 @@ from .model import (
 )
 from .subproblems import (
     DualCertificate,
-    EventTrace,
     integer_cut,
     leaf_dual_greedy,
-    leaf_order,
     leaf_primal_greedy,
-    product_greedy_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,

@@ -12,12 +12,14 @@ leaf), tied together by capacity rows at one of three granularities:
 Each leaf weight is bounded to [0, 1]: each tree's unit-sum row already
 implies y <= 1, but the LP layer takes only finite bounds.
 
-``capacity_rows`` is the one place where the granularities are defined; the
-builder here, the per-tree oracles, the closed-form cuts and the Benders cut
-assembly all read their rows from it or from its per-leaf transpose
-``leaf_rows``.  Fixing x splits the "product" formulation into one LP per
-tree, so the per-product oracle solves ``build`` of its tree alone, with x
-fixed by its bounds.  The objective is the weight-and-revenue weighted sum
+``capacity_rows`` is the one place where the granularities are defined: it
+groups each tree's (split, leaf) incidences, read off the leaf paths, by
+split or by product, and the granularity chooses only that grouping and the
+row key.  The builder here, the per-tree oracles, the closed-form cuts and
+the Benders cut assembly all read their rows from it or from its per-leaf
+transpose ``leaf_rows``.  Fixing x splits the "product" formulation into one
+LP per tree, so the per-product oracle solves ``build`` of its tree alone,
+with x fixed by its bounds.  The objective is the weight-and-revenue weighted sum
 of leaf variables.  An optional cardinality row fixes the assortment size.
 Builders are pure and produce deterministic row/column orderings (trees in
 order, node ids ascending), so matrices are reproducible byte for byte.
@@ -25,6 +27,7 @@ order, node ids ascending), so matrices are reproducible byte for byte.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,28 +65,27 @@ def capacity_rows(kind: Kind, tree: PurchaseTree) -> list[tuple]:
     ``leaves`` sum to at most x_product when ``left`` and to at most
     1 - x_product otherwise; ``key`` names the row's multiplier ((split,
     leaf) pair, split id or product id) and ``other`` holds the leaves behind
-    the opposite branch of the same test.
+    the opposite branch of the same test.  One pass over the leaf paths
+    groups the leaves of each branch by split, or by product for "product";
+    the groups come in ascending id, each with its left rows first, and
+    "leaf" gives one row per (group, leaf).
     """
+    nodes = tree.nodes
+    by_product = kind == Kind.PRODUCT
+    # group -> (right leaves, left leaves), each ascending
+    groups: defaultdict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+    for l in tree.leaf_ids:
+        for s, went_left in tree.path[l]:
+            groups[nodes[s].product if by_product else s][went_left].append(l)
     rows = []
-    if kind == Kind.PRODUCT:
-        # one pass over the (split, leaf) incidences; leaves come ascending
-        nodes = tree.nodes
-        sides: dict[int, tuple[list, list]] = {}  # product -> (right, left)
-        for l in tree.leaf_ids:
-            for s, went_left in tree.path[l]:
-                sides.setdefault(nodes[s].product, ([], []))[went_left].append(l)
-        for i in sorted(sides):
-            rights, lefts = map(tuple, sides[i])
-            rows += [(i, i, True, lefts, rights), (i, i, False, rights, lefts)]
-        return rows
-    for s in tree.split_ids:
-        i = tree.split_product(s)
-        lefts, rights = tree.left_leaves[s], tree.right_leaves[s]
-        if kind == Kind.SPLIT:
-            rows += [(s, i, True, lefts, rights), (s, i, False, rights, lefts)]
-        else:
-            rows += [((s, l), i, True, (l,), rights) for l in lefts]
-            rows += [((s, l), i, False, (l,), lefts) for l in rights]
+    for g in sorted(groups):
+        i = g if by_product else nodes[g].product
+        rights, lefts = map(tuple, groups[g])
+        for left, leaves, other in ((True, lefts, rights), (False, rights, lefts)):
+            if kind == Kind.LEAF:
+                rows += [((g, l), i, left, (l,), other) for l in leaves]
+            else:
+                rows.append((g, i, left, leaves, other))
     return rows
 
 
@@ -94,20 +96,14 @@ def leaf_rows(kind: Kind, tree: PurchaseTree, leaf: int) -> list[tuple]:
     with the last three as in ``capacity_rows``, in tie-rank order:
     root-first, except that per-(split, leaf) rows list all left rows first.
     """
-    nodes = tree.nodes
-    path = tree.path[leaf]
+    nodes, by_product = tree.nodes, kind == Kind.PRODUCT
+    rows = [
+        (s, (s, leaf) if kind == Kind.LEAF else i if by_product else s, i, left)
+        for s, left in tree.path[leaf]
+        for i in (nodes[s].product,)
+    ]
     if kind == Kind.LEAF:
-        return [
-            (s, (s, leaf), nodes[s].product, went_left)
-            for side in (True, False)
-            for s, went_left in path
-            if went_left == side
-        ]
-    by_product = kind == Kind.PRODUCT
-    rows = []
-    for s, went_left in path:
-        i = nodes[s].product
-        rows.append((s, i if by_product else s, i, went_left))
+        rows.sort(key=lambda row: not row[3])  # stable: left rows first
     return rows
 
 

@@ -10,9 +10,10 @@ Three tree families are supported:
 
 Leaf options are always drawn uniformly from the products known to be offered
 when the leaf is reached, plus the no-purchase option, so traversal never
-returns an option outside the assortment.  Tree weights are uniform on the
-probability simplex (normalized exponential draws) and revenues are uniform
-integers.
+returns an option outside the assortment.  Those products, the ones on the
+splits the leaf lies left of, are recorded for each open leaf while the tree
+grows.  Tree weights are uniform on the probability simplex (normalized
+exponential draws) and revenues are uniform integers.
 
 Reproducibility: all randomness flows through one numpy PCG64 generator per
 instance, and the draws are the contract.  Per tree: the split products (T1:
@@ -82,6 +83,10 @@ class GeneratorConfig:
         _check_integer("n", self.n, 1)
         _check_integer("num_trees", self.num_trees, 1)
         _check_integer("seed", self.seed, 0)
+        if not isinstance(self.revenue_range, tuple) or len(self.revenue_range) != 2:
+            raise ConfigError(
+                f"revenue_range must be a pair of integers, got {self.revenue_range!r}"
+            )
         lo, hi = self.revenue_range
         _check_integer("revenue_range", lo, 0)
         _check_integer("revenue_range", hi, 0)
@@ -108,11 +113,13 @@ class GeneratorConfig:
                 leaves=_json_integer(shape_obj.get("leaves")),
             )
             rr = obj.get("revenue_range", [1, 100])
+            if isinstance(rr, list):  # anything else is refused by __post_init__
+                rr = tuple(map(_json_integer, rr))
             return cls(
                 n=_json_integer(obj["n"]),
                 num_trees=_json_integer(obj["num_trees"]),
                 shape=shape,
-                revenue_range=(_json_integer(rr[0]), _json_integer(rr[1])),
+                revenue_range=rr,
                 seed=_json_integer(obj.get("seed", 0)),
             )
         except KeyError as exc:
@@ -146,33 +153,15 @@ def _draw_product(rng, n: int, ancestors: tuple[int, ...]) -> int:
     return p
 
 
-_PLACEHOLDER = Leaf(option=0)
+def _with_leaf_options(nodes: dict[int, Node], root: int, offered, rng) -> PurchaseTree:
+    """The tree of ``nodes`` (its splits) with a leaf at each key of ``offered``.
 
-
-def assign_leaf_options(tree_nodes: dict[int, Node], root: int, rng) -> PurchaseTree:
-    """Fill placeholder leaves with options consistent with their path.
-
-    A leaf's candidate set is the products on splits the leaf lies left of,
-    plus the no-purchase option; leaves with no left splits get option 0.
-    Leaves are visited in ascending node id so draws are reproducible.  An
-    arena that is not a tree raises ``PurchaseTree``'s ``ValidationError``.
+    Leaf l, in ascending id, buys an option drawn from ``offered[l]`` (the
+    products on the splits it lies left of) plus the no-purchase option.
     """
-    offered: dict[int, list[int]] = {}
-    stack, visits = [(root, [])], len(tree_nodes)  # a tree's walk visits each once
-    while stack:
-        nid, products = stack.pop()
-        visits -= 1
-        node = tree_nodes.get(nid) if visits >= 0 and _is_integer(nid) else None
-        if isinstance(node, Split) and _is_integer(node.product):
-            stack += [(node.left, products + [node.product]), (node.right, products)]
-        elif isinstance(node, Leaf) and _is_integer(node.option) and node.option >= 0:
-            offered[nid] = products
-        else:  # not a tree of splits and leaves: raise the arena's own error
-            PurchaseTree(tree_nodes, root)
-    filled = dict(tree_nodes)
     for l in sorted(offered):
-        filled[l] = Leaf(_choice(rng, sorted(offered[l]) + [0]))
-    return PurchaseTree(filled, root)
+        nodes[l] = Leaf(_choice(rng, sorted(offered[l]) + [0]))
+    return PurchaseTree(nodes, root)
 
 
 def _gen_balanced_tree(config: GeneratorConfig, rng, per_level: bool) -> PurchaseTree:
@@ -187,14 +176,20 @@ def _gen_balanced_tree(config: GeneratorConfig, rng, per_level: bool) -> Purchas
         for k in range(1, 1 << d):  # its ancestors are k >> 1, k >> 2, ..., 1
             anc = tuple(sorted(nodes[k >> i].product for i in range(1, k.bit_length())))
             nodes[k] = Split(_draw_product(rng, config.n, anc), 2 * k, 2 * k + 1)
-    nodes.update(dict.fromkeys(range(1 << d, 2 << d), _PLACEHOLDER))
-    return assign_leaf_options(nodes, 1, rng)
+    # leaf k lies left of its ancestor k >> (j + 1) when bit j of k is 0
+    offered = {
+        k: [nodes[k >> (j + 1)].product for j in range(d) if not (k >> j) & 1]
+        for k in range(1 << d, 2 << d)
+    }
+    return _with_leaf_options(nodes, 1, offered, rng)
 
 
 def _gen_t3_tree(config: GeneratorConfig, rng) -> PurchaseTree:
     n, target = config.n, config.shape.leaves
-    nodes: dict[int, Node] = {0: _PLACEHOLDER}
+    nodes: dict[int, Node] = {}
+    # per open leaf: the sorted products on its path, and those it lies left of
     ancestors: dict[int, tuple[int, ...]] = {0: ()}
+    offered: dict[int, list[int]] = {0: []}
     leaf_list: list[int] = [0]
     while len(leaf_list) < target:
         if n >= target - 1:  # an open leaf has depth < target - 1: all expandable
@@ -206,12 +201,14 @@ def _gen_t3_tree(config: GeneratorConfig, rng) -> PurchaseTree:
         leaf = leaf_list[pos]
         anc = ancestors.pop(leaf)
         product = _draw_product(rng, n, anc)
-        left_id, right_id = len(nodes), len(nodes) + 1  # ids are 0..len - 1
+        left_id = 2 * len(nodes) + 1  # ids are 0..2 * (number of splits)
+        right_id = left_id + 1
         nodes[leaf] = Split(product, left_id, right_id)
-        nodes[left_id] = nodes[right_id] = _PLACEHOLDER
         ancestors[left_id] = ancestors[right_id] = tuple(sorted(anc + (product,)))
+        offered[left_id] = offered[leaf] + [product]
+        offered[right_id] = offered.pop(leaf)
         leaf_list[pos : pos + 1] = [left_id, right_id]
-    return assign_leaf_options(nodes, 0, rng)
+    return _with_leaf_options(nodes, 0, offered, rng)
 
 
 def gen_lambda(num_trees: int, rng) -> tuple[float, ...]:

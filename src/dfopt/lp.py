@@ -76,7 +76,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import IterationLimitError, SolverError, ValidationError
 
 LE, EQ, GE = "<=", "=", ">="
 _SENSES = frozenset((LE, EQ, GE))
@@ -513,7 +513,8 @@ class _Simplex:
         Returns OPTIMAL once every basic value is within LEAVE_TOL of its
         bounds (on a fresh factorization), INFEASIBLE when a row shows that
         no point satisfies the bounds.  Raises SolverError when that row's
-        proof does not hold up without the pivot tolerance.
+        proof does not hold up without the pivot tolerance, and
+        IterationLimitError after ``max_iter`` pivots.
         """
         m, ncols = self.m, self.n + self.m
         max_iter = 50 * (m + ncols) + 10_000
@@ -595,7 +596,7 @@ class _Simplex:
             d[q] = 0.0
             self._pivot(r, q, w, to_upper)
 
-        raise SolverError(
+        raise IterationLimitError(
             "dual simplex iteration limit exceeded", {"pivots": self.pivots}
         )
 

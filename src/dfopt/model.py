@@ -66,8 +66,6 @@ class PurchaseTree:
 
     - ``split_ids`` / ``leaf_ids``: node ids in ascending order.
     - ``depth[s]``: split depth, root split = 1.
-    - ``left_leaves[s]`` / ``right_leaves[s]``: leaves under each branch,
-      ascending.
     - ``path[l]``: the root-first ``(split, went_left)`` pairs leading to leaf
       l; the leaf is reached exactly when the products of its left splits
       are offered and those of its right splits are not.
@@ -76,7 +74,7 @@ class PurchaseTree:
     use, for walks that read every node by position.
 
     The tree knows no capacity-row granularity; ``formulations.capacity_rows``
-    groups these sets into rows.
+    groups the leaves of each branch into rows from the paths alone.
     """
 
     __slots__ = (
@@ -85,8 +83,6 @@ class PurchaseTree:
         "split_ids",
         "leaf_ids",
         "depth",
-        "left_leaves",
-        "right_leaves",
         "path",
         "_arrays",
     )
@@ -98,8 +94,6 @@ class PurchaseTree:
         self.root = root
         depth: dict[int, int] = {}
         paths: dict[int, tuple[tuple[int, bool], ...]] = {}
-        left_leaves: dict[int, list[int]] = {}
-        right_leaves: dict[int, list[int]] = {}
         splits: list[int] = []
         leaves: list[int] = []
 
@@ -127,8 +121,6 @@ class PurchaseTree:
                     raise ValidationError(f"leaf {nid}: option {node.option} < 0")
                 leaves.append(nid)
                 paths[nid] = path
-                for s, went_left in path:
-                    (left_leaves if went_left else right_leaves)[s].append(nid)
             elif isinstance(node, Split):
                 if type(node.product) is not int and not _is_integer(node.product):
                     raise ValidationError(
@@ -141,8 +133,6 @@ class PurchaseTree:
                         f"product {node.product} repeats on the path to split {nid}"
                     )
                 splits.append(nid)
-                left_leaves[nid] = []
-                right_leaves[nid] = []
                 anc2 = anc | {node.product}
                 stack.append((node.right, path + ((nid, False),), anc2))
                 stack.append((node.left, path + ((nid, True),), anc2))
@@ -155,8 +145,6 @@ class PurchaseTree:
         self.split_ids = tuple(sorted(splits))
         self.leaf_ids = tuple(sorted(leaves))
         self.depth = depth
-        self.left_leaves = {s: tuple(sorted(v)) for s, v in left_leaves.items()}
-        self.right_leaves = {s: tuple(sorted(v)) for s, v in right_leaves.items()}
         self.path = paths
         self._arrays = None
 

@@ -16,10 +16,9 @@ rows the pair is exact (``leaf_*_greedy``, ``split_*_greedy``).
 
 The per-product rows can defeat the sweep: a product row groups the leaves
 under several splits of one product, so weight parked on one branch uses up
-capacity that a later leaf under another split of the product needed
-(``product_greedy_sweep`` shows the shortfall).  The sweep is still optimal
-at most points, and its replayed dual proves it when it is feasible and as
-good: ``_certified`` returns that dual only then, and
+capacity that a later leaf under another split of the product needed.  The
+sweep is still optimal at most points, and its replayed dual proves it when
+it is feasible and as good: ``_certified`` returns that dual only then, and
 ``product_subproblem_lp`` solves the rows with the bundled simplex when that
 check fails.  That LP is the tree's own per-product formulation
 (``formulations.build`` of the tree alone), built once per tree, with its x
@@ -427,17 +426,3 @@ def product_subproblem_lp(
         kind=Kind.PRODUCT, alpha=alpha, beta=beta, gamma=float(sol.duals[0])
     )
     return float(sol.objective), cert, sol
-
-
-def product_greedy_sweep(
-    catalog: ProductCatalog, tree: PurchaseTree, x
-) -> tuple[dict[int, Number], Number]:
-    """The greedy sweep run on the per-product rows (not optimal in general).
-
-    Returns the leaf weights and their value; exists to demonstrate where
-    per-product aggregation defeats the greedy argument.
-    """
-    table = tree_table(Kind.PRODUCT, catalog, tree)
-    y, _ = _sweep(table, x)
-    return y, table.value(y)
-

@@ -4,7 +4,9 @@ These encode the reference examples the solvers are pinned against: the
 16-leaf worked example for the per-split greedy pair, the 6-leaf instance
 where the per-product greedy sweep fails, the two small non-integral
 relaxation geometries, and a few traversal/heuristic fixtures; plus the
-per-product sweep with its certification as one call (``certified_sweep``).
+per-product sweep alone (``product_sweep``) and with its certification
+(``certified_sweep``), and the leaves under each branch of a split read off
+the leaf paths (``split_sides``).
 """
 
 from fractions import Fraction
@@ -14,15 +16,31 @@ from dfopt.formulations import Kind
 from dfopt.model import DecisionForest, Leaf, ProductCatalog, PurchaseTree, Split
 
 
+def product_sweep(catalog, tree, x):
+    """The greedy sweep on the per-product rows (not optimal in general):
+    ``(y, value, trace)``.  Reads ``subproblems._sweep`` at call time, so a
+    test can patch it."""
+    table = subproblems.tree_table(Kind.PRODUCT, catalog, tree)
+    y, trace = subproblems._sweep(table, x)
+    return y, table.value(y), trace
+
+
 def certified_sweep(catalog, tree, x):
     """The per-product sweep's value and replayed dual when that dual proves
     the sweep optimal, else None: the decomposition's product path without
-    the LP.  Reads ``subproblems._sweep`` at call time, so a test can patch it."""
-    table = subproblems.tree_table(Kind.PRODUCT, catalog, tree)
-    y, trace = subproblems._sweep(table, x)
-    value = table.value(y)
-    cert = subproblems._certified(table, trace, x, value)
+    the LP."""
+    _, value, trace = product_sweep(catalog, tree, x)
+    cert = subproblems._certified(trace.table, trace, x, value)
     return None if cert is None else (value, cert)
+
+
+def split_sides(tree, s):
+    """``(lefts, rights)``: the leaves under split s's left and right branch,
+    ascending, read off the leaf paths independently of ``capacity_rows``."""
+    return tuple(
+        tuple(l for l in tree.leaf_ids if (s, went_left) in tree.path[l])
+        for went_left in (True, False)
+    )
 
 
 def worked_example():

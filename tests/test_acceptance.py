@@ -27,14 +27,19 @@ from dfopt.subproblems import (
     _at_levels,
     leaf_dual_greedy,
     leaf_primal_greedy,
-    product_greedy_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
     tree_table,
 )
 
-from cases import greedy_gap_tree, single_tree_forest, worked_example, y_value
+from cases import (
+    greedy_gap_tree,
+    product_sweep,
+    single_tree_forest,
+    worked_example,
+    y_value,
+)
 from test_subproblems import leaf_sub_lp, random_tree_and_x, split_sub_lp
 
 ALL_KINDS = (Kind.LEAF, Kind.SPLIT, Kind.PRODUCT)
@@ -153,7 +158,7 @@ def test_a02_greedy_failure_fixture_exact():
         exact = verify_solution_exact(_at_levels(built, x), sol)
         assert exact["feasible"] and exact["optimal"]
         assert exact["objective"] == Fraction(37, 2)
-        _, sweep = product_greedy_sweep(catalog, tree, x)
+        _, sweep, _ = product_sweep(catalog, tree, x)
         assert sweep == Fraction(10)
 
 

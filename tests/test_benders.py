@@ -14,7 +14,7 @@ from dfopt.benders import (
     relaxation_phase,
     solve_two_phase,
 )
-from dfopt.errors import DomainError, IterationLimitError, SolverError
+from dfopt.errors import DomainError, IterationLimitError
 from dfopt.formulations import Kind, build, solve_relaxation
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.model import (
@@ -25,13 +25,13 @@ from dfopt.model import (
 )
 from dfopt.subproblems import (
     integer_cut,
-    product_greedy_sweep,
     split_dual_greedy,
     split_primal_greedy,
 )
 
 from cases import (
     greedy_gap_tree,
+    product_sweep,
     single_leaf_tree,
     single_tree_forest,
     worked_example,
@@ -159,7 +159,7 @@ class TestRelaxationPhase:
 
     @pytest.mark.xfail(
         strict=True,
-        raises=SolverError,
+        raises=IterationLimitError,
         reason="the dual simplex reaches its iteration limit on a master LP",
     )
     def test_paper_scale_leaf(self):
@@ -560,7 +560,7 @@ class TestCertificatesOnlyWhereCut:
             # the tree's theta in the master solved last, against its sweep
             [t] = [t for t, other in enumerate(forest.trees) if other is tree]
             theta = float(masters[-1][1].x[catalog.n + t])
-            _, swept = product_greedy_sweep(catalog, tree, x)
+            _, swept, _ = product_sweep(catalog, tree, x)
             margins.append(theta > swept + benders.CUT_TOL)
             return real(catalog, tree, x, warm, table=table)
 

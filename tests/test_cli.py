@@ -184,6 +184,17 @@ class TestGenerate:
         cfg_path.write_text(json.dumps({"n": 0, "num_trees": 1, "shape": {"type": "t1", "depth": 1}}))
         assert main(["generate", "--config", str(cfg_path)]) == EXIT_CONFIG
 
+    def test_three_revenue_bounds_write_nothing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n": 4, "num_trees": 1, "shape": {"type": "t1", "depth": 1},
+            "revenue_range": [1, 50, 99],
+        }))
+        out = tmp_path / "inst.json"
+        assert main(["generate", "--config", str(cfg_path), "--out", str(out)]) == EXIT_CONFIG
+        assert "revenue_range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "cfg",
         [

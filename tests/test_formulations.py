@@ -26,6 +26,7 @@ from cases import (
     single_leaf_tree,
     single_tree_forest,
     split_relax_tree,
+    split_sides,
 )
 
 
@@ -129,10 +130,7 @@ class TestBuild:
     def test_leaf_rows_count(self):
         catalog, tree = leaf_relax_tree()
         built = build(Kind.LEAF, catalog, single_tree_forest(tree))
-        pairs = sum(
-            len(tree.left_leaves[s]) + len(tree.right_leaves[s])
-            for s in tree.split_ids
-        )
+        pairs = sum(len(l + r) for l, r in (split_sides(tree, s) for s in tree.split_ids))
         assert built.lp.num_rows == 1 + pairs
 
     def test_cardinality_row(self):

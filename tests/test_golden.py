@@ -46,11 +46,12 @@ from dfopt.subproblems import (
     integer_cut,
     leaf_dual_greedy,
     leaf_primal_greedy,
-    product_greedy_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
 )
+
+from cases import product_sweep
 
 SHAPES = (
     TreeShape(kind="t1", depth=3),
@@ -147,7 +148,7 @@ def test_greedy_oracles_are_pinned():
                         sorted(cert.beta.items()),
                     )
                     h.update(repr(record).encode())
-                y, value = product_greedy_sweep(catalog, tree, x)
+                y, value, _ = product_sweep(catalog, tree, x)
                 h.update(repr((sorted(y.items()), value)).encode())
     assert h.hexdigest() == GREEDY_DIGEST
 

@@ -36,7 +36,7 @@ from dfopt.subproblems import (  # noqa: E402
     tree_table,
 )
 
-from cases import certified_sweep  # noqa: E402
+from cases import certified_sweep, split_sides  # noqa: E402
 
 N = 5
 PAIRS = {
@@ -202,3 +202,70 @@ def test_product_rows_are_unions_of_split_rows(tree):
         assert key == i
         assert leaves == tuple(sorted(union[i, left]))
         assert other == tuple(sorted(union[i, not left]))
+
+
+def relabeled(tree, labels):
+    """The same tree with node id k renamed ``labels[k]``."""
+    def node(v):
+        if isinstance(v, Split):
+            return Split(v.product, labels[v.left], labels[v.right])
+        return v
+
+    return PurchaseTree({labels[k]: node(v) for k, v in tree.nodes.items()}, labels[tree.root])
+
+
+def reference_capacity_rows(kind, tree):
+    """``capacity_rows`` as defined per split: splits ascending, each with its
+    left rows first; per product, the union of its splits' sides."""
+    rows = []
+    if kind == Kind.PRODUCT:
+        union = {}
+        for s in tree.split_ids:
+            for left, leaves in zip((True, False), split_sides(tree, s)):
+                union.setdefault((tree.split_product(s), left), set()).update(leaves)
+        for i in sorted({i for i, _ in union}):
+            lefts, rights = (tuple(sorted(union[i, left])) for left in (True, False))
+            rows += [(i, i, True, lefts, rights), (i, i, False, rights, lefts)]
+        return rows
+    for s in tree.split_ids:
+        i = tree.split_product(s)
+        lefts, rights = split_sides(tree, s)
+        if kind == Kind.SPLIT:
+            rows += [(s, i, True, lefts, rights), (s, i, False, rights, lefts)]
+        else:
+            rows += [((s, l), i, True, (l,), rights) for l in lefts]
+            rows += [((s, l), i, False, (l,), lefts) for l in rights]
+    return rows
+
+
+def reference_leaf_rows(kind, tree, l):
+    """One row per split above leaf l, root-first by depth; per-(split, leaf)
+    rows with the left rows first."""
+    rows = []
+    for s in sorted(tree.split_ids, key=tree.depth.__getitem__):
+        lefts, rights = split_sides(tree, s)
+        if l in lefts + rights:
+            i = tree.split_product(s)
+            key = {Kind.LEAF: (s, l), Kind.SPLIT: s, Kind.PRODUCT: i}[kind]
+            rows.append((s, key, i, l in lefts))
+    if kind == Kind.LEAF:
+        rows.sort(key=lambda row: not row[3])
+    return rows
+
+
+@PROPERTY_SETTINGS
+@given(tree=trees(), data=st.data())
+def test_capacity_rows_match_per_split_sides_under_any_ids(tree, data):
+    # ids drawn from a range with negatives, in shuffled order, so that id
+    # order and depth order differ
+    k = len(tree.nodes)
+    labels = data.draw(st.permutations(range(-k, k)))[:k]
+    tree = relabeled(tree, labels)
+    for kind in Kind:
+        reference = reference_capacity_rows(kind, tree)
+        assert capacity_rows(kind, tree) == reference
+        for l in tree.leaf_ids:
+            rows = reference_leaf_rows(kind, tree, l)
+            assert leaf_rows(kind, tree, l) == rows
+            held = {(key, left) for key, _, left, leaves, _ in reference if l in leaves}
+            assert {(key, left) for _, key, _, left in rows} == held

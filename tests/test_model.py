@@ -81,10 +81,13 @@ class TestTreeValidation:
 
     def test_index_sets(self):
         _, tree = greedy_gap_tree()
-        assert tree.left_leaves[1] == (6, 7, 8, 9)
-        assert tree.right_leaves[1] == (10, 11)
         assert tree.path[6] == ((1, True), (2, True), (4, True))
         assert tree.path[11] == ((1, False), (3, False))
+        rows = capacity_rows(Kind.SPLIT, tree)
+        assert rows[:2] == [
+            (1, 1, True, (6, 7, 8, 9), (10, 11)),
+            (1, 1, False, (10, 11), (6, 7, 8, 9)),
+        ]
         rows = capacity_rows(Kind.PRODUCT, tree)
         by_side = {(key, left): leaves for key, _, left, leaves, _ in rows}
         assert by_side[3, True] == (6, 8, 10)

@@ -21,7 +21,6 @@ from dfopt.subproblems import (
     leaf_dual_greedy,
     leaf_order,
     leaf_primal_greedy,
-    product_greedy_sweep,
     product_subproblem_lp,
     split_dual_greedy,
     split_primal_greedy,
@@ -31,8 +30,10 @@ from dfopt.subproblems import (
 from cases import (
     certified_sweep,
     greedy_gap_tree,
+    product_sweep,
     single_leaf_tree,
     single_tree_forest,
+    split_sides,
     thm1_fragment,
     worked_example,
     y_value,
@@ -63,13 +64,14 @@ def leaf_sub_lp(catalog, tree, x):
     rows, senses, rhs = [[1.0] * len(leaves)], [EQ], [1.0]
     for s in tree.split_ids:
         xv = float(x[tree.split_product(s) - 1])
-        for l in tree.left_leaves[s]:
+        lefts, rights = split_sides(tree, s)
+        for l in lefts:
             row = [0.0] * len(leaves)
             row[col[l]] = 1.0
             rows.append(row)
             senses.append(LE)
             rhs.append(xv)
-        for l in tree.right_leaves[s]:
+        for l in rights:
             row = [0.0] * len(leaves)
             row[col[l]] = 1.0
             rows.append(row)
@@ -86,14 +88,15 @@ def split_sub_lp(catalog, tree, x, unit_sense=EQ):
     rows, senses, rhs = [[1.0] * len(leaves)], [unit_sense], [1.0]
     for s in tree.split_ids:
         xv = float(x[tree.split_product(s) - 1])
+        lefts, rights = split_sides(tree, s)
         row = [0.0] * len(leaves)
-        for l in tree.left_leaves[s]:
+        for l in lefts:
             row[col[l]] = 1.0
         rows.append(row)
         senses.append(LE)
         rhs.append(xv)
         row = [0.0] * len(leaves)
-        for l in tree.right_leaves[s]:
+        for l in rights:
             row[col[l]] = 1.0
         rows.append(row)
         senses.append(LE)
@@ -267,8 +270,9 @@ class TestSplitGreedy:
             assert sum(y.values()) == pytest.approx(1.0, abs=1e-9)
             for s in tree.split_ids:
                 xv = x[tree.split_product(s) - 1]
-                assert sum(y[l] for l in tree.left_leaves[s]) <= xv + 1e-9
-                assert sum(y[l] for l in tree.right_leaves[s]) <= 1 - xv + 1e-9
+                lefts, rights = split_sides(tree, s)
+                assert sum(y[l] for l in lefts) <= xv + 1e-9
+                assert sum(y[l] for l in rights) <= 1 - xv + 1e-9
 
     def test_dual_rejects_event_off_its_leaf_path(self):
         catalog, _, _ = thm1_fragment()
@@ -298,13 +302,13 @@ class TestSplitGreedy:
                     assert abs(slacks[l]) < 1e-9 * (1 + abs(slacks[l]))
             for s, a in cert.alpha.items():
                 if a > 1e-9:
-                    used = sum(y[l] for l in tree.left_leaves[s])
+                    used = sum(y[l] for l in split_sides(tree, s)[0])
                     assert used == pytest.approx(
                         x[tree.split_product(s) - 1], abs=1e-9
                     )
             for s, b in cert.beta.items():
                 if b > 1e-9:
-                    used = sum(y[l] for l in tree.right_leaves[s])
+                    used = sum(y[l] for l in split_sides(tree, s)[1])
                     assert used == pytest.approx(
                         1 - x[tree.split_product(s) - 1], abs=1e-9
                     )
@@ -319,9 +323,7 @@ class TestSplitGreedy:
             split_events = [e for e in trace.events if e != EVENT_C]
             for e1 in split_events:
                 s1 = e1[1]
-                blocked = (
-                    tree.left_leaves[s1] if e1[0] == "A" else tree.right_leaves[s1]
-                )
+                blocked = split_sides(tree, s1)[e1[0] != "A"]
                 for e2 in split_events:
                     s2 = e2[1]
                     if s2 == s1 or trace.f[e2] not in blocked:
@@ -367,7 +369,7 @@ class TestIntegerCut:
             for s, went_left in tree.path[leaf_star]:
                 assert went_left  # every product is offered
                 expect = max(
-                    catalog.leaf_revenue(tree, l) for l in tree.right_leaves[s]
+                    catalog.leaf_revenue(tree, l) for l in split_sides(tree, s)[1]
                 ) - r_star
                 if expect > 0:
                     assert cert.beta[s] == expect
@@ -413,7 +415,7 @@ class TestProductSubproblem:
         x = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
         value, cert, sol = product_subproblem_lp(catalog, tree, x)
         assert value == pytest.approx(18.5, abs=1e-9)
-        _, sweep_value = product_greedy_sweep(catalog, tree, x)
+        _, sweep_value, _ = product_sweep(catalog, tree, x)
         assert sweep_value == Fraction(10)
         built, _, _ = tree_table(Kind.PRODUCT, catalog, tree).product_lp
         y = {l: sol.x[built.y_cols[(0, l)]] for l in tree.leaf_ids}
