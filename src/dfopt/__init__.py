@@ -49,7 +49,7 @@ from .instancegen import (
     max3sat_to_instance,
     parse_dimacs,
 )
-from .lp import LinearProgram, LpSolution, WarmBasis, solve_lp, solve_lp_with_basis
+from .lp import LinearProgram, LpSolution, WarmBasis, solve_lp
 from .model import (
     AssortmentVector,
     DecisionForest,

@@ -173,11 +173,11 @@ def _master_state(catalog, forest, cardinality) -> MasterState:
         max(float(catalog.leaf_revenue(tree, l)) for l in tree.leaf_ids)
         for tree in forest.trees
     ]
-    card = cardinality is not None
+    card = int(cardinality is not None)  # rows: 1 with a cardinality row, else 0
     lp = LinearProgram.build(
         c=np.concatenate([np.zeros(n), [float(w) for w in forest.weights]]),
-        A=[np.concatenate([np.ones(n), np.zeros(k)])] if card else [],
-        senses=[EQ] if card else [],
+        A=np.hstack([np.ones((card, n)), np.zeros((card, k))]),
+        senses=[EQ] * card,
         b=[float(cardinality)] if card else [],
         lb=np.zeros(n + k),
         ub=np.concatenate([np.ones(n), theta_ub]),

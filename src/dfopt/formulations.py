@@ -177,21 +177,23 @@ def build(
         for l in tree.leaf_ids:
             c[y_cols[(t, l)]] = w * float(catalog.leaf_revenue(tree, l))
 
-    rows: list[np.ndarray] = []
+    # the (row, column, coefficient) entries, filled into one dense matrix
+    at_row: list[int] = []
+    at_col: list[int] = []
+    values: list[float] = []
     senses: list[str] = []
     rhs: list[float] = []
 
     def add_row(coefs: dict[int, float], sense: str, b: float):
-        row = np.zeros(ncols)
-        for j, v in coefs.items():
-            row[j] = v
-        rows.append(row)
+        at_row.extend([len(senses)] * len(coefs))
+        at_col.extend(coefs)
+        values.extend(coefs.values())
         senses.append(sense)
         rhs.append(b)
 
     unit_rows = []
     for t, tree in enumerate(forest.trees):
-        unit_rows.append(len(rows))
+        unit_rows.append(len(senses))
         add_row({y_cols[(t, l)]: 1.0 for l in tree.leaf_ids}, EQ, 1.0)
         for _, i, left, leaves, _ in capacity_rows(kind, tree):
             coefs = {y_cols[(t, l)]: 1.0 for l in leaves}
@@ -200,10 +202,12 @@ def build(
 
     card_row = None
     if cardinality is not None:
-        card_row = len(rows)
+        card_row = len(senses)
         add_row({j: 1.0 for j in range(n)}, EQ, float(cardinality))
 
-    lp = LinearProgram.build(c=c, A=np.array(rows), senses=senses, b=rhs, ub=np.ones(ncols))
+    A = np.zeros((len(senses), ncols))
+    A[at_row, at_col] = values
+    lp = LinearProgram.build(c=c, A=A, senses=senses, b=rhs, ub=np.ones(ncols))
     return BuiltFormulation(
         kind=kind,
         lp=lp,

@@ -1,13 +1,14 @@
 """Dense bounded-variable dual simplex.
 
-Solves  max c'x  s.t.  A x {<=,=,>=} b,  lb <= x <= ub.  Geared to the
+Solves  max c'x  s.t.  A x {<=,=} b,  lb <= x <= ub.  Geared to the
 desk-scale problems this package builds (hundreds of rows/columns):
 matrices are dense numpy arrays.
 
 Every row i owns a slack ("logical") column at n + i: bounds [0, inf) for
-an inequality row, [0, 0] for an equality row.  So the slack basis, with
-every structural column at its lower bound, exists for every program, and
-every optimal solution carries a basis that restarts a solve.
+an inequality row, [0, 0] for an equality row, so internally every row is
+an equality, A x + s = b.  The slack basis, with every structural column at
+its lower bound, exists for every program, and every optimal solution
+carries a basis that restarts a solve.
 
 The simplex reaches its basis only through ftran (B^-1 a), btran
 (c_B' B^-1) and one row of B^-1, and behind them factorizes only the basis
@@ -21,11 +22,11 @@ the basis) and refactorized periodically.  A pivot also updates what the
 next one reads: the bounds of each basic position, each column's entering
 direction, and the reduced costs, which move by the pivot row
 (d <- d - (d_q / alpha_q) alpha) and are recomputed at every
-factorization.  The row part of the internal form (``LinearProgram._form``)
-is built once per constraint matrix and shared by the programs
-``with_bounds``, the one derivation, makes from it (branch-and-bound nodes,
-and product-oracle LPs, whose x columns are fixed by their bounds); a solve
-holds no other copy of the program.
+factorization.  The program's own ``A`` is the only copy of its
+constraint matrix: the simplex and its kernel read their rows and columns
+from it, and ``with_bounds``, the one derivation (branch-and-bound nodes,
+and product-oracle LPs, whose x columns are fixed by their bounds), shares
+it.
 
 ``solve_lp(lp, warm=None)`` is the one entry point, and every solve takes
 one path from a start basis.  The start is a given start basis
@@ -78,8 +79,8 @@ import numpy as np
 
 from .errors import IterationLimitError, SolverError, ValidationError
 
-LE, EQ, GE = "<=", "=", ">="
-_SENSES = frozenset((LE, EQ, GE))
+LE, EQ = "<=", "="
+_SENSES = frozenset((LE, EQ))
 
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-9
@@ -114,9 +115,10 @@ class LinearProgram:
         """The program from array-likes.  ``lb`` defaults to 0; ``ub`` has no
         default, since every bound must be finite."""
         c = np.asarray(c, dtype=float)
-        A = np.asarray(A, dtype=float)
-        if A.ndim != 2:
-            A = A.reshape(len(b), len(c))
+        try:
+            A = np.asarray(A, dtype=float)
+        except ValueError as exc:  # ragged rows
+            raise ValidationError(f"inconsistent LP dimensions: {exc}") from None
         b = np.asarray(b, dtype=float)
         n = len(c)
         lb = np.zeros(n) if lb is None else np.asarray(lb, dtype=float)
@@ -132,41 +134,30 @@ class LinearProgram:
         return self.A.shape[1]
 
     def __post_init__(self) -> None:
-        m, n = self.A.shape
-        if np.shape(self.c) != (n,) or np.shape(self.b) != (m,) or len(self.senses) != m:
+        shape = np.shape(self.A)
+        if (
+            len(shape) != 2
+            or np.shape(self.c) != shape[1:]
+            or np.shape(self.b) != shape[:1]
+            or len(self.senses) != shape[0]
+        ):
             raise ValidationError("inconsistent LP dimensions")
         if not (np.isfinite(self.c).all() and np.isfinite(self.A).all()):
             raise ValidationError("costs and row coefficients must be finite")
         if not np.isfinite(self.b).all():
             raise ValidationError("right-hand sides must be finite")
-        _check_bounds(self.lb, self.ub, n)
+        _check_bounds(self.lb, self.ub, shape[1])
         if not _SENSES.issuperset(self.senses):
             bad = next(s for s in self.senses if s not in _SENSES)
             raise ValidationError(f"unknown row sense {bad!r}")
 
     @cached_property
-    def _form(self) -> tuple:
-        """The internal form's row part: (row_sign, A, AT, slack_ub, c_min).
-
-        Internally every row is an equality through its slack, A z + s = b,
-        with >= rows negated to <= first; ``row_sign`` also maps internal
-        duals back to the rows as given.  Columns are the structural
-        variables, then row i's slack at n + i, the unit vector of its row,
-        so only the signed structural ``A`` (with its transpose ``AT``) is
-        stored.  A slack ranges over [0, ``slack_ub``]: [0, inf) on an
-        inequality row, [0, 0] on an equality row.  ``c_min`` holds the
-        costs to minimize, 0 for every slack.  Built once per constraint
-        matrix and shared by the programs ``with_bounds`` derives from this
-        one; ``_Simplex`` signs b and extends the bounds per solve.
-        """
-        sign = np.array([-1.0 if s == GE else 1.0 for s in self.senses])
-        A = self.A * sign[:, None] if GE in self.senses else self.A
-        slack_ub = np.array([0.0 if s == EQ else np.inf for s in self.senses])
-        c_min = np.concatenate([-self.c, np.zeros(len(sign))])
-        return sign, A, np.ascontiguousarray(A.T), slack_ub, c_min
+    def _slack_ub(self) -> np.ndarray:
+        """Each row's slack upper bound: 0 on an equality row, inf otherwise."""
+        return np.where(np.array(self.senses, dtype=str) == EQ, 0.0, np.inf)
 
     def with_bounds(self, lb, ub) -> "LinearProgram":
-        """This program with bounds ``lb`` and ``ub``, sharing its ``_form``.
+        """This program with bounds ``lb`` and ``ub``, sharing its ``A``.
 
         Only the bounds are checked: the copy is not made through the
         constructor, which would check A again at every branch-and-bound node.
@@ -174,7 +165,7 @@ class LinearProgram:
         lb, ub = np.asarray(lb, dtype=float), np.asarray(ub, dtype=float)
         _check_bounds(lb, ub, self.num_cols)
         lp = object.__new__(LinearProgram)
-        lp.__dict__.update(self.__dict__, lb=lb, ub=ub, _form=self._form)
+        lp.__dict__.update(self.__dict__, lb=lb, ub=ub)
         return lp
 
 
@@ -235,7 +226,8 @@ class _Kernel:
     B stays implicit: B^-1 a holds K^-1 a[rows] at the kernel positions and
     a_i - A[i, cols] K^-1 a[rows] at the position of row i's slack.  Stored
     are A[rows], A[:, cols]' and ``inv`` = K^-1, never the slack identity,
-    so nothing m x m or n + m wide is formed.
+    so nothing m x m or n + m wide is formed; the rows and columns are
+    gathered from the program's own ``A``.
 
     ``replace`` keeps rows and columns up to date at every pivot and updates
     ``inv`` in place of a refactorization.  Kernel rows and columns live in
@@ -243,10 +235,10 @@ class _Kernel:
     by the last.
     """
 
-    def __init__(self, A: np.ndarray, AT: np.ndarray, basis: np.ndarray, rows):
+    def __init__(self, A: np.ndarray, basis: np.ndarray, rows):
         """The kernel of ``basis``, whose basic slacks leave ``rows`` uncovered."""
         m, n = A.shape
-        self.A, self.AT, self.m, self.n = A, AT, m, n
+        self.A, self.m, self.n = A, m, n
         cap = min(m, n)
         # ftran's w[p] is z[at[p]] for z = [a - A[:, cols] x, x]: the slack
         # row i at a slack position, m + (kernel index) at a kernel one
@@ -262,8 +254,8 @@ class _Kernel:
         index[:, :k] = pos, basis[pos], rows
         self._A_rows = np.empty((cap, n))  # A[rows]
         self._A_rows[:k] = A[rows]
-        self._AT_cols = np.empty((cap, m))  # A[:, cols] transposed
-        self._AT_cols[:k] = AT[self._cols[:k]]
+        self._A_cols = np.empty((cap, m))  # A[:, cols] transposed
+        self._A_cols[:k] = A[:, self._cols[:k]].T
         self._resize(k)
 
     def _resize(self, k: int):
@@ -272,7 +264,7 @@ class _Kernel:
         self.cols = self._cols[:k]
         self.rows = self._rows[:k]
         self.A_rows = self._A_rows[:k]
-        self.AT_cols = self._AT_cols[:k]
+        self.A_cols = self._A_cols[:k]
 
     def factorize(self):
         """K^-1 afresh; raises LinAlgError when K is singular."""
@@ -282,7 +274,7 @@ class _Kernel:
     def ftran(self, a: np.ndarray) -> np.ndarray:
         """B^-1 a, by basis position."""
         x = self.inv.dot(a[self.rows])
-        return np.concatenate((a - x.dot(self.AT_cols), x))[self.at]
+        return np.concatenate((a - x.dot(self.A_cols), x))[self.at]
 
     def btran(self, c: np.ndarray) -> np.ndarray:
         """Duals y of ``rows`` with y'K = c[cols]: y'B = c_B' when slacks cost 0.
@@ -303,7 +295,7 @@ class _Kernel:
         i = self.at[p]
         if i >= self.m:
             return self.times(self.inv[i - self.m])
-        alpha = self.times(-self.AT_cols[:, i].dot(self.inv))
+        alpha = self.times(-self.A_cols[:, i].dot(self.inv))
         alpha[: self.n] += self.A[i]
         alpha[self.n + i] += 1.0
         return alpha
@@ -328,12 +320,12 @@ class _Kernel:
                 M -= u[:, None] * row
                 M[t] = row
             self._cols[t] = j
-            self._AT_cols[t] = self.AT[j]
+            self._A_cols[t] = self.A[:, j]
         elif j < n:
             i = at
             if update:
                 u, s = w[self.pos], w[p]
-                v = self.AT_cols[:, i].dot(M) / s
+                v = self.A_cols[:, i].dot(M) / s
                 grown = np.empty((k + 1, k + 1))
                 grown[:k, :k] = M + u[:, None] * v
                 grown[:k, k] = -u / s
@@ -341,7 +333,7 @@ class _Kernel:
                 grown[k, k] = 1.0 / s
                 self.inv = grown
             self._pos[k], self._cols[k] = p, j
-            self._AT_cols[k] = self.AT[j]
+            self._A_cols[k] = self.A[:, j]
             self._rows[k], self._A_rows[k] = i, self.A[i]
             self.at[p], self.row_slot[i] = m + k, k
             self._resize(k + 1)
@@ -356,7 +348,7 @@ class _Kernel:
                 self.inv = M[:last, :last] - col[:last, None] * row[:last]
             q, r = self._pos[last], self._rows[last]
             self._pos[t], self._cols[t] = q, self._cols[last]
-            self._AT_cols[t] = self._AT_cols[last]
+            self._A_cols[t] = self._A_cols[last]
             self._rows[a] = r
             self._A_rows[a] = self._A_rows[last]
             self.at[q], self.row_slot[r] = m + t, a
@@ -365,7 +357,7 @@ class _Kernel:
         else:
             i, a = at, self.row_slot[j - n]
             if update:
-                g = self.AT_cols[:, i].dot(M)
+                g = self.A_cols[:, i].dot(M)
                 col = M[:, a] / g[a]
                 M -= col[:, None] * g
                 M[:, a] = col
@@ -394,13 +386,14 @@ class _Simplex:
 
     def __init__(self, lp: LinearProgram, basis=(), at_upper=()):
         """Raises SolverError when the start does not fit ``lp`` or is singular."""
-        row_sign, self.A, AT, slack_ub, self.c = lp._form
+        self.A = lp.A
         self.m, self.n = m, n = self.A.shape
         ncols = n + m
+        self.c = np.concatenate((-lp.c, np.zeros(m)))  # to minimize; slacks cost 0
         given = np.asarray(basis, dtype=int)
         self.basis = np.concatenate((given, np.arange(n + len(given), ncols)))
         at_upper = np.asarray(at_upper, dtype=int)
-        ub = np.concatenate((lp.ub, slack_ub))
+        ub = np.concatenate((lp.ub, lp._slack_ub))
         if (
             len(self.basis) != m
             or any(((v < 0) | (v >= ncols)).any() for v in (self.basis, at_upper))
@@ -414,13 +407,13 @@ class _Simplex:
         self.is_basic[self.basis] = True
         self.at_upper = np.zeros(ncols, dtype=bool)
         self.at_upper[at_upper] = True
-        self.b, self.ub = lp.b * row_sign, ub
+        self.b, self.ub = lp.b, ub
         self.lb = lb = np.concatenate((lp.lb, np.zeros(m)))
         self.lb_b, self.ub_b = lb[self.basis], ub[self.basis]
         self.dir = np.where(self.at_upper, -1.0, 1.0)
         self.dir[self.is_basic | (lb == ub)] = 0.0
         rows = (~self.is_basic[n:]).nonzero()[0]
-        self.kernel = _Kernel(self.A, AT, self.basis, rows)
+        self.kernel = _Kernel(self.A, self.basis, rows)
         self._refactor()
 
     # -- state helpers ----------------------------------------------------
@@ -442,7 +435,7 @@ class _Simplex:
     def _column(self, j: int) -> np.ndarray:
         """Column j of [A | I]."""
         if j < self.n:
-            return self.kernel.AT[j]
+            return self.A[:, j]
         e = np.zeros(self.m)
         e[j - self.n] = 1.0
         return e
@@ -602,22 +595,20 @@ class _Simplex:
 
 
 def _extract(lp: LinearProgram, sim: _Simplex, warm: bool) -> LpSolution:
-    row_sign, _, _, slack_ub, c_min = lp._form
     point = sim._nonbasic_values()
     point[sim.basis] = sim.x_b
     x = point[: sim.n].copy()
     y_min = np.zeros(sim.m)
-    y_min[sim.kernel.rows] = sim.kernel.btran(c_min)
-    duals = -(y_min * row_sign)
+    y_min[sim.kernel.rows] = sim.kernel.btran(sim.c)
+    duals = -y_min
 
     obj = float(lp.c @ x)
 
     # never report a wrong Optimal: re-verify the original rows and bounds
-    # (a row's signed residual is <= 0 when it holds; an equality's is 0)
+    # (a row's residual is <= 0 when it holds; an equality's is 0)
     resid = lp.A @ x - lp.b
-    signed = resid * row_sign
-    equality = slack_ub == 0.0
-    bad = ((signed > FEAS_TOL) | (equality & (signed < -FEAS_TOL))).nonzero()[0]
+    equality = sim.ub[sim.n :] == 0.0
+    bad = ((resid > FEAS_TOL) | (equality & (resid < -FEAS_TOL))).nonzero()[0]
     if bad.size:
         i = int(bad[0])
         raise SolverError(
@@ -745,18 +736,17 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
     """
     if sol.status != OPTIMAL or sol.basis is None:
         raise SolverError("exact verification needs an optimal basis", {})
-    row_sign, A_min, _, slack_ub, c_min = lp._form
-    m, n = A_min.shape
+    m, n = lp.A.shape
     ncols = n + m
     A = [
-        [Fraction(v) for v in A_min[i]] + [Fraction(int(i == s)) for s in range(m)]
+        [Fraction(v) for v in lp.A[i]] + [Fraction(int(i == s)) for s in range(m)]
         for i in range(m)
     ]
-    b = [Fraction(v) for v in lp.b * row_sign]
+    b = [Fraction(v) for v in lp.b]
     lbs = [Fraction(v) for v in np.concatenate((lp.lb, np.zeros(m)))]
     ubs = [
         Fraction(v) if np.isfinite(v) else None
-        for v in np.concatenate((lp.ub, slack_ub))
+        for v in np.concatenate((lp.ub, lp._slack_ub))
     ]
     basic = list(sol.basis.basic)
     at_upper = set(sol.basis.at_upper)
@@ -781,7 +771,7 @@ def verify_solution_exact(lp: LinearProgram, sol: LpSolution) -> dict:
         if ubs[j] is not None and point[j] > ubs[j]:
             feasible = False
 
-    c_min = [Fraction(v) for v in c_min]
+    c_min = [-Fraction(v) for v in lp.c] + [Fraction(0)] * m
     Bt = [[A[i][basic[k]] for i in range(m)] for k in range(m)]
     y = _rational_solve(Bt, [c_min[j] for j in basic])
     optimal = True

@@ -22,7 +22,7 @@ except ImportError:  # the property test is skipped
 
 from dfopt import build, cli, relaxation_phase, solve_relaxation  # noqa: E402
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance  # noqa: E402
-from dfopt.lp import EQ, GE, LE, LinearProgram, solve_lp  # noqa: E402
+from dfopt.lp import EQ, LE, LinearProgram, solve_lp  # noqa: E402
 from dfopt.model import Split  # noqa: E402
 
 KINDS = ("leaf", "split", "product")
@@ -152,7 +152,8 @@ def test_integer_optimum_matches_highs(n, shape, trees, seed, cardinality):
 
 
 def random_lp(rng) -> LinearProgram:
-    """Up to 6 x 6 with small integer data, rows of every sense.
+    """Up to 6 x 6 with small integer data: <= rows, = rows, and >= rows
+    written as the negated <= row.
 
     Three draws in four have a right-hand side that admits a lattice point
     inside the bounds; the rest are drawn freely and are mostly infeasible.
@@ -160,27 +161,30 @@ def random_lp(rng) -> LinearProgram:
     """
     m, n = int(rng.integers(1, 7)), int(rng.integers(1, 7))
     A = rng.integers(-3, 4, size=(m, n)).astype(float)
-    senses = [(LE, GE, EQ)[k] for k in rng.integers(0, 3, size=m)]
+    kind = rng.integers(0, 3, size=m)  # 0: <=, 1: >=, 2: =
     c = rng.integers(-3, 4, size=n).astype(float)
     lb = rng.integers(-2, 1, size=n).astype(float)
     ub = lb + np.where(rng.random(n) < 0.5, 10, rng.integers(0, 4, size=n))
     if rng.random() < 0.75:
         x0 = lb + rng.integers(0, 2, size=n) * np.minimum(ub - lb, 1.0)
-        room = np.array([{LE: 1, GE: -1, EQ: 0}[s] for s in senses])
+        room = np.array([1, -1, 0])[kind]
         b = A @ x0 + room * rng.integers(0, 3, size=m)
     else:
         b = rng.integers(-4, 5, size=m).astype(float)
-    return LinearProgram.build(c=c, A=A, senses=senses, b=b, lb=lb, ub=ub)
+    sign = np.where(kind == 1, -1.0, 1.0)
+    return LinearProgram.build(
+        c=c, A=A * sign[:, None], senses=[EQ if k == 2 else LE for k in kind],
+        b=b * sign, lb=lb, ub=ub,
+    )
 
 
 def highs_lp(lp: LinearProgram) -> tuple[str, "float | None"]:
     """Status and optimum of ``lp`` by ``linprog``, on the same bounds."""
-    sign = np.array([-1.0 if s == GE else 1.0 for s in lp.senses])
     ineq = np.array([s != EQ for s in lp.senses])
     res = linprog(
         -lp.c,
-        A_ub=(lp.A * sign[:, None])[ineq] if ineq.any() else None,
-        b_ub=(lp.b * sign)[ineq] if ineq.any() else None,
+        A_ub=lp.A[ineq] if ineq.any() else None,
+        b_ub=lp.b[ineq] if ineq.any() else None,
         A_eq=lp.A[~ineq] if not ineq.all() else None,
         b_eq=lp.b[~ineq] if not ineq.all() else None,
         bounds=list(zip(lp.lb, lp.ub)),

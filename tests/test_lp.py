@@ -1,8 +1,8 @@
 """Simplex solver: fixtures, random-LP oracle comparison, duals, warm starts."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from dfopt.errors import ValidationError
 from dfopt.instancegen import GeneratorConfig, TreeShape, generate_instance
 from dfopt.lp import (
     EQ,
-    GE,
     LE,
     LinearProgram,
     WarmBasis,
@@ -89,16 +88,10 @@ class TestBasics:
         assert sol.objective == pytest.approx(2.0)
         assert sol.x[1] == pytest.approx(1.0)
 
-    def test_ge_row(self):
-        lp = LinearProgram.build(
-            c=[-1.0], A=[[1.0]], senses=[GE], b=[0.25], ub=[1.0]
-        )
-        sol = solve_lp(lp)
-        assert sol.objective == pytest.approx(-0.25)
-
     def test_infeasible(self):
+        # x <= 0.2 and -x <= -0.5
         lp = LinearProgram.build(
-            c=[1.0], A=[[1.0], [1.0]], senses=[LE, GE], b=[0.2, 0.5], ub=[1.0]
+            c=[1.0], A=[[1.0], [-1.0]], senses=[LE, LE], b=[0.2, -0.5], ub=[1.0]
         )
         assert solve_lp(lp).status == "infeasible"
 
@@ -133,13 +126,29 @@ class TestBasics:
                 lp.with_bounds(lp.lb, data["ub"])
 
     @pytest.mark.parametrize(
-        "name, value", [("lb", 0.0), ("ub", 1.0), ("b", 1.0), ("lb", [[0.0]])]
+        "name, value",
+        [
+            ("lb", 0.0), ("ub", 1.0), ("b", 1.0), ("lb", [[0.0, 0.0]]),
+            ("A", [1.0, 2.0]), ("A", [1.0, 2.0, 3.0]), ("A", [[[1.0, 2.0]]]),
+            ("A", [[1.0, 2.0], [3.0]]),
+        ],
     )
     def test_misshapen_vectors_are_refused(self, name, value):
-        # a scalar used to raise a bare TypeError, and a 2-D bound passed
-        data = dict(c=[1.0], A=[[1.0]], senses=[LE], b=[1.0], ub=[2.0])
+        # a scalar used to raise a bare TypeError, and a 2-D bound passed.
+        # An A that is not 2-D was reshaped to the program: a 1-D or 3-D one
+        # of the right size passed, and one of the wrong size or a ragged
+        # one raised numpy's ValueError, as the constructor did on a 1-D A
+        data = dict(c=[1.0, 1.0], A=[[1.0, 1.0]], b=[1.0], lb=[0.0, 0.0], ub=[2.0, 2.0])
+        data[name] = value
         with pytest.raises(ValidationError, match="dimensions"):
-            LinearProgram.build(**{**data, name: value})
+            LinearProgram.build(senses=[LE], **data)
+        try:
+            arrays = {key: np.array(v, dtype=float) for key, v in data.items()}
+        except ValueError:  # a ragged A has no array to construct with
+            assert name == "A"
+            return
+        with pytest.raises(ValidationError, match="dimensions"):
+            LinearProgram(senses=(LE,), **arrays)
 
     def test_unknown_sense_names_the_first_one(self):
         with pytest.raises(ValidationError, match="unknown row sense '<'"):
@@ -147,6 +156,9 @@ class TestBasics:
                 c=[1.0], A=[[1.0], [1.0], [1.0]], senses=[LE, "<", "!"], b=[1, 1, 1],
                 ub=[2.0],
             )
+        # a >= row is written as the negated <= row
+        with pytest.raises(ValidationError, match="unknown row sense '>='"):
+            LinearProgram.build(c=[1.0], A=[[1.0]], senses=[">="], b=[1.0], ub=[2.0])
 
     def test_built_programs_are_validated_once(self, monkeypatch):
         calls = []
@@ -245,8 +257,6 @@ def assert_kkt(lp, sol):
         assert abs(sol.duals[i] * resid[i]) < 1e-7
         if s == LE:
             assert sol.duals[i] >= -1e-9
-        elif s == GE:
-            assert sol.duals[i] <= 1e-9
     # reduced-cost signs at bounds (maximization)
     for j in range(lp.num_cols):
         rc = reduced_costs[j]
@@ -262,26 +272,6 @@ class TestDuals:
         for _ in range(40):
             lp = random_le_lp(rng, m=4, n=6)
             sol = solve_lp(lp)
-            assert_kkt(lp, sol)
-
-    def test_mixed_senses_kkt(self):
-        rng = np.random.default_rng(5)
-        for _ in range(40):
-            base = random_le_lp(rng, m=4, n=6)
-            senses = list(base.senses)
-            A = base.A.copy()
-            b = base.b.copy()
-            # flip two rows to >= by negation: identical feasible set
-            for i in (1, 3):
-                A[i] *= -1
-                b[i] *= -1
-                senses[i] = GE
-            lp = LinearProgram.build(
-                c=base.c, A=A, senses=senses, b=b, lb=base.lb, ub=base.ub
-            )
-            ref = solve_lp(base)
-            sol = solve_lp(lp)
-            assert sol.objective == pytest.approx(ref.objective, abs=1e-8)
             assert_kkt(lp, sol)
 
 
@@ -333,37 +323,12 @@ class TestWarmStart:
         assert sol.status == "optimal" and not sol.warm
         assert sol.objective == pytest.approx(solve_lp(lp).objective, abs=1e-10)
 
-    def test_no_candidate_canonicalizes_once(self, monkeypatch):
-        # the row form is built once per program, however many solves read it
-        built = []
-        real = LinearProgram._form.func
-
-        def counting(lp):
-            built.append(lp)
-            return real(lp)
-
-        form = cached_property(counting)
-        form.__set_name__(LinearProgram, "_form")
-        monkeypatch.setattr(LinearProgram, "_form", form)
+    def test_multi_skips_none_and_serves_the_first_usable_basis(self):
         lp = random_le_lp(np.random.default_rng(9))
         sol = solve_lp_multi(lp, [None])
-        assert built == [lp]
-        assert sol.status == "optimal"
+        assert sol.status == "optimal" and not sol.warm
         assert sol.objective == solve_lp(lp).objective
         assert solve_lp_multi(lp, [None, sol.basis]).warm
-        assert built == [lp]
-
-
-def mixed_lp(rng, m=6, n=8) -> LinearProgram:
-    """A bounded LP with <= and >= rows, feasible at an interior point."""
-    base = random_le_lp(rng, m=m, n=n)
-    A, b = base.A.copy(), base.b.copy()
-    senses = [LE] * m
-    for i in range(0, m, 3):  # same feasible set, row written as >=
-        A[i] *= -1
-        b[i] *= -1
-        senses[i] = GE
-    return LinearProgram.build(c=base.c, A=A, senses=senses, b=b, ub=base.ub)
 
 
 def perturbed(lp, sol, rng, case) -> LinearProgram:
@@ -395,7 +360,7 @@ WARM_CASES = ("rhs", "rows", "fix")
 def check_warm_case(seed: int, case: str) -> None:
     """From the optimal basis of a random LP, re-solve a perturbed copy."""
     rng = np.random.default_rng(seed)
-    lp = mixed_lp(rng)
+    lp = random_le_lp(rng, m=6, n=8)
     sol = solve_lp(lp)
     assert sol.status == "optimal" and sol.basis is not None
     changed = perturbed(lp, sol, rng, case)
@@ -434,7 +399,7 @@ class TestDualSimplex:
         # one dual simplex run from the dual feasible start reaches the
         # optimum: the reduced-cost check that follows it finds nothing
         rng = np.random.default_rng(seed)
-        lp = mixed_lp(rng)
+        lp = random_le_lp(rng, m=6, n=8)
         changed = perturbed(lp, solve_lp(lp), rng, case)
         cold = solve_lp(changed)
         start = solve_lp(lp).basis
@@ -457,7 +422,7 @@ class TestDualSimplex:
         neither, served = 0, 0
         for seed in range(12):
             rng = np.random.default_rng(seed)
-            lp = mixed_lp(rng)
+            lp = random_le_lp(rng, m=6, n=8)
             sol = solve_lp(lp)
             changed = LinearProgram.build(
                 c=lp.c + rng.normal(size=lp.num_cols), A=lp.A, senses=lp.senses,
@@ -482,12 +447,12 @@ class TestDualSimplex:
         assert neither >= 4 and 0 < served < 12
 
     def test_infeasible_from_a_dual_infeasible_start_falls_back(self):
-        # x0 - x1 <= 1 and >= 2 meet nowhere.  With x1 basic in the first
-        # row, that row's slack prices out and no bound placement mends it,
-        # so the solve falls back to the slack basis, which proves the rows
-        # infeasible
+        # x0 - x1 <= 1 and x1 - x0 <= -2 meet nowhere.  With x1 basic in the
+        # first row, that row's slack prices out and no bound placement mends
+        # it, so the solve falls back to the slack basis, which proves the
+        # rows infeasible
         lp = LinearProgram.build(
-            c=[1.0, 1.0], A=[[1.0, -1.0], [1.0, -1.0]], senses=[LE, GE], b=[1.0, 2.0],
+            c=[1.0, 1.0], A=[[1.0, -1.0], [-1.0, 1.0]], senses=[LE, LE], b=[1.0, -2.0],
             ub=[10.0, 10.0],
         )
         start = WarmBasis(basic=(1, 3), at_upper=())
@@ -497,10 +462,10 @@ class TestDualSimplex:
         assert sol.status == "infeasible" and not sol.warm
 
     def test_child_made_infeasible_is_proved_warm(self):
-        # max x0 - x1  s.t.  x0 + x1 >= 1.5 on the unit box: x1 = 0.5 is basic;
-        # fixing it to 0 leaves no feasible point
+        # max x0 - x1  s.t.  -x0 - x1 <= -1.5 on the unit box: x1 = 0.5 is
+        # basic; fixing it to 0 leaves no feasible point
         lp = LinearProgram.build(
-            c=[1.0, -1.0], A=[[1.0, 1.0]], senses=[GE], b=[1.5], ub=[1.0, 1.0]
+            c=[1.0, -1.0], A=[[-1.0, -1.0]], senses=[LE], b=[-1.5], ub=[1.0, 1.0]
         )
         sol = solve_lp(lp)
         assert sol.x[1] == pytest.approx(0.5)
@@ -569,10 +534,11 @@ class TestKernel:
         m, n = 300, 20
         A = rng.uniform(0.0, 1.0, size=(m, n))
         b = A @ rng.uniform(0.2, 0.8, size=n)
-        senses = [GE if i % 2 else LE for i in range(m)]
-        b = b + np.where(np.array(senses) == GE, -0.5, 0.5)
+        # odd rows bound A x from below: -A x <= -(b - 0.5)
+        sign = np.where(np.arange(m) % 2, -1.0, 1.0)
         lp = LinearProgram.build(
-            c=rng.normal(size=n), A=A, senses=senses, b=b, ub=np.ones(n)
+            c=rng.normal(size=n), A=A * sign[:, None], senses=[LE] * m,
+            b=(b + 0.5 * sign) * sign, ub=np.ones(n),
         )
         sims = []
 
@@ -592,7 +558,41 @@ class TestKernel:
                     assert value.size < m * m, name
                     # kernel rows hold A[rows] alone, without the slack identity
                     assert value.ndim < 2 or value.shape[1] != n + m, name
-        assert all(value.size < m * m for value in lp._form)
+        # the one constraint matrix is the program's own
+        assert sim.A is lp.A and sim.kernel.A is lp.A
+
+
+class TestOneCopy:
+    """A program's ``A`` is the only copy of its constraint matrix: building
+    the formulation fills it in place, and a solve gathers its kernel from
+    it.  Measured on the 2,339 x 510 t3 30/30/16 seed-1 "leaf" formulation;
+    about 1x of a solve's peak is the kernel's column buffer."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        return generate_instance(
+            GeneratorConfig(n=30, num_trees=30, shape=TreeShape("t3", leaves=16), seed=1)
+        )
+
+    @staticmethod
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_build_holds_one_matrix(self, instance):
+        built, peak = self.traced_peak(lambda: formulations.build("leaf", *instance))
+        assert built.lp.A.shape == (2339, 510)
+        assert peak < 1.5 * built.lp.A.nbytes
+
+    def test_first_solve_holds_no_second_matrix(self, instance):
+        built = formulations.build("leaf", *instance)
+        sol, peak = self.traced_peak(lambda: solve_lp(built.lp, warm=built.start_basis()))
+        assert sol.status == "optimal"
+        assert peak < 1.6 * built.lp.A.nbytes
 
 
 class TestMaintainedState:
@@ -639,11 +639,8 @@ class TestMaintainedState:
             m, n = 40, 60
             A = rng.normal(size=(m, n))
             b = A @ rng.uniform(0.1, 0.9, size=n) + rng.uniform(0.05, 1.0, size=m)
-            senses = [GE if i % 4 == 0 else LE for i in range(m)]
-            sign = np.where(np.array(senses) == GE, -1.0, 1.0)
             lp = LinearProgram.build(
-                c=rng.normal(size=n), A=A * sign[:, None], senses=senses,
-                b=b * sign, ub=np.ones(n),
+                c=rng.normal(size=n), A=A, senses=[LE] * m, b=b, ub=np.ones(n)
             )
             sol = solve_lp(lp)
             assert sol.status == "optimal"
